@@ -242,29 +242,19 @@ def lyapunov_qr_orbit(
     """Lyapunov exponents by orthogonalized norm-growth accumulation.
 
     The derivative of a torus automorphism is the constant matrix M, so the
-    orbit of p0 only fixes the sampling protocol; the warmup discards the
+    estimate does not depend on the start point p0; the warmup discards the
     O(1/n) transient from aligning the frame with the eigendirections.
     """
     if n_steps < 100:
         raise PreconditionError("need at least 100 accumulation steps")
     m = np.array(f.matrix.entries, dtype=float)
     q = np.eye(2)
-    p = np.array(p0.to_floats())
-    step4 = np.array(
-        [
-            [m[0, 0], 0, m[0, 1], 0],
-            [0, m[0, 0], 0, m[0, 1]],
-            [m[1, 0], 0, m[1, 1], 0],
-            [0, m[1, 0], 0, m[1, 1]],
-        ]
-    )
     for _ in range(warmup):
         q, _ = np.linalg.qr(m @ q)
     logs = np.empty((n_steps, 2))
     for k in range(n_steps):
         q, r = np.linalg.qr(m @ q)
         logs[k] = np.log(np.abs(np.diagonal(r)))
-        p = (step4 @ p) % 1.0
     means = logs.mean(axis=0)
     lam_u, lam_s = float(means.max()), float(means.min())
     batch = np.array([b.mean(axis=0) for b in np.array_split(logs, 10)])

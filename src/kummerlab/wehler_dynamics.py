@@ -260,13 +260,15 @@ def _fiber_coeffs(carr, axis, P, T):
     for ax in others:
         u, v = _comp(P, T, ax, 0), _comp(P, T, ax, 1)
         mono.append((v * v, u * v, u * u))
+    # the nine jet products are shared by A, B and C; each sum runs in the
+    # same (a, b) order so the rounding does not depend on the sharing
+    prods = [(a, b, mono[0][a] * mono[1][b]) for a in range(3) for b in range(3)]
     out = []
     for k in (2, 1, 0):
         acc = None
-        for a in range(3):
-            for b in range(3):
-                term = mono[0][a] * mono[1][b] * cm[a, b, k]
-                acc = term if acc is None else acc + term
+        for a, b, prod in prods:
+            term = prod * cm[a, b, k]
+            acc = term if acc is None else acc + term
         out.append(acc)
     return out[0], out[1], out[2]
 
@@ -289,23 +291,6 @@ def _residuals(carr, P) -> np.ndarray:
     A, B, C = _fiber_coeffs(carr, 2, P, T)
     u, v = P[:, 2, 0], P[:, 2, 1]
     return np.abs(A.val * u * u + B.val * u * v + C.val * v * v)
-
-
-def _fiber_gradients(carr, P) -> np.ndarray:
-    """|dF/dw| per axis in that axis's affine chart; shape (3, n)."""
-    T = _zero_tan(P)
-    out = np.empty((3, P.shape[0]))
-    for axis in range(3):
-        A, B, C = _fiber_coeffs(carr, axis, P, T)
-        u, v = P[:, axis, 0], P[:, axis, 1]
-        pick_u = np.abs(u) >= np.abs(v)
-        g = np.where(
-            pick_u,
-            u * (B.val * u + 2 * C.val * v),
-            v * (2 * A.val * u + B.val * v),
-        )
-        out[axis] = np.abs(g)
-    return out
 
 
 def _solve_quadratic(A, B, C):
@@ -544,11 +529,16 @@ def orbit(
 # charts and the tangent map
 
 
-def _chart_solved_axis(carr, P):
-    g = _fiber_gradients(carr, P)
+def _chart_from_partials(partials):
+    """Solved axis (largest |dF/dw|) and chart failure per lane."""
+    g = np.abs(partials)
     solved = np.argmax(g, axis=0)
     fail = np.all(g < CHART_FAIL_TOL, axis=0)
     return solved, fail
+
+
+def _chart_solved_axis(carr, P):
+    return _chart_from_partials(_affine_partials(carr, P)[0])
 
 
 def _free_axes(solved):
@@ -580,8 +570,8 @@ def _seed_chart_tangents(carr, P):
     """Tangent frame for the chart at each lane: two directions moving one
     free-axis affine coordinate each, with the solved axis responding per
     the implicit function theorem.  Returns (T, solved, fail, pick_u)."""
-    solved, fail = _chart_solved_axis(carr, P)
     partials, pick_u = _affine_partials(carr, P)
+    solved, fail = _chart_from_partials(partials)
     f0, f1 = _free_axes(solved)
     n = P.shape[0]
     lanes = np.arange(n)
@@ -660,17 +650,25 @@ def tangent_map(
 # Newton search for periodic points
 
 
-def _chordal_displacement(P, Q):
-    """Max over axes of |u1 v2 - u2 v1| for max-normalized representatives."""
+def _max_normalized(P):
     nP = np.empty_like(P)
-    nQ = np.empty_like(Q)
     for ax in range(3):
         nP[:, ax, 0], nP[:, ax, 1] = _normalize_pair_arrays(P[:, ax, 0], P[:, ax, 1])
-        nQ[:, ax, 0], nQ[:, ax, 1] = _normalize_pair_arrays(Q[:, ax, 0], Q[:, ax, 1])
+    return nP
+
+
+def _normalized_cross(nP, nQ):
+    """Max over axes of |u1 v2 - u2 v1| for max-normalized (n, 3, 2) rows;
+    either side may be a single broadcast row."""
     cross = np.abs(
-        nP[:, :, 0] * nQ[:, :, 1] - nQ[:, :, 0] * nP[:, :, 1]
+        nP[..., 0] * nQ[..., 1] - nQ[..., 0] * nP[..., 1]
     )
-    return cross.max(axis=1)
+    return cross.max(axis=-1)
+
+
+def _chordal_displacement(P, Q):
+    """Max over axes of |u1 v2 - u2 v1| for max-normalized representatives."""
+    return _normalized_cross(_max_normalized(P), _max_normalized(Q))
 
 
 def _plain_chain(carr, P, axes, repeats=1):
@@ -702,14 +700,14 @@ def _rebuild_solved(carr, P, solved, prev_u, prev_v):
     root chordally closest to the previous coordinate (on-surface return)."""
     n = P.shape[0]
     lanes = np.arange(n)
-    roots = []
+    r1u, r1v, r2u, r2v = (np.empty(n, dtype=complex) for _ in range(4))
     for axis in range(3):
-        A, B, C = _fiber_coeffs(carr, axis, P, _zero_tan(P))
-        roots.append(_solve_quadratic(A.val, B.val, C.val))
-    r1u = np.choose(solved, [roots[a][0][0] for a in range(3)])
-    r1v = np.choose(solved, [roots[a][0][1] for a in range(3)])
-    r2u = np.choose(solved, [roots[a][1][0] for a in range(3)])
-    r2v = np.choose(solved, [roots[a][1][1] for a in range(3)])
+        sel = solved == axis
+        if not sel.any():
+            continue
+        Ps = P[sel]
+        A, B, C = _fiber_coeffs(carr, axis, Ps, _zero_tan(Ps))
+        (r1u[sel], r1v[sel]), (r2u[sel], r2v[sel]) = _solve_quadratic(A.val, B.val, C.val)
     n1u, n1v = _normalize_pair_arrays(r1u, r1v)
     n2u, n2v = _normalize_pair_arrays(r2u, r2v)
     pu, pv = _normalize_pair_arrays(prev_u, prev_v)
@@ -743,6 +741,64 @@ _STABILIZERS = (
 NEWTON_BETA = 2.0
 
 
+def _newton_step(carr, n, stab, P):
+    """One damped chart-Newton step for f^n on every lane of P.
+
+    Returns (P_next, alive, converged).  A lane dies on a chart failure, a
+    non-finite image, a singular step matrix or a non-finite update; a
+    converged lane (displacement within NEWTON_ACCEPT_TOL) is returned
+    unchanged, so it is a fixed point of the step.  Every operation acts
+    lane by lane, so stepping a subset of lanes gives the same bits as
+    stepping the whole batch and restricting it.
+    """
+    count = P.shape[0]
+    lanes = np.arange(count)
+    T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
+    Q, TQ = _apply_chain(carr, P, T, FORWARD_AXES)
+    for _ in range(n - 1):
+        Q, TQ = _apply_chain(carr, Q, TQ, FORWARD_AXES)
+    finite = np.all(np.isfinite(Q.reshape(count, -1)), axis=1)
+    f0, f1 = _free_axes(solved)
+    # displacement and Jacobian in the source chart, same branch
+    pick_rows = [pick_u[f0, lanes], pick_u[f1, lanes]]
+    J = _extract_velocities(Q, TQ, (f0, f1), pick_rows)
+    G = np.empty((count, 2), dtype=complex)
+    W = np.empty((count, 2), dtype=complex)
+    for i, ax in enumerate((f0, f1)):
+        pu = P[lanes, ax, 0]
+        pv = P[lanes, ax, 1]
+        qu = Q[lanes, ax, 0]
+        qv = Q[lanes, ax, 1]
+        pick = pick_rows[i]
+        W[:, i] = np.where(pick, pv / pu, pu / pv)
+        G[:, i] = np.where(pick, qv / qu, qu / qv) - W[:, i]
+    gnorm = np.sqrt(np.abs(G[:, 0]) ** 2 + np.abs(G[:, 1]) ** 2)
+    M = J - np.eye(2)[None]
+    M = M - (NEWTON_BETA * gnorm)[:, None, None] * stab[None]
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    alive = ~fail & finite & (np.abs(det) > 1e-14)
+    delta = np.empty_like(G)
+    delta[:, 0] = -(M[:, 1, 1] * G[:, 0] - M[:, 0, 1] * G[:, 1]) / det
+    delta[:, 1] = -(-M[:, 1, 0] * G[:, 0] + M[:, 0, 0] * G[:, 1]) / det
+    size = np.sqrt(np.abs(delta[:, 0]) ** 2 + np.abs(delta[:, 1]) ** 2)
+    damp = np.minimum(1.0, NEWTON_STEP_CAP / np.maximum(size, 1e-300))
+    delta *= damp[:, None]
+    converged = alive & (_chordal_displacement(P, Q) <= NEWTON_ACCEPT_TOL)
+    move = alive & ~converged
+    Wn = W + np.where(move[:, None], delta, 0)
+    P2 = P.copy()
+    for i, ax in enumerate((f0, f1)):
+        pick = pick_rows[i]
+        P2[lanes, ax, 0] = np.where(pick, 1.0, Wn[:, i])
+        P2[lanes, ax, 1] = np.where(pick, Wn[:, i], 1.0)
+    prev_u = P[lanes, solved, 0]
+    prev_v = P[lanes, solved, 1]
+    P2 = _rebuild_solved(carr, P2, solved, prev_u, prev_v)
+    P2 = np.where(move[:, None, None], P2, P)
+    alive &= np.all(np.isfinite(P2.reshape(count, -1)), axis=1)
+    return P2, alive, converged
+
+
 def _newton_chunk(args):
     (carr, n, count, rng_seed, chunk_index, max_iter) = args
     rng = np.random.default_rng(
@@ -752,58 +808,14 @@ def _newton_chunk(args):
     with np.errstate(all="ignore"):
         P = _seed_points(carr, rng, count)
         active = np.all(np.isfinite(P.reshape(count, -1)), axis=1)
-        lanes = np.arange(count)
+        converged = np.zeros(count, dtype=bool)
         for _ in range(max_iter):
-            if not active.any():
+            # converged lanes never move and dead lanes never revive, so
+            # only the rest are stepped
+            live = np.flatnonzero(active & ~converged)
+            if len(live) == 0:
                 break
-            T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
-            active &= ~fail
-            Q, TQ = _apply_chain(carr, P, T, FORWARD_AXES)
-            for _ in range(n - 1):
-                Q, TQ = _apply_chain(carr, Q, TQ, FORWARD_AXES)
-            finite = np.all(np.isfinite(Q.reshape(count, -1)), axis=1)
-            active &= finite
-            f0, f1 = _free_axes(solved)
-            # displacement and Jacobian in the source chart, same branch
-            pick_rows = [pick_u[f0, lanes], pick_u[f1, lanes]]
-            J = _extract_velocities(Q, TQ, (f0, f1), pick_rows)
-            G = np.empty((count, 2), dtype=complex)
-            W = np.empty((count, 2), dtype=complex)
-            for i, ax in enumerate((f0, f1)):
-                pu = P[lanes, ax, 0]
-                pv = P[lanes, ax, 1]
-                qu = Q[lanes, ax, 0]
-                qv = Q[lanes, ax, 1]
-                pick = pick_rows[i]
-                W[:, i] = np.where(pick, pv / pu, pu / pv)
-                G[:, i] = np.where(pick, qv / qu, qu / qv) - W[:, i]
-            gnorm = np.sqrt(np.abs(G[:, 0]) ** 2 + np.abs(G[:, 1]) ** 2)
-            M = J - np.eye(2)[None]
-            M = M - (NEWTON_BETA * gnorm)[:, None, None] * stab[None]
-            det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-            ok = np.abs(det) > 1e-14
-            active &= ok
-            delta = np.empty_like(G)
-            delta[:, 0] = -(M[:, 1, 1] * G[:, 0] - M[:, 0, 1] * G[:, 1]) / det
-            delta[:, 1] = -(-M[:, 1, 0] * G[:, 0] + M[:, 0, 0] * G[:, 1]) / det
-            size = np.sqrt(np.abs(delta[:, 0]) ** 2 + np.abs(delta[:, 1]) ** 2)
-            damp = np.minimum(1.0, NEWTON_STEP_CAP / np.maximum(size, 1e-300))
-            delta *= damp[:, None]
-            disp = _chordal_displacement(P, Q)
-            done = active & (disp <= NEWTON_ACCEPT_TOL)
-            move = active & ~done
-            Wn = W + np.where(move[:, None], delta, 0)
-            P2 = P.copy()
-            for i, ax in enumerate((f0, f1)):
-                pick = pick_rows[i]
-                P2[lanes, ax, 0] = np.where(pick, 1.0, Wn[:, i])
-                P2[lanes, ax, 1] = np.where(pick, Wn[:, i], 1.0)
-            prev_u = P[lanes, solved, 0]
-            prev_v = P[lanes, solved, 1]
-            P2 = _rebuild_solved(carr, P2, solved, prev_u, prev_v)
-            P = np.where(move[:, None, None], P2, P)
-            still = np.all(np.isfinite(P.reshape(count, -1)), axis=1)
-            active &= still
+            P[live], active[live], converged[live] = _newton_step(carr, n, stab, P[live])
         Q = _plain_chain(carr, P, FORWARD_AXES, repeats=n)
         finite = np.all(np.isfinite(Q.reshape(count, -1)), axis=1)
         disp = np.where(finite, _chordal_displacement(P, Q), np.inf)
@@ -824,19 +836,17 @@ def _canonical_sort(P):
 
 
 def _greedy_dedup(P, tol=DEDUP_TOL):
-    kept: list[np.ndarray] = []
-    for row in P:
-        cur = row[None]
-        dup = False
-        for k in kept:
-            if _chordal_displacement(cur, k[None])[0] <= tol:
-                dup = True
-                break
-        if not dup:
-            kept.append(row)
-    if not kept:
-        return P[:0]
-    return np.stack(kept)
+    """Keep each row unless it lies within tol of an already kept row, in
+    row order; each row is checked against the whole kept set at once."""
+    nP = _max_normalized(P)
+    kept = np.empty_like(nP)
+    keep = []
+    for i in range(len(P)):
+        if keep and (_normalized_cross(nP[i], kept[: len(keep)]) <= tol).any():
+            continue
+        kept[len(keep)] = nP[i]
+        keep.append(i)
+    return P[keep]
 
 
 def _exact_period_filter(carr, P, n):
@@ -1250,7 +1260,7 @@ def singularity_probe(
         P = P[finite]
         if len(P) == 0:
             return []
-        grads = _fiber_gradients(carr, P).max(axis=0)
+        grads = np.abs(_affine_partials(carr, P)[0]).max(axis=0)
         order = np.argsort(grads)
         best = P[order[: min(20, len(P))]]
         found = []
