@@ -204,23 +204,22 @@ class BlancMap:
 
 
 def blanc_compose(B: BlancMap, p: P2Point) -> P2Point:
-    out = p
-    for stage in range(len(B.base_points), 0, -1):
-        try:
-            out = sigma_q(B.cubic, B.base_points[stage - 1], out)
-        except IndeterminatePointError as err:
-            raise IndeterminatePointError(str(err), stage=stage) from None
-    return out
+    return _apply_stages(B, p, range(len(B.base_points), 0, -1))
 
 
 def blanc_inverse(B: BlancMap, p: P2Point) -> P2Point:
-    out = p
-    for stage in range(1, len(B.base_points) + 1):
+    return _apply_stages(B, p, range(1, len(B.base_points) + 1))
+
+
+def _apply_stages(B: BlancMap, p: P2Point, stages) -> P2Point:
+    """Apply sigma_q for the 1-based base-point indices in stages order; an
+    indeterminacy is re-raised with the index of the failing base point."""
+    for stage in stages:
         try:
-            out = sigma_q(B.cubic, B.base_points[stage - 1], out)
+            p = sigma_q(B.cubic, B.base_points[stage - 1], p)
         except IndeterminatePointError as err:
             raise IndeterminatePointError(str(err), stage=stage) from None
-    return out
+    return p
 
 
 def _affine_image(B: BlancMap, x: complex, y: complex) -> tuple[complex, complex]:
@@ -309,6 +308,33 @@ def distinct_cubic_points(
     return out
 
 
+def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Damped Gauss-Newton on system(w) = 0 for a complex vector w: central
+    differences with step 1e-7 for the Jacobian, least-squares steps capped
+    at 0.5 in max norm, at most 40 iterations, stopping after a step below
+    1e-14.  Returns (w, ok); ok is False when a step came out non-finite,
+    and w is then the last finite iterate."""
+    h = 1e-7
+    for _ in range(40):
+        r = system(w)
+        jac = np.empty((len(r), len(w)), dtype=complex)
+        for j in range(len(w)):
+            wp, wm = w.copy(), w.copy()
+            wp[j] += h
+            wm[j] -= h
+            jac[:, j] = (system(wp) - system(wm)) / (2 * h)
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            return w, False
+        size = np.abs(step).max()
+        if size > 0.5:
+            step = step * (0.5 / size)
+        w = w + step
+        if size < 1e-14:
+            break
+    return w, True
+
+
 def _refine_singular(cubic: PlaneCubic, start: np.ndarray) -> np.ndarray | None:
     """Gauss-Newton on the vanishing-gradient system in the best affine
     chart of the start point (P = 0 follows from Euler's relation)."""
@@ -316,37 +342,18 @@ def _refine_singular(cubic: PlaneCubic, start: np.ndarray) -> np.ndarray | None:
     free = [a for a in range(3) if a != m]
     w = np.array([start[free[0]] / start[m], start[free[1]] / start[m]])
 
-    def system(w2):
+    def point(w2):
         v = np.empty(3, dtype=complex)
         v[m] = 1.0
         v[free[0]], v[free[1]] = w2
-        return cubic.gradient(v)
+        return v
 
-    h = 1e-7
-    for _ in range(40):
-        r = system(w)
-        jac = np.empty((3, 2), dtype=complex)
-        for j in range(2):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            jac[:, j] = (system(wp) - system(wm)) / (2 * h)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            return None
-        size = np.abs(step).max()
-        if size > 0.5:
-            step = step * (0.5 / size)
-        w = w + step
-        if size < 1e-14:
-            break
-    if not np.all(np.isfinite(w)):
+    w, ok = gauss_newton(lambda w2: cubic.gradient(point(w2)), w)
+    if not ok or not np.all(np.isfinite(w)):
         return None
-    if np.abs(system(w)).max() > 1e-8 * cubic.scale:
+    v = point(w)
+    if np.abs(cubic.gradient(v)).max() > 1e-8 * cubic.scale:
         return None
-    v = np.empty(3, dtype=complex)
-    v[m] = 1.0
-    v[free[0]], v[free[1]] = w
     return v
 
 

@@ -35,8 +35,6 @@ TOL_RANGES = {
 
 BIG_INT = 2**53
 
-LEHMER_COEFFS = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
-
 QUOTIENTS = {
     "none": tk.Quotient.NONE,
     "kummer": tk.Quotient.KUMMER_ETA,
@@ -190,7 +188,7 @@ def parse_int_matrix(text_or_obj) -> la.IntMatrix:
 
 def parse_poly(text: str) -> la.IntPolynomial:
     if text == "lehmer":
-        return la.IntPolynomial(LEHMER_COEFFS)
+        return la.LEHMER_POLY
     try:
         coeffs = json.loads(text)
     except ValueError as err:
@@ -348,19 +346,25 @@ def _complex_cells(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+COORD_NAMES = ("x_u", "x_v", "y_u", "y_v", "z_u", "z_v")
+
+
+def _complex_header(names) -> list[str]:
+    return [f"{name}_{part}" for name in names for part in ("re", "im")]
+
+
+def _complex_csv_cells(values) -> list[str]:
+    """Real and imaginary parts of each value as exact float reprs."""
+    return [repr(float(part)) for z in values for part in (z.real, z.imag)]
+
+
 def saddles_csv(orbits) -> bytes:
-    header = ["period"]
-    for name in ("x_u", "x_v", "y_u", "y_v", "z_u", "z_v", "m1", "m2"):
-        header += [f"{name}_re", f"{name}_im"]
-    header.append("type")
+    header = ["period", *_complex_header(COORD_NAMES + ("m1", "m2")), "type"]
     rows = []
     for orb in orbits:
         p = orb.point
-        cells = [orb.period]
-        for z in (p.x.u, p.x.v, p.y.u, p.y.v, p.z.u, p.z.v, *orb.multipliers):
-            cells += [repr(float(z.real)), repr(float(z.imag))]
-        cells.append(orb.type.value)
-        rows.append(cells)
+        coords = (p.x.u, p.x.v, p.y.u, p.y.v, p.z.u, p.z.v, *orb.multipliers)
+        rows.append([orb.period, *_complex_csv_cells(coords), orb.type.value])
     return csv_bytes(header, rows)
 
 
@@ -486,54 +490,30 @@ def cmd_wehler_orbit(args, cfg, files):
     rng = np.random.default_rng(cfg.rng_seed)
     tol = cfg.tol("membership", wd.MEMBERSHIP_TOL)
     p0 = wd.random_surface_point(surface, rng, tol=tol)
-    points, worst = wd.orbit(surface, p0, args.n, tol=tol)
-    header = ["step"]
-    for name in ("x_u", "x_v", "y_u", "y_v", "z_u", "z_v"):
-        header += [f"{name}_re", f"{name}_im"]
-    header.append("residual")
+    points, _ = wd.orbit(surface, p0, args.n, tol=tol)
+    header = ["step", *_complex_header(COORD_NAMES), "residual"]
     rows = []
     for step, p in enumerate(points):
-        cells = [step]
-        for z in (p.x.u, p.x.v, p.y.u, p.y.v, p.z.u, p.z.v):
-            cells += [repr(float(z.real)), repr(float(z.imag))]
-        cells.append(repr(float(p.residual)))
-        rows.append(cells)
+        coords = (p.x.u, p.x.v, p.y.u, p.y.v, p.z.u, p.z.v)
+        rows.append([step, *_complex_csv_cells(coords), repr(float(p.residual))])
     return csv_bytes(header, rows), "csv"
 
 
-def _collect_saddles(surface, args, cfg):
-    orbits = []
-    for n in range(1, args.nmax + 1):
-        orbits.extend(
-            wd.newton_periodic(
-                surface, n, args.seeds, cfg.rng_seed, workers=cfg.worker_count
-            )
-        )
-    return orbits
+def _saddle_census(args, cfg, files):
+    return wd.saddle_census(
+        load_surface(args, files), args.nmax, args.seeds, cfg.rng_seed,
+        workers=cfg.worker_count,
+    )
 
 
 def cmd_wehler_saddles(args, cfg, files):
-    surface = load_surface(args, files)
-    orbits = _collect_saddles(surface, args, cfg)
+    orbits, _, _ = _saddle_census(args, cfg, files)
     return saddles_csv(orbits), "csv"
 
 
 def cmd_wehler_lyapunov(args, cfg, files):
-    surface = load_surface(args, files)
-    estimates = []
-    per_period = []
-    for n in range(1, args.nmax + 1):
-        batch = wd.newton_periodic(
-            surface, n, args.seeds, cfg.rng_seed, workers=cfg.worker_count
-        )
-        try:
-            est = wd.lyapunov_from_saddles(batch)
-        except KummerlabError:
-            continue
-        estimates.append(est)
-        per_period.append([n, len(batch), float(est.lambda_u)])
-    pooled = wd.pool_period_estimates(estimates)
-    payload = lyapunov_json(pooled)
+    _, estimates, per_period = _saddle_census(args, cfg, files)
+    payload = lyapunov_json(wd.pool_period_estimates(estimates))
     payload["per_period"] = per_period
     return json_bytes(payload), "json"
 
@@ -647,11 +627,8 @@ def cmd_blanc_orbit(args, cfg, files):
         arr = p.array()
         if not np.all(np.isfinite(arr)):
             raise InternalInvariantError("orbit left the finite range")
-        cells = [idx + 1]
-        for z in arr:
-            cells += [repr(float(z.real)), repr(float(z.imag))]
-        rows.append(cells)
-    header = ["step", "x0_re", "x0_im", "x1_re", "x1_im", "x2_re", "x2_im"]
+        rows.append([idx + 1, *_complex_csv_cells(arr)])
+    header = ["step", *_complex_header(("x0", "x1", "x2"))]
     return csv_bytes(header, rows), "csv"
 
 

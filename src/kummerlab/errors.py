@@ -110,8 +110,11 @@ class TooFewSaddlesError(KummerlabError):
 class IndeterminatePointError(KummerlabError):
     """Raised when an orbit reaches an indeterminacy locus.
 
-    ``stage`` records which factor of the composition failed (0-based,
-    in application order).
+    ``stage`` says where.  On (2,2,2) surfaces it is the index i of the
+    involution sigma_i that met a degenerate fiber (1 moves x, 2 y, 3 z),
+    or 0 when a point or chain image turns out non-finite; for plane
+    Cremona compositions it is the 1-based index of the failing base
+    point (None from sigma_q on its own).
     """
 
     def __init__(self, message: str, stage: int | None = None):

@@ -727,16 +727,9 @@ def spectral_report(p: IntPolynomial) -> SpectralReport:
         if witness is None:
             # pure power of t: nilpotent action, radius 0
             return SpectralReport(p, 0.0, 0.0, SpectralClass.OTHER, 1, True)
-        factor = minimal_factor(rem, witness)
-        return SpectralReport(
-            p,
-            lam,
-            _relative_residual(p, witness),
-            SpectralClass.OTHER,
-            factor.degree,
-            factor.degree <= 4,
-        )
-    classification, factor = _classify_remainder(rem, witness, lam)
+        classification, factor = SpectralClass.OTHER, minimal_factor(rem, witness)
+    else:
+        classification, factor = _classify_remainder(rem, witness, lam)
     return SpectralReport(
         p,
         lam,

@@ -200,7 +200,7 @@ class LyapunovReport:
 def _spectral_radius_2x2(m: IntMatrix) -> float:
     """Largest eigenvalue modulus of an integer 2x2 matrix, closed form.
 
-    Shared by lyapunov_exact and half_log_h2_degree so the rigidity gap
+    Read by half_log_h2_degree, and so by lyapunov_exact, so the rigidity gap
     lambda_u - (1/2) log lambda_f vanishes exactly in floating point.
     """
     t = m.trace()
@@ -216,20 +216,18 @@ def lyapunov_exact(f: TorusAutomorphism) -> LyapunovReport:
     """Exact Lyapunov exponents of the constant-derivative torus map.
 
     One complex exponent per eigenvalue of M; |det M| = 1 makes them
-    opposite: lambda_u = log rho(M), lambda_s = -lambda_u.
+    opposite: lambda_u = log rho(M) = half_log_h2_degree, lambda_s = -lambda_u.
     """
-    if not f.is_hyperbolic:
-        raise NotHyperbolicError("both eigenvalue moduli equal 1")
-    lam_u = math.log(_spectral_radius_2x2(f.matrix))
+    lam_u = half_log_h2_degree(f)
     return LyapunovReport(lam_u, -lam_u, LyapunovMethod.EXACT_EIGEN, 0.0)
 
 
 def half_log_h2_degree(f: TorusAutomorphism) -> float:
     """Half the entropy: (1/2) log of the induced degree-2 cohomology degree.
 
-    The H2 spectral radius is exactly rho(M)^2, so this equals log(rho(M))
-    computed through the same closed form as lyapunov_exact; the two floats
-    are bit-identical and the Kummer rigidity gap is exactly zero.
+    The H2 spectral radius is exactly rho(M)^2, so this equals log(rho(M));
+    lyapunov_exact takes its lambda_u from here, so the two floats are
+    bit-identical and the Kummer rigidity gap is exactly zero.
     """
     if not f.is_hyperbolic:
         raise NotHyperbolicError("both eigenvalue moduli equal 1")
@@ -290,15 +288,20 @@ def fix_count(f: TorusAutomorphism, n: int) -> int:
     return d * d
 
 
+def _iterate_smith_form(f: TorusAutomorphism, n: int):
+    """Smith form U (M^n - I) V = D of the 4x4 lattice action of f^n minus
+    the identity; returns the diagonal of D and V."""
+    a4 = lattice_action_4x4(replace_matrix(f, f.matrix.power(n)))
+    _, d, v = smith_normal_form(a4 + IntMatrix.identity(4).scale(-1))
+    return [d.entries[i][i] for i in range(4)], v
+
+
 def fix_enumerate(f: TorusAutomorphism, n: int, cap: int = 10**6) -> PeriodicEnsemble:
     """All fixed points of the n-th iterate by Smith-form coset enumeration."""
     count = fix_count(f, n)
     if count > cap:
         raise CapExceededError(f"{count} fixed points exceed the cap {cap}")
-    a4 = lattice_action_4x4(replace_matrix(f, f.matrix.power(n)))
-    delta = a4 + IntMatrix.identity(4).scale(-1)
-    _, d, v = smith_normal_form(delta)
-    diag = [d.entries[i][i] for i in range(4)]
+    diag, v = _iterate_smith_form(f, n)
     if any(di == 0 for di in diag):
         raise InternalInvariantError("nonzero determinant left a zero divisor")
     points = []
@@ -377,10 +380,7 @@ def trivial_character_count(
     sup-norm at most k_max.
     """
     fix_count(f, n)
-    a4 = lattice_action_4x4(replace_matrix(f, f.matrix.power(n)))
-    delta = a4 + IntMatrix.identity(4).scale(-1)
-    _, d, v = smith_normal_form(delta)
-    diag = [d.entries[i][i] for i in range(4)]
+    diag, v = _iterate_smith_form(f, n)
     cols = [[v.entries[r][j] for r in range(4)] for j in range(4)]
     trivial = 0
     total = 0

@@ -35,6 +35,7 @@ from .errors import (
     PreconditionError,
     TooFewSaddlesError,
 )
+from .blanc_cremona import gauss_newton
 from .lattice_algebra import dynamical_degree, wehler_cohomology_action
 from .torus_kummer import (
     LyapunovMethod,
@@ -251,14 +252,17 @@ def _comp(P, T, axis, c) -> _Jet:
 # fiber algebra
 
 
-def _fiber_coeffs(carr, axis, P, T):
+def _fiber_coeffs(carr, axis, P, T=None):
     """Quadratic F = A u^2 + B uv + C v^2 in the chosen axis; A, B, C are
-    jets in the other two coordinates."""
+    jets in the other two coordinates, or plain arrays when T is None."""
     others = [a for a in range(3) if a != axis]
     cm = np.moveaxis(carr, axis, 2)
     mono = []
     for ax in others:
-        u, v = _comp(P, T, ax, 0), _comp(P, T, ax, 1)
+        if T is None:
+            u, v = P[:, ax, 0], P[:, ax, 1]
+        else:
+            u, v = _comp(P, T, ax, 0), _comp(P, T, ax, 1)
         mono.append((v * v, u * v, u * u))
     # the nine jet products are shared by A, B and C; each sum runs in the
     # same (a, b) order so the rounding does not depend on the sharing
@@ -287,10 +291,9 @@ def _zero_tan(P, ndir=0) -> np.ndarray:
 
 
 def _residuals(carr, P) -> np.ndarray:
-    T = _zero_tan(P)
-    A, B, C = _fiber_coeffs(carr, 2, P, T)
+    A, B, C = _fiber_coeffs(carr, 2, P)
     u, v = P[:, 2, 0], P[:, 2, 1]
-    return np.abs(A.val * u * u + B.val * u * v + C.val * v * v)
+    return np.abs(A * u * u + B * u * v + C * v * v)
 
 
 def _solve_quadratic(A, B, C):
@@ -436,11 +439,11 @@ def solve_fiber(
     P[0, others[0]] = (p.u, p.v)
     P[0, others[1]] = (q.u, q.v)
     P[0, axis.value] = (1.0, 0.0)
-    A, B, C = _fiber_coeffs(surface.array(), axis.value, P, _zero_tan(P))
-    scale = max(abs(A.val[0]), abs(B.val[0]), abs(C.val[0]))
+    A, B, C = _fiber_coeffs(surface.array(), axis.value, P)
+    scale = max(abs(A[0]), abs(B[0]), abs(C[0]))
     if scale <= DEGENERATE_FIBER_TOL:
         raise DegenerateFiberError("fiber quadratic vanishes identically")
-    (r1u, r1v), (r2u, r2v) = _solve_quadratic(A.val, B.val, C.val)
+    (r1u, r1v), (r2u, r2v) = _solve_quadratic(A, B, C)
     return [P1Point.make(r1u[0], r1v[0]), P1Point.make(r2u[0], r2v[0])]
 
 
@@ -472,26 +475,25 @@ def wehler_map(
     surface: WehlerSurface, p: SurfacePoint, tol: float = MEMBERSHIP_TOL
 ) -> SurfacePoint:
     """f = sigma_1 o sigma_2 o sigma_3, with sigma_3 applied first."""
-    out = p
-    for axis in (Axis.Z, Axis.Y, Axis.X):
-        out = sigma(surface, axis, out, tol=tol)
-    return out
+    return _sigma_chain(surface, (Axis.Z, Axis.Y, Axis.X), p, tol)
 
 
 def wehler_map_inverse(
     surface: WehlerSurface, p: SurfacePoint, tol: float = MEMBERSHIP_TOL
 ) -> SurfacePoint:
-    out = p
-    for axis in (Axis.X, Axis.Y, Axis.Z):
-        out = sigma(surface, axis, out, tol=tol)
-    return out
+    return _sigma_chain(surface, (Axis.X, Axis.Y, Axis.Z), p, tol)
+
+
+def _sigma_chain(surface, axes, p, tol):
+    for axis in axes:
+        p = sigma(surface, axis, p, tol=tol)
+    return p
 
 
 def random_surface_point(
     surface: WehlerSurface, rng: np.random.Generator, tol: float = MEMBERSHIP_TOL
 ) -> SurfacePoint:
     """A random point of the surface: random (x, y), random fiber root."""
-    carr = surface.array()
     for _ in range(100):
         vals = rng.normal(size=8) + 1j * rng.normal(size=8)
         x = P1Point.make(vals[0], vals[1])
@@ -550,17 +552,16 @@ def _free_axes(solved):
 def _affine_partials(carr, P):
     """Complex dF/dw per axis in the chart branch of the current
     representative (w = v/u when |u| >= |v|, else u/v); shape (3, n)."""
-    T = _zero_tan(P)
     out = np.empty((3, P.shape[0]), dtype=complex)
     branch_pick_u = np.empty((3, P.shape[0]), dtype=bool)
     for axis in range(3):
-        A, B, C = _fiber_coeffs(carr, axis, P, T)
+        A, B, C = _fiber_coeffs(carr, axis, P)
         u, v = P[:, axis, 0], P[:, axis, 1]
         pick_u = np.abs(u) >= np.abs(v)
         out[axis] = np.where(
             pick_u,
-            u * (B.val * u + 2 * C.val * v),
-            v * (2 * A.val * u + B.val * v),
+            u * (B * u + 2 * C * v),
+            v * (2 * A * u + B * v),
         )
         branch_pick_u[axis] = pick_u
     return out, branch_pick_u
@@ -592,6 +593,22 @@ def _seed_chart_tangents(carr, P):
             T[d, lanes, solved, 1] += np.where(spick, su * dws, 0)
             T[d, lanes, solved, 0] += np.where(spick, 0, sv * dws)
     return T, solved, fail, pick_u
+
+
+def _chart_jacobian(carr, P, n, axes=FORWARD_AXES):
+    """Image of each lane under n passes of the axis chain, with the 2x2
+    derivative of that map in the source chart at the lane, read on the
+    same branch at both ends.  Returns (Q, J, solved, fail, free,
+    pick_rows): free are the two free axes and pick_rows their branches."""
+    T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
+    Q, TQ = P, T
+    for _ in range(n):
+        Q, TQ = _apply_chain(carr, Q, TQ, axes)
+    lanes = np.arange(P.shape[0])
+    free = _free_axes(solved)
+    pick_rows = [pick_u[free[0], lanes], pick_u[free[1], lanes]]
+    J = _extract_velocities(Q, TQ, free, pick_rows)
+    return Q, J, solved, fail, free, pick_rows
 
 
 def _extract_velocities(P, T, axes, pick_u_rows):
@@ -632,16 +649,12 @@ def tangent_map(
     Q, TQ = _apply_chain(carr, P, T, axes)
     if not np.all(np.isfinite(Q[0])):
         raise IndeterminatePointError("chain hit a degenerate fiber", stage=0)
-    solved_out, fail_out = _chart_solved_axis(carr, Q)
+    partials, pick_u = _affine_partials(carr, Q)
+    solved_out, fail_out = _chart_from_partials(partials)
     if fail_out[0]:
         raise ChartFailureError("image point admits no chart")
-    f0, f1 = _free_axes(solved_out)
-    out_axes = (f0, f1)
-    pick_rows = []
-    for ax in out_axes:
-        u = Q[np.arange(1), ax, 0]
-        v = Q[np.arange(1), ax, 1]
-        pick_rows.append(np.abs(u) >= np.abs(v))
+    out_axes = _free_axes(solved_out)
+    pick_rows = [pick_u[ax, 0] for ax in out_axes]
     J = _extract_velocities(Q, TQ, out_axes, pick_rows)
     return J[0]
 
@@ -679,6 +692,15 @@ def _plain_chain(carr, P, axes, repeats=1):
     return Q
 
 
+def _return_displacement(carr, P, m):
+    """Chordal displacement of each lane under f^m; inf where the image is
+    not finite."""
+    Q = _plain_chain(carr, P, FORWARD_AXES, repeats=m)
+    with np.errstate(all="ignore"):
+        finite = np.all(np.isfinite(Q.reshape(len(P), -1)), axis=1)
+        return np.where(finite, _chordal_displacement(P, Q), np.inf)
+
+
 def _seed_points(carr, rng, count):
     """Random on-surface start points for one search chunk."""
     vals = rng.normal(size=(count, 8)) + 1j * rng.normal(size=(count, 8))
@@ -686,8 +708,7 @@ def _seed_points(carr, rng, count):
     P[:, 0, 0], P[:, 0, 1] = _normalize_pair_arrays(vals[:, 0], vals[:, 1])
     P[:, 1, 0], P[:, 1, 1] = _normalize_pair_arrays(vals[:, 2], vals[:, 3])
     P[:, 2] = (1.0, 0.0)
-    A, B, C = _fiber_coeffs(carr, 2, P, _zero_tan(P))
-    r1, r2 = _solve_quadratic(A.val, B.val, C.val)
+    r1, r2 = _solve_quadratic(*_fiber_coeffs(carr, 2, P))
     take_second = rng.random(count) < 0.5
     zu = np.where(take_second, r2[0], r1[0])
     zv = np.where(take_second, r2[1], r1[1])
@@ -705,9 +726,8 @@ def _rebuild_solved(carr, P, solved, prev_u, prev_v):
         sel = solved == axis
         if not sel.any():
             continue
-        Ps = P[sel]
-        A, B, C = _fiber_coeffs(carr, axis, Ps, _zero_tan(Ps))
-        (r1u[sel], r1v[sel]), (r2u[sel], r2v[sel]) = _solve_quadratic(A.val, B.val, C.val)
+        A, B, C = _fiber_coeffs(carr, axis, P[sel])
+        (r1u[sel], r1v[sel]), (r2u[sel], r2v[sel]) = _solve_quadratic(A, B, C)
     n1u, n1v = _normalize_pair_arrays(r1u, r1v)
     n2u, n2v = _normalize_pair_arrays(r2u, r2v)
     pu, pv = _normalize_pair_arrays(prev_u, prev_v)
@@ -753,18 +773,12 @@ def _newton_step(carr, n, stab, P):
     """
     count = P.shape[0]
     lanes = np.arange(count)
-    T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
-    Q, TQ = _apply_chain(carr, P, T, FORWARD_AXES)
-    for _ in range(n - 1):
-        Q, TQ = _apply_chain(carr, Q, TQ, FORWARD_AXES)
-    finite = np.all(np.isfinite(Q.reshape(count, -1)), axis=1)
-    f0, f1 = _free_axes(solved)
     # displacement and Jacobian in the source chart, same branch
-    pick_rows = [pick_u[f0, lanes], pick_u[f1, lanes]]
-    J = _extract_velocities(Q, TQ, (f0, f1), pick_rows)
+    Q, J, solved, fail, free, pick_rows = _chart_jacobian(carr, P, n)
+    finite = np.all(np.isfinite(Q.reshape(count, -1)), axis=1)
     G = np.empty((count, 2), dtype=complex)
     W = np.empty((count, 2), dtype=complex)
-    for i, ax in enumerate((f0, f1)):
+    for i, ax in enumerate(free):
         pu = P[lanes, ax, 0]
         pv = P[lanes, ax, 1]
         qu = Q[lanes, ax, 0]
@@ -787,7 +801,7 @@ def _newton_step(carr, n, stab, P):
     move = alive & ~converged
     Wn = W + np.where(move[:, None], delta, 0)
     P2 = P.copy()
-    for i, ax in enumerate((f0, f1)):
+    for i, ax in enumerate(free):
         pick = pick_rows[i]
         P2[lanes, ax, 0] = np.where(pick, 1.0, Wn[:, i])
         P2[lanes, ax, 1] = np.where(pick, Wn[:, i], 1.0)
@@ -816,10 +830,7 @@ def _newton_chunk(args):
             if len(live) == 0:
                 break
             P[live], active[live], converged[live] = _newton_step(carr, n, stab, P[live])
-        Q = _plain_chain(carr, P, FORWARD_AXES, repeats=n)
-        finite = np.all(np.isfinite(Q.reshape(count, -1)), axis=1)
-        disp = np.where(finite, _chordal_displacement(P, Q), np.inf)
-        good = active & finite & (disp <= NEWTON_ACCEPT_TOL)
+        good = active & (_return_displacement(carr, P, n) <= NEWTON_ACCEPT_TOL)
     return P[good]
 
 
@@ -856,24 +867,13 @@ def _exact_period_filter(carr, P, n):
     for m in range(1, n):
         if n % m != 0:
             continue
-        Q = _plain_chain(carr, P, FORWARD_AXES, repeats=m)
-        with np.errstate(all="ignore"):
-            finite = np.all(np.isfinite(Q.reshape(len(P), -1)), axis=1)
-            disp = np.where(finite, _chordal_displacement(P, Q), np.inf)
-        keep &= disp > DEDUP_TOL
+        keep &= _return_displacement(carr, P, m) > DEDUP_TOL
     return P[keep]
 
 
 def _multipliers_at(carr, P, n, axes=FORWARD_AXES):
     """Eigenvalues of the chart derivative of f^n at each (periodic) lane."""
-    T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
-    Q, TQ = P, T
-    for _ in range(n):
-        Q, TQ = _apply_chain(carr, Q, TQ, axes)
-    lanes = np.arange(len(P))
-    f0, f1 = _free_axes(solved)
-    pick_rows = [pick_u[f0, lanes], pick_u[f1, lanes]]
-    J = _extract_velocities(Q, TQ, (f0, f1), pick_rows)
+    _, J, _, fail, _, _ = _chart_jacobian(carr, P, n, axes)
     t = J[:, 0, 0] + J[:, 1, 1]
     d = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     with np.errstate(all="ignore"):
@@ -930,8 +930,7 @@ def newton_periodic(
     if len(cand) == 0:
         return out
     big, small, fail = _multipliers_at(carr, cand, n)
-    Q = _plain_chain(carr, cand, FORWARD_AXES, repeats=n)
-    disp = _chordal_displacement(cand, Q)
+    disp = _return_displacement(carr, cand, n)
     res = _residuals(carr, cand)
     for i in range(len(cand)):
         if fail[i] or disp[i] > REPLAY_TOL or res[i] > MEMBERSHIP_TOL:
@@ -1070,38 +1069,26 @@ def assemble_rigidity(
     is RIGIDITY_GAP; negative gaps beyond tolerance or missing data give
     INCONCLUSIVE.
     """
-    if lyap is None:
-        return RigidityReport(
-            lambda_f,
-            None,
-            None,
-            None,
-            dimension[0] if dimension else None,
-            dimension[1] if dimension else None,
-            None,
-            None,
-            RigidityVerdict.INCONCLUSIVE,
-            n_saddles,
-            qr_lambda_u,
-            None,
-            per_period,
-        )
-    gap_u = lyap.lambda_u - half_log_lambda_f
-    gap_s = -lyap.lambda_s - half_log_lambda_f
-    band = 3 * lyap.stderr
-    if gap_u > band or gap_s > band:
-        verdict = RigidityVerdict.RIGIDITY_GAP
-    elif gap_u < -band or gap_s < -band:
-        verdict = RigidityVerdict.INCONCLUSIVE
-    elif dimension is not None and abs(dimension[0] - 4.0) <= 3 * dimension[1]:
-        verdict = RigidityVerdict.KUMMER_CONSISTENT
-    else:
-        verdict = RigidityVerdict.INCONCLUSIVE
+    lyap_u = lyap_s = lyap_err = gap_u = gap_s = qr_gap = None
+    verdict = RigidityVerdict.INCONCLUSIVE
+    if lyap is not None:
+        lyap_u, lyap_s, lyap_err = lyap.lambda_u, lyap.lambda_s, lyap.stderr
+        gap_u = lyap.lambda_u - half_log_lambda_f
+        gap_s = -lyap.lambda_s - half_log_lambda_f
+        band = 3 * lyap.stderr
+        if gap_u > band or gap_s > band:
+            verdict = RigidityVerdict.RIGIDITY_GAP
+        elif gap_u < -band or gap_s < -band:
+            verdict = RigidityVerdict.INCONCLUSIVE
+        elif dimension is not None and abs(dimension[0] - 4.0) <= 3 * dimension[1]:
+            verdict = RigidityVerdict.KUMMER_CONSISTENT
+        if qr_lambda_u is not None:
+            qr_gap = qr_lambda_u - half_log_lambda_f
     return RigidityReport(
         lambda_f,
-        lyap.lambda_u,
-        lyap.lambda_s,
-        lyap.stderr,
+        lyap_u,
+        lyap_s,
+        lyap_err,
         dimension[0] if dimension else None,
         dimension[1] if dimension else None,
         gap_u,
@@ -1109,9 +1096,37 @@ def assemble_rigidity(
         verdict,
         n_saddles,
         qr_lambda_u,
-        None if qr_lambda_u is None else qr_lambda_u - half_log_lambda_f,
+        qr_gap,
         per_period,
     )
+
+
+def saddle_census(
+    surface: WehlerSurface,
+    n_max: int,
+    seeds: int,
+    rng_seed: int,
+    workers: int = 1,
+) -> tuple[list[SaddleOrbit], list[LyapunovReport], list[tuple[int, int, float]]]:
+    """Periodic orbits of periods 1..n_max, stratified by period.
+
+    Each period with enough saddles gets its own lyapunov_from_saddles
+    estimate.  Returns (orbits, estimates, per_period), where per_period
+    holds one (n, orbits of period n, lambda_u estimate) row per estimate.
+    """
+    orbits: list[SaddleOrbit] = []
+    estimates: list[LyapunovReport] = []
+    per_period: list[tuple[int, int, float]] = []
+    for n in range(1, n_max + 1):
+        batch = newton_periodic(surface, n, seeds, rng_seed, workers=workers)
+        orbits.extend(batch)
+        try:
+            est = lyapunov_from_saddles(batch)
+        except TooFewSaddlesError:
+            continue
+        estimates.append(est)
+        per_period.append((n, len(batch), est.lambda_u))
+    return orbits, estimates, per_period
 
 
 def wehler_lambda_f() -> float:
@@ -1153,23 +1168,13 @@ def rigidity_report(
 ) -> tuple[RigidityReport, list[SaddleOrbit]]:
     """Pool saddle orbits over periods 1..n_max and assemble the verdict.
 
-    Pooling is stratified by period: each period with enough saddles gets
-    its own lyapunov_from_saddles estimate, and the estimates are combined
-    with equal weight per period.
+    The per-period estimates of saddle_census are combined with equal
+    weight per period.
     """
     lam_f = wehler_lambda_f()
-    orbits: list[SaddleOrbit] = []
-    per_period: list[tuple[int, int, float]] = []
-    estimates: list[LyapunovReport] = []
-    for n in range(1, n_max + 1):
-        batch = newton_periodic(surface, n, seeds, rng_seed, workers=workers)
-        orbits.extend(batch)
-        try:
-            est = lyapunov_from_saddles(batch)
-        except TooFewSaddlesError:
-            continue
-        estimates.append(est)
-        per_period.append((n, len(batch), est.lambda_u))
+    orbits, estimates, per_period = saddle_census(
+        surface, n_max, seeds, rng_seed, workers=workers
+    )
     try:
         lyap = pool_period_estimates(estimates)
     except TooFewSaddlesError:
@@ -1235,14 +1240,12 @@ def _suspect_system(carr, wx, wy, wz):
     P[0, 0] = (1.0, wx)
     P[0, 1] = (1.0, wy)
     P[0, 2] = (1.0, wz)
-    T = _zero_tan(P)
     out = np.empty(4, dtype=complex)
-    A, B, C = _fiber_coeffs(carr, 2, P, T)
-    out[0] = A.val[0] + B.val[0] * wz + C.val[0] * wz * wz
-    for slot, axis in enumerate((0, 1, 2)):
-        A, B, C = _fiber_coeffs(carr, axis, P, T)
-        w = (wx, wy, wz)[axis]
-        out[1 + slot] = B.val[0] + 2 * C.val[0] * w
+    for axis, w in enumerate((wx, wy, wz)):
+        A, B, C = _fiber_coeffs(carr, axis, P)
+        out[1 + axis] = B[0] + 2 * C[0] * w
+    # A, B, C of the last pass are those of the z fiber
+    out[0] = A[0] + B[0] * wz + C[0] * wz * wz
     return out
 
 
@@ -1271,27 +1274,8 @@ def singularity_probe(
             w = np.array(
                 [cand[0, 1] / cand[0, 0], cand[1, 1] / cand[1, 0], cand[2, 1] / cand[2, 0]]
             )
-            for _ in range(40):
-                r = _suspect_system(carr, *w)
-                jac = np.empty((4, 3), dtype=complex)
-                h = 1e-7
-                for j in range(3):
-                    wp = w.copy()
-                    wm = w.copy()
-                    wp[j] += h
-                    wm[j] -= h
-                    jac[:, j] = (
-                        _suspect_system(carr, *wp) - _suspect_system(carr, *wm)
-                    ) / (2 * h)
-                step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                size = np.abs(step).max()
-                if size > 0.5:
-                    step = step * (0.5 / size)
-                w = w + step
-                if np.abs(step).max() < 1e-14:
-                    break
+            # a non-finite step leaves the last iterate to be scored
+            w, _ = gauss_newton(lambda v: _suspect_system(carr, *v), w)
             r = _suspect_system(carr, *w)
             score = float(np.abs(r).max())
             if score < 1e-8 and np.all(np.isfinite(w)):
@@ -1323,11 +1307,7 @@ def density_histogram(
     names = {"x": 0, "y": 1, "z": 2}
     ax_a, ax_b = names[proj[0]], names[proj[1]]
     heights = np.empty((iters + 1, 2))
-    cur = p0
-    pts = [p0]
-    for _ in range(iters):
-        cur = wehler_map(surface, cur)
-        pts.append(cur)
+    pts, _ = orbit(surface, p0, iters)
     for i, p in enumerate(pts):
         for slot, ax in enumerate((ax_a, ax_b)):
             coord = (p.x, p.y, p.z)[ax]

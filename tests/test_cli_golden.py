@@ -1,0 +1,115 @@
+"""Golden result digests for a fixed matrix of CLI runs.
+
+Each run goes through kummerlab.cli.main with --workers 1 and --out, and
+the manifest's result_digest (FNV-1a 64 of the result bytes) is compared
+with a value recorded before the engines were consolidated.  A refactor
+that keeps the maths must keep every one of these digests.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from kummerlab import cli
+from kummerlab import wehler_dynamics as wd
+
+SURFACE_FILE = "@forced_node_surface"
+
+CASES = {
+    "wehler_saddles": (
+        ["wehler", "saddles", "--random", "--seed", "1", "--nmax", "2",
+         "--seeds", "256"],
+        "5299584082807734245",
+    ),
+    "wehler_lyapunov": (
+        ["wehler", "lyapunov", "--random", "--seed", "1", "--nmax", "3",
+         "--seeds", "256"],
+        "13184767276357245067",
+    ),
+    "wehler_rigidity": (
+        ["wehler", "rigidity", "--random", "--seed", "1", "--nmax", "3",
+         "--seeds", "256"],
+        "3346039778583280993",
+    ),
+    "wehler_orbit": (
+        ["wehler", "orbit", "--random", "--seed", "1", "--n", "200"],
+        "17404448583983012674",
+    ),
+    "wehler_density": (
+        ["wehler", "density", "--random", "--seed", "1", "--iters", "200"],
+        "8323539877776394411",
+    ),
+    "wehler_probe_node": (
+        ["wehler", "probe", "--surface", SURFACE_FILE, "--seed", "5"],
+        "16112329818949560833",
+    ),
+    "blanc_orbit": (
+        ["blanc", "orbit", "--seed", "2", "--l", "3", "--n", "200"],
+        "2356064085214483640",
+    ),
+    "blanc_check_two_form": (
+        ["blanc", "check-two-form", "--seed", "2", "--l", "3", "--points", "50"],
+        "11735282713394328755",
+    ),
+    "blanc_check_fixed_cubic": (
+        ["blanc", "check-fixed-cubic", "--seed", "2", "--l", "3",
+         "--points", "50"],
+        "16968233737132459758",
+    ),
+    "torus_fix_enum": (
+        ["torus", "fix-enum", "--n", "3"],
+        "5298220331473556777",
+    ),
+    "torus_rigidity": (
+        ["torus", "rigidity"],
+        "3864535233900715432",
+    ),
+    "lattice_salem_lehmer": (
+        ["lattice", "salem", "--poly", "lehmer"],
+        "7866479313749720055",
+    ),
+    "lattice_wehler_action": (
+        ["lattice", "wehler-action"],
+        "6280756361115419478",
+    ),
+}
+
+
+def _forced_node_surface_file(path):
+    """The surface of tests/test_wehler_dynamics.py with a node at
+    x = y = z = (1:0), written as a --surface coefficient file."""
+    arr = wd.random_surface(3).array()
+    arr[2, 2, 2] = 0.0
+    arr[1, 2, 2] = 0.0
+    arr[2, 1, 2] = 0.0
+    arr[2, 2, 1] = 0.0
+    arr = wd.WehlerSurface.from_array(arr).array()
+    data = {"coeffs": [[[[arr[i, j, k].real, arr[i, j, k].imag]
+                         for k in range(3)] for j in range(3)]
+                       for i in range(3)]}
+    path.write_text(json.dumps(data))
+    return path
+
+
+def result_digest(tmp_path, name, argv):
+    argv = [str(_forced_node_surface_file(tmp_path / "node.json"))
+            if a == SURFACE_FILE else a for a in argv]
+    out = tmp_path / name
+    assert cli.main([*argv, "--workers", "1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / (name + ".manifest.json")).read_text())
+    return manifest["result_digest"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_result_digest_is_golden(tmp_path, name):
+    argv, digest = CASES[name]
+    assert result_digest(tmp_path, name, argv) == digest
+
+
+def test_forced_node_surface_file_round_trips(tmp_path):
+    path = _forced_node_surface_file(tmp_path / "node.json")
+    data = json.loads(path.read_text())["coeffs"]
+    arr = np.array([[[complex(*c) for c in row] for row in plane] for plane in data])
+    inf = wd.P1Point(1.0, 0.0)
+    assert wd.surface_residual(wd.WehlerSurface.from_array(arr), inf, inf, inf) < 1e-14

@@ -1,0 +1,174 @@
+"""Tests for the helpers that hold one copy of work shared by several
+callers: the value-only fiber quadratic, the saddle census, the damped
+Gauss-Newton refiner and the rigidity verdict."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from kummerlab import cli
+from kummerlab import wehler_dynamics as wd
+from kummerlab.blanc_cremona import gauss_newton
+from kummerlab.errors import TooFewSaddlesError
+from kummerlab.torus_kummer import LyapunovMethod, LyapunovReport
+
+# ---------------------------------------------------------------------------
+# value-only fiber quadratic
+
+
+def _lanes(surface_seed, count, nan_every=0):
+    rng = np.random.default_rng(100 + surface_seed)
+    P = rng.normal(size=(count, 3, 2)) + 1j * rng.normal(size=(count, 3, 2))
+    if nan_every:
+        P[::nan_every, rng.integers(0, 3), rng.integers(0, 2)] = np.nan
+    return P
+
+
+@pytest.mark.parametrize("surface_seed", [0, 1, 2, 7, 13])
+@pytest.mark.parametrize("count, nan_every", [(1, 0), (256, 0), (256, 5)])
+def test_value_only_fiber_coeffs_match_jet_values_bitwise(surface_seed, count, nan_every):
+    carr = wd.random_surface(surface_seed).array()
+    P = _lanes(surface_seed, count, nan_every)
+    for axis in range(3):
+        plain = wd._fiber_coeffs(carr, axis, P)
+        jets = wd._fiber_coeffs(carr, axis, P, wd._zero_tan(P))
+        for value, jet in zip(plain, jets):
+            assert isinstance(value, np.ndarray)
+            assert value.tobytes() == jet.val.tobytes()
+
+
+def test_value_only_fiber_coeffs_match_jets_with_tangents():
+    carr = wd.random_surface(3, real_coeffs=True).array()
+    P = _lanes(3, 64, nan_every=7)
+    T = _lanes(4, 2 * 64).reshape(2, 64, 3, 2)
+    for axis in range(3):
+        for value, jet in zip(wd._fiber_coeffs(carr, axis, P), wd._fiber_coeffs(carr, axis, P, T)):
+            assert value.tobytes() == jet.val.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# saddle census
+
+
+def test_saddle_census_equals_the_per_period_loop():
+    surface = wd.random_surface(1)
+    orbits, estimates, per_period = wd.saddle_census(surface, 3, 256, 5)
+    ref_orbits, ref_estimates, ref_rows = [], [], []
+    for n in range(1, 4):
+        batch = wd.newton_periodic(surface, n, 256, 5)
+        ref_orbits.extend(batch)
+        try:
+            est = wd.lyapunov_from_saddles(batch)
+        except TooFewSaddlesError:
+            continue
+        ref_estimates.append(est)
+        ref_rows.append((n, len(batch), est.lambda_u))
+    assert orbits == ref_orbits
+    assert estimates == ref_estimates
+    assert per_period == ref_rows
+    # period 1 has no points on a very general surface, so it has no row
+    assert [n for (n, _, _) in per_period] == [2, 3]
+
+
+def test_lyapunov_and_rigidity_commands_report_the_same_per_period(tmp_path):
+    argv = ["--random", "--seed", "2", "--nmax", "3", "--seeds", "256",
+            "--workers", "1"]
+    rows = {}
+    for command in ("lyapunov", "rigidity"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main(["wehler", command, *argv, "--out", str(out)]) == 0
+        rows[command] = json.loads(out.read_text())["per_period"]
+    assert rows["lyapunov"] == rows["rigidity"]
+    assert len(rows["lyapunov"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# damped Gauss-Newton
+
+
+def test_gauss_newton_converges_on_a_polynomial_system():
+    def system(w):
+        x, y = w
+        return np.array([x * x - 4.0, x * y - 2.0, y * y * y - 1.0])
+
+    w, ok = gauss_newton(system, np.array([1.6 + 0.2j, 0.7 - 0.1j]))
+    assert ok
+    assert np.abs(w - np.array([2.0, 1.0])).max() < 1e-12
+    assert np.abs(system(w)).max() < 1e-12
+
+
+def test_gauss_newton_caps_each_step():
+    seen = []
+
+    def system(w):
+        seen.append(w.copy())
+        return np.array([w[0] - 10.0])
+
+    w, ok = gauss_newton(system, np.array([0j]))
+    assert ok and abs(w[0] - 10.0) < 1e-12
+    # the solve points (every third call) move by at most 0.5 per step
+    solves = [v[0] for v in seen[::3]]
+    assert all(abs(b - a) <= 0.5 + 1e-15 for a, b in zip(solves, solves[1:]))
+
+
+def test_gauss_newton_returns_last_finite_iterate_on_a_non_finite_step():
+    # the residual jumps to 1e300 at w = 0.5 while the slope stays 1e-17,
+    # so the least-squares step there overflows
+    def system(w):
+        if w[0] == 0.5:
+            return np.array([1e300 + 0j])
+        return np.array([1e-17 * w[0]])
+
+    with np.errstate(all="ignore"):
+        w, ok = gauss_newton(system, np.array([1.0 + 0j]))
+    assert not ok
+    assert w.tolist() == [0.5 + 0j]
+
+
+# ---------------------------------------------------------------------------
+# rigidity verdict
+
+LAM = wd.wehler_lambda_f()
+HALF = 0.5 * math.log(LAM)
+V = wd.RigidityVerdict
+
+
+def _lyap(lu, ls, stderr=0.01):
+    return LyapunovReport(lu, ls, LyapunovMethod.SADDLE_MULTIPLIERS, stderr)
+
+
+@pytest.mark.parametrize(
+    "lyap, dimension, verdict",
+    [
+        (_lyap(HALF + 1.0, -HALF), None, V.RIGIDITY_GAP),
+        (_lyap(HALF, -HALF - 1.0), (4.0, 0.1), V.RIGIDITY_GAP),
+        (_lyap(HALF - 1.0, -HALF), (4.0, 0.1), V.INCONCLUSIVE),
+        (_lyap(HALF, -HALF + 1.0), (4.0, 0.1), V.INCONCLUSIVE),
+        (_lyap(HALF + 0.01, -HALF), (4.0, 0.1), V.KUMMER_CONSISTENT),
+        (_lyap(HALF, -HALF), (3.0, 0.1), V.INCONCLUSIVE),
+        (_lyap(HALF, -HALF), None, V.INCONCLUSIVE),
+        (None, (4.0, 0.1), V.INCONCLUSIVE),
+        (None, None, V.INCONCLUSIVE),
+    ],
+)
+@pytest.mark.parametrize("qr_lambda_u", [None, HALF + 0.25])
+def test_assemble_rigidity_table(lyap, dimension, verdict, qr_lambda_u):
+    rows = ((2, 7, 1.5),)
+    rep = wd.assemble_rigidity(LAM, HALF, lyap, dimension, 7, qr_lambda_u, rows)
+    assert rep.verdict is verdict
+    assert (rep.lambda_f, rep.n_saddles, rep.per_period) == (LAM, 7, rows)
+    assert rep.qr_lambda_u == qr_lambda_u
+    assert (rep.dimension_est, rep.dimension_stderr) == (dimension or (None, None))
+    if lyap is None:
+        assert rep.lambda_u_est is rep.lambda_s_est is rep.lyap_stderr is None
+        assert rep.gap_u is rep.gap_s is None
+        # without a saddle estimate there is no QR gap, even with a QR value
+        assert rep.qr_gap is None
+    else:
+        assert (rep.lambda_u_est, rep.lambda_s_est, rep.lyap_stderr) == (
+            lyap.lambda_u, lyap.lambda_s, lyap.stderr)
+        assert rep.gap_u == lyap.lambda_u - HALF
+        assert rep.gap_s == -lyap.lambda_s - HALF
+        assert rep.qr_gap == (None if qr_lambda_u is None else qr_lambda_u - HALF)
