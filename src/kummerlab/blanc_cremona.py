@@ -312,8 +312,9 @@ def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
     """Damped Gauss-Newton on system(w) = 0 for a complex vector w: central
     differences with step 1e-7 for the Jacobian, least-squares steps capped
     at 0.5 in max norm, at most 40 iterations, stopping after a step below
-    1e-14.  Returns (w, ok); ok is False when a step came out non-finite,
-    and w is then the last finite iterate."""
+    1e-14.  Returns (w, ok); ok is False when a step came out non-finite or
+    could not be solved (system returned NaN or inf), and w is then the last
+    finite iterate."""
     h = 1e-7
     for _ in range(40):
         r = system(w)
@@ -323,7 +324,10 @@ def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
             wp[j] += h
             wm[j] -= h
             jac[:, j] = (system(wp) - system(wm)) / (2 * h)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        try:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        except np.linalg.LinAlgError:
+            return w, False
         if not np.all(np.isfinite(step)):
             return w, False
         size = np.abs(step).max()

@@ -11,6 +11,10 @@ State layout: values P with shape (n, 3, 2) over complex128 (lane, axis,
 homogeneous component) and tangents T with shape (ndir, n, 3, 2) holding one
 directional derivative per chart direction.  Dead lanes are marked with NaN
 and dropped at collection time.
+
+The periodic-point search draws its seeds in fixed-size chunks; each chunk
+keys its own random stream and Newton stabilizer, but all chunks of one
+period are stepped together as a single lane set.
 """
 
 from __future__ import annotations
@@ -764,12 +768,13 @@ NEWTON_BETA = 2.0
 def _newton_step(carr, n, stab, P):
     """One damped chart-Newton step for f^n on every lane of P.
 
-    Returns (P_next, alive, converged).  A lane dies on a chart failure, a
-    non-finite image, a singular step matrix or a non-finite update; a
-    converged lane (displacement within NEWTON_ACCEPT_TOL) is returned
-    unchanged, so it is a fixed point of the step.  Every operation acts
-    lane by lane, so stepping a subset of lanes gives the same bits as
-    stepping the whole batch and restricting it.
+    stab is one (2, 2) stabilizer for all lanes or a (count, 2, 2) stack
+    with one per lane.  Returns (P_next, alive, converged).  A lane dies on
+    a chart failure, a non-finite image, a singular step matrix or a
+    non-finite update; a converged lane (displacement within
+    NEWTON_ACCEPT_TOL) is returned unchanged, so it is a fixed point of the
+    step.  Every operation acts lane by lane, so stepping a subset of lanes
+    gives the same bits as stepping the whole batch and restricting it.
     """
     count = P.shape[0]
     lanes = np.arange(count)
@@ -788,7 +793,7 @@ def _newton_step(carr, n, stab, P):
         G[:, i] = np.where(pick, qv / qu, qu / qv) - W[:, i]
     gnorm = np.sqrt(np.abs(G[:, 0]) ** 2 + np.abs(G[:, 1]) ** 2)
     M = J - np.eye(2)[None]
-    M = M - (NEWTON_BETA * gnorm)[:, None, None] * stab[None]
+    M = M - (NEWTON_BETA * gnorm)[:, None, None] * stab
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     alive = ~fail & finite & (np.abs(det) > 1e-14)
     delta = np.empty_like(G)
@@ -813,14 +818,28 @@ def _newton_step(carr, n, stab, P):
     return P2, alive, converged
 
 
-def _newton_chunk(args):
-    (carr, n, count, rng_seed, chunk_index, max_iter) = args
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=rng_seed, spawn_key=(n, chunk_index))
-    )
-    stab = _STABILIZERS[chunk_index % len(_STABILIZERS)]
+def _newton_batch(chunks):
+    """Converged lanes of a list of seed chunks, stepped as one lane set.
+
+    Each chunk (carr, n, count, rng_seed, chunk_index, max_iter) draws its
+    seeds from its own stream and gives its lanes the stabilizer of its
+    index; all chunks share carr, n and max_iter.  Lanes come back in chunk
+    order, and each lane's bits do not depend on which chunks share the
+    batch.
+    """
+    carr, n, _, _, _, max_iter = chunks[0]
+    seeds, stabs = [], []
     with np.errstate(all="ignore"):
-        P = _seed_points(carr, rng, count)
+        for _, _, count, rng_seed, chunk_index, _ in chunks:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=rng_seed, spawn_key=(n, chunk_index))
+            )
+            seeds.append(_seed_points(carr, rng, count))
+            stab = _STABILIZERS[chunk_index % len(_STABILIZERS)]
+            stabs.append(np.broadcast_to(stab, (count, 2, 2)))
+        P = np.concatenate(seeds)
+        stab = np.concatenate(stabs)
+        count = len(P)
         active = np.all(np.isfinite(P.reshape(count, -1)), axis=1)
         converged = np.zeros(count, dtype=bool)
         for _ in range(max_iter):
@@ -829,9 +848,16 @@ def _newton_chunk(args):
             live = np.flatnonzero(active & ~converged)
             if len(live) == 0:
                 break
-            P[live], active[live], converged[live] = _newton_step(carr, n, stab, P[live])
+            P[live], active[live], converged[live] = _newton_step(
+                carr, n, stab[live], P[live]
+            )
         good = active & (_return_displacement(carr, P, n) <= NEWTON_ACCEPT_TOL)
     return P[good]
+
+
+def _newton_chunk(args):
+    """Converged lanes of one seed chunk: a one-chunk _newton_batch."""
+    return _newton_batch([args])
 
 
 def _canonical_sort(P):
@@ -897,9 +923,11 @@ def newton_periodic(
 ) -> list[SaddleOrbit]:
     """Periodic points of f^n by damped chart Newton from random seeds.
 
-    Search tasks are keyed by a counter-based stream per 256-seed chunk, and
-    candidates are canonically sorted before deduplication, so the result is
-    identical for any worker count.
+    The seeds come in 256-seed chunks; each chunk has its own counter-based
+    stream and stabilizer, but all chunks are stepped together as one lane
+    set (one per worker, over a contiguous run of chunks).  Candidates are
+    canonically sorted before deduplication, so the result is identical
+    for any worker count.
     """
     if n < 1 or n > PERIOD_CAP:
         raise PreconditionError(f"period must be between 1 and {PERIOD_CAP}")
@@ -912,11 +940,17 @@ def newton_periodic(
         chunks.append((carr, n, take, rng_seed, index, max_iter))
         index += 1
         remaining -= take
-    if workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_newton_chunk, chunks))
+    # one batch per worker, each over a contiguous run of chunks
+    groups = min(max(workers, 1), len(chunks))
+    batches = [
+        chunks[len(chunks) * g // groups : len(chunks) * (g + 1) // groups]
+        for g in range(groups)
+    ]
+    if len(batches) > 1:
+        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+            parts = list(pool.map(_newton_batch, batches))
     else:
-        parts = [_newton_chunk(c) for c in chunks]
+        parts = [_newton_batch(b) for b in batches]
     cand = (
         np.concatenate(parts)
         if parts

@@ -127,6 +127,20 @@ def test_gauss_newton_returns_last_finite_iterate_on_a_non_finite_step():
     assert w.tolist() == [0.5 + 0j]
 
 
+def test_gauss_newton_returns_last_finite_iterate_when_the_system_turns_nan():
+    # x^2 - 4 from 0.5: the first step is capped at 0.5 and lands on |w| = 1,
+    # where the system is NaN and the least-squares solve cannot run
+    def system(w):
+        if abs(w[0]) >= 1:
+            return np.array([np.nan + 0j])
+        return np.array([w[0] * w[0] - 4.0])
+
+    with np.errstate(all="ignore"):
+        w, ok = gauss_newton(system, np.array([0.5 + 0j]))
+    assert not ok
+    assert w.tolist() == [1.0 + 0j]
+
+
 # ---------------------------------------------------------------------------
 # rigidity verdict
 
