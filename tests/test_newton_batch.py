@@ -9,47 +9,23 @@ import numpy as np
 import pytest
 
 from kummerlab import wehler_dynamics as wd
+from test_newton_kernel import _bits, _reference_newton_chunk
 
 # unequal sizes over chunk indices 0..8, so the stabilizer cycle wraps
 _SIZES = (5, 9, 3, 7, 4, 8, 2, 6, 5)
-
-
-def _bits(*arrays):
-    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
 def _chunks(carr, n, rng_seed, max_iter):
     return [(carr, n, size, rng_seed, k, max_iter) for k, size in enumerate(_SIZES)]
 
 
-def _reference_chunk(carr, n, count, rng_seed, chunk_index, max_iter):
-    """One chunk on its own: its stream, its (2, 2) stabilizer, every live
-    lane stepped each iteration."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=rng_seed, spawn_key=(n, chunk_index))
-    )
-    stab = wd._STABILIZERS[chunk_index % len(wd._STABILIZERS)]
-    with np.errstate(all="ignore"):
-        P = wd._seed_points(carr, rng, count)
-        active = np.all(np.isfinite(P.reshape(count, -1)), axis=1)
-        converged = np.zeros(count, dtype=bool)
-        for _ in range(max_iter):
-            live = active & ~converged
-            P2, alive, conv = wd._newton_step(carr, n, stab, P)
-            P = np.where(live[:, None, None], P2, P)
-            active = np.where(live, alive, active)
-            converged = np.where(live, conv, converged)
-        good = active & (wd._return_displacement(carr, P, n) <= wd.NEWTON_ACCEPT_TOL)
-    return P[good]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_newton_batch_equals_concatenated_chunks(n):
     carr = wd.random_surface(1).array()
-    chunks = _chunks(carr, n, 11, 40)
+    chunks = _chunks(carr, n, 11, 25)
     got = wd._newton_batch(chunks)
     one_by_one = np.concatenate([wd._newton_chunk(c) for c in chunks])
-    want = np.concatenate([_reference_chunk(*c) for c in chunks])
+    want = np.concatenate([_reference_newton_chunk(*c) for c in chunks])
     assert got.shape == one_by_one.shape == want.shape
     assert _bits(got) == _bits(one_by_one) == _bits(want)
     if n > 1:
