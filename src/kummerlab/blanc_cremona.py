@@ -324,6 +324,8 @@ def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
             wp[j] += h
             wm[j] -= h
             jac[:, j] = (system(wp) - system(wm)) / (2 * h)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+            return w, False  # LAPACK would print a complaint on stdout
         try:
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         except np.linalg.LinAlgError:

@@ -8,9 +8,13 @@ homogeneous coordinates with forward-mode dual numbers, so derivatives flow
 through the exact root-swap formulas rather than finite differences.
 
 State layout: values P with shape (n, 3, 2) over complex128 (lane, axis,
-homogeneous component) and tangents T with shape (ndir, n, 3, 2) holding one
-directional derivative per chart direction.  Dead lanes are marked with NaN
-and dropped at collection time.
+homogeneous component).  One kernel serves two kinds of lane: value lanes
+(T is None) carry points only, and jet lanes also carry tangents T with
+shape (ndir, n, 3, 2), one directional derivative per chart direction.  On
+value lanes every quotient is taken as a * (1 / b), the way a jet rounds
+its value, so both kinds give the same point bits.  The scalar functions
+are one-lane calls of the same kernel.  Dead lanes are marked with NaN and
+dropped at collection time.
 
 The periodic-point search draws its seeds in fixed-size chunks; each chunk
 keys its own random stream and Newton stabilizer, but all chunks of one
@@ -192,7 +196,11 @@ def make_surface_point(
     z: P1Point,
     tol: float = MEMBERSHIP_TOL,
 ) -> SurfacePoint:
-    res = surface_residual(surface, x, y, z)
+    return _checked_point(surface.array(), x, y, z, tol)
+
+
+def _checked_point(carr, x, y, z, tol) -> SurfacePoint:
+    res = float(_residuals(carr, _pack_points([(x, y, z)]))[0])
     if res > tol:
         raise OffSurfaceError(f"residual {res:.3e} exceeds membership tolerance {tol:.1e}")
     return SurfacePoint(x, y, z, res)
@@ -212,19 +220,10 @@ class _Jet:
         self.tan = tan
 
     def __add__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.val + o.val, self.tan + o.tan)
-        return _Jet(self.val + o, self.tan)
-
-    __radd__ = __add__
+        return _Jet(self.val + o.val, self.tan + o.tan)
 
     def __sub__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.val - o.val, self.tan - o.tan)
-        return _Jet(self.val - o, self.tan)
-
-    def __rsub__(self, o):
-        return _Jet(o - self.val, -self.tan)
+        return _Jet(self.val - o.val, self.tan - o.tan)
 
     def __mul__(self, o):
         if isinstance(o, _Jet):
@@ -234,21 +233,34 @@ class _Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        if isinstance(o, _Jet):
-            inv = 1.0 / o.val
-            v = self.val * inv
-            return _Jet(v, (self.tan - v * o.tan) * inv)
-        return _Jet(self.val / o, self.tan / o)
+        inv = 1.0 / o.val
+        v = self.val * inv
+        return _Jet(v, (self.tan - v * o.tan) * inv)
 
     def __neg__(self):
         return _Jet(-self.val, -self.tan)
 
 
-def _jet_where(mask, a: _Jet, b: _Jet) -> _Jet:
-    return _Jet(np.where(mask, a.val, b.val), np.where(mask[None], a.tan, b.tan))
+def _val(a):
+    return a.val if isinstance(a, _Jet) else a
 
 
-def _comp(P, T, axis, c) -> _Jet:
+def _where(mask, a, b):
+    if isinstance(a, _Jet):
+        return _Jet(np.where(mask, a.val, b.val), np.where(mask[None], a.tan, b.tan))
+    return np.where(mask, a, b)
+
+
+def _quot(a, b):
+    """a / b for jets; a * (1 / b) for arrays, which is how a jet quotient
+    rounds its value (a plain a / b would change the output bits)."""
+    return a / b if isinstance(b, _Jet) else a * (1.0 / b)
+
+
+def _comp(P, T, axis, c):
+    """One homogeneous component of every lane: values if T is None, else a jet."""
+    if T is None:
+        return P[:, axis, c]
     return _Jet(P[:, axis, c], T[:, :, axis, c])
 
 
@@ -263,10 +275,7 @@ def _fiber_coeffs(carr, axis, P, T=None):
     cm = np.moveaxis(carr, axis, 2)
     mono = []
     for ax in others:
-        if T is None:
-            u, v = P[:, ax, 0], P[:, ax, 1]
-        else:
-            u, v = _comp(P, T, ax, 0), _comp(P, T, ax, 1)
+        u, v = _comp(P, T, ax, 0), _comp(P, T, ax, 1)
         mono.append((v * v, u * v, u * u))
     # the nine jet products are shared by A, B and C; each sum runs in the
     # same (a, b) order so the rounding does not depend on the sharing
@@ -288,10 +297,6 @@ def _pack_points(points) -> np.ndarray:
         out[i, 1] = (y.u, y.v)
         out[i, 2] = (z.u, z.v)
     return out
-
-
-def _zero_tan(P, ndir=0) -> np.ndarray:
-    return np.zeros((ndir,) + P.shape, dtype=complex)
 
 
 def _residuals(carr, P) -> np.ndarray:
@@ -349,8 +354,9 @@ def _normalize_pair_arrays(u, v):
 # the involutions
 
 
-def _sigma_jets(carr, axis, P, T, polish=True):
-    """Swap the axis coordinate to the other fiber root, in place on copies.
+def _sigma_jets(carr, axis, P, T=None):
+    """Swap the axis coordinate to the other fiber root, on copies of the
+    lanes: returns (P', T'), with T' None for value lanes (T None).
 
     Branch formulas (sum and product forms of Vieta plus the A ~ 0
     fallback) are all computed; the candidate with the smallest fiber
@@ -364,47 +370,46 @@ def _sigma_jets(carr, axis, P, T, polish=True):
         (C * v, A * u),
         (-C, B),
     ]
-    cscale = np.maximum(np.maximum(np.abs(A.val), np.abs(B.val)), np.abs(C.val))
+    Av, Bv, Cv = _val(A), _val(B), _val(C)
+    cscale = np.maximum(np.maximum(np.abs(Av), np.abs(Bv)), np.abs(Cv))
     res = []
     normed = []
     with np.errstate(all="ignore"):
         for cu, cv in cands:
-            size = np.maximum(np.abs(cu.val), np.abs(cv.val))
-            pick_u = np.abs(cu.val) >= np.abs(cv.val)
-            denom = _jet_where(pick_u, cu, cv)
-            nu, nv = cu / denom, cv / denom
-            r = np.abs(
-                A.val * nu.val * nu.val
-                + B.val * nu.val * nv.val
-                + C.val * nv.val * nv.val
-            )
+            size = np.maximum(np.abs(_val(cu)), np.abs(_val(cv)))
+            pick_u = np.abs(_val(cu)) >= np.abs(_val(cv))
+            denom = _where(pick_u, cu, cv)
+            nu, nv = _quot(cu, denom), _quot(cv, denom)
+            nuv, nvv = _val(nu), _val(nv)
+            r = np.abs(Av * nuv * nuv + Bv * nuv * nvv + Cv * nvv * nvv)
             r = np.where(size <= 1e-13 * np.maximum(cscale, 1e-300), np.inf, r)
             res.append(r)
             normed.append((nu, nv))
         choice = np.argmin(np.stack(res), axis=0)
         nu, nv = normed[0]
         for k in (1, 2):
-            nu = _jet_where(choice == k, normed[k][0], nu)
-            nv = _jet_where(choice == k, normed[k][1], nv)
-        if polish:
-            # one Newton step on the affine fiber equation, skipped where
-            # the derivative is tiny (double roots are already exact)
-            pick_u = np.abs(nu.val) >= np.abs(nv.val)
-            g_v = A + B * nv + C * (nv * nv)
-            gp_v = B + 2.0 * (C * nv)
-            ok_v = pick_u & (np.abs(gp_v.val) > 1e-8 * np.maximum(cscale, 1e-300))
-            nv = _jet_where(ok_v, nv - g_v / gp_v, nv)
-            g_u = A * (nu * nu) + B * nu + C
-            gp_u = 2.0 * (A * nu) + B
-            ok_u = (~pick_u) & (np.abs(gp_u.val) > 1e-8 * np.maximum(cscale, 1e-300))
-            nu = _jet_where(ok_u, nu - g_u / gp_u, nu)
+            nu = _where(choice == k, normed[k][0], nu)
+            nv = _where(choice == k, normed[k][1], nv)
+        # one Newton step on the affine fiber equation, skipped where the
+        # derivative is tiny (double roots are already exact)
+        pick_u = np.abs(_val(nu)) >= np.abs(_val(nv))
+        g_v = A + B * nv + C * (nv * nv)
+        gp_v = B + 2.0 * (C * nv)
+        ok_v = pick_u & (np.abs(_val(gp_v)) > 1e-8 * np.maximum(cscale, 1e-300))
+        nv = _where(ok_v, nv - _quot(g_v, gp_v), nv)
+        g_u = A * (nu * nu) + B * nu + C
+        gp_u = 2.0 * (A * nu) + B
+        ok_u = (~pick_u) & (np.abs(_val(gp_u)) > 1e-8 * np.maximum(cscale, 1e-300))
+        nu = _where(ok_u, nu - _quot(g_u, gp_u), nu)
         dead = cscale <= DEGENERATE_FIBER_TOL
-        uval = np.where(dead, np.nan, nu.val)
-        vval = np.where(dead, np.nan, nv.val)
+        uval = np.where(dead, np.nan, _val(nu))
+        vval = np.where(dead, np.nan, _val(nv))
     P2 = P.copy()
-    T2 = T.copy()
     P2[:, axis, 0] = uval
     P2[:, axis, 1] = vval
+    if T is None:
+        return P2, None
+    T2 = T.copy()
     T2[:, :, axis, 0] = np.where(dead[None], np.nan, nu.tan)
     T2[:, :, axis, 1] = np.where(dead[None], np.nan, nv.tan)
     return P2, T2
@@ -414,20 +419,11 @@ FORWARD_AXES = (2, 1, 0)
 INVERSE_AXES = (0, 1, 2)
 
 
-def _apply_chain(carr, P, T, axes, polish=True):
+def _apply_chain(carr, P, T, axes):
+    """The involutions of axes in order; T None gives value lanes."""
     for axis in axes:
-        P, T = _sigma_jets(carr, axis, P, T, polish=polish)
+        P, T = _sigma_jets(carr, axis, P, T)
     return P, T
-
-
-def _unpack_point(surface, P, i, tol) -> SurfacePoint:
-    vals = P[i]
-    if not np.all(np.isfinite(vals)):
-        raise IndeterminatePointError("degenerate fiber encountered", stage=0)
-    x = P1Point.make(vals[0, 0], vals[0, 1])
-    y = P1Point.make(vals[1, 0], vals[1, 1])
-    z = P1Point.make(vals[2, 0], vals[2, 1])
-    return make_surface_point(surface, x, y, z, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +447,6 @@ def solve_fiber(
     return [P1Point.make(r1u[0], r1v[0]), P1Point.make(r2u[0], r2v[0])]
 
 
-def _sigma_index(axis: Axis) -> int:
-    # sigma_1 moves X, sigma_2 moves Y, sigma_3 moves Z
-    return axis.value + 1
-
-
 def sigma(
     surface: WehlerSurface,
     axis: Axis,
@@ -463,34 +454,40 @@ def sigma(
     tol: float = MEMBERSHIP_TOL,
 ) -> SurfacePoint:
     """The covering involution of the projection forgetting the axis."""
-    if p.residual > tol:
-        raise OffSurfaceError("input point fails the membership tolerance")
-    P = _pack_points([(p.x, p.y, p.z)])
-    T = _zero_tan(P)
-    P2, _ = _sigma_jets(surface.array(), axis.value, P, T)
-    if not np.all(np.isfinite(P2[0])):
-        raise IndeterminatePointError(
-            "degenerate fiber under the involution", stage=_sigma_index(axis)
-        )
-    return _unpack_point(surface, P2, 0, tol)
+    return _sigma_chain(surface.array(), (axis.value,), p, tol)
 
 
 def wehler_map(
     surface: WehlerSurface, p: SurfacePoint, tol: float = MEMBERSHIP_TOL
 ) -> SurfacePoint:
     """f = sigma_1 o sigma_2 o sigma_3, with sigma_3 applied first."""
-    return _sigma_chain(surface, (Axis.Z, Axis.Y, Axis.X), p, tol)
+    return _sigma_chain(surface.array(), FORWARD_AXES, p, tol)
 
 
 def wehler_map_inverse(
     surface: WehlerSurface, p: SurfacePoint, tol: float = MEMBERSHIP_TOL
 ) -> SurfacePoint:
-    return _sigma_chain(surface, (Axis.X, Axis.Y, Axis.Z), p, tol)
+    return _sigma_chain(surface.array(), INVERSE_AXES, p, tol)
 
 
-def _sigma_chain(surface, axes, p, tol):
+def _sigma_chain(carr, axes, p, tol):
+    """The involutions of axes applied to p in order, each a one-lane call
+    of _sigma_jets; a degenerate fiber raises with stage i for sigma_i.
+
+    Every intermediate point is rebuilt with P1Point.make: Python's complex
+    division rounds differently from numpy's, so renormalising in numpy
+    instead would change the bits of an orbit within a few steps.
+    """
+    if p.residual > tol:
+        raise OffSurfaceError("input point fails the membership tolerance")
     for axis in axes:
-        p = sigma(surface, axis, p, tol=tol)
+        Q, _ = _sigma_jets(carr, axis, _pack_points([(p.x, p.y, p.z)]))
+        if not np.all(np.isfinite(Q)):
+            # sigma_1 moves x (axis 0), sigma_2 y, sigma_3 z
+            raise IndeterminatePointError(
+                "degenerate fiber under the involution", stage=axis + 1
+            )
+        p = _checked_point(carr, *(P1Point.make(*row) for row in Q[0]), tol)
     return p
 
 
@@ -521,11 +518,12 @@ def orbit(
     tol: float = MEMBERSHIP_TOL,
 ) -> tuple[list[SurfacePoint], float]:
     """Forward orbit with per-step polish; returns points and max residual."""
+    carr = surface.array()
     pts = [p]
     worst = p.residual
     cur = p
     for _ in range(n_steps):
-        cur = wehler_map(surface, cur, tol=tol)
+        cur = _sigma_chain(carr, FORWARD_AXES, cur, tol)
         worst = max(worst, cur.residual)
         pts.append(cur)
     return pts, worst
@@ -541,10 +539,6 @@ def _chart_from_partials(partials):
     solved = np.argmax(g, axis=0)
     fail = np.all(g < CHART_FAIL_TOL, axis=0)
     return solved, fail
-
-
-def _chart_solved_axis(carr, P):
-    return _chart_from_partials(_affine_partials(carr, P)[0])
 
 
 def _free_axes(solved):
@@ -599,20 +593,43 @@ def _seed_chart_tangents(carr, P):
     return T, solved, fail, pick_u
 
 
+def _pushed_frame(carr, P, axes):
+    """The chart tangent frame at each lane pushed through the axis chain:
+    (Q, TQ) and the source chart's solved axis, failure flags, branches."""
+    T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
+    Q, TQ = _apply_chain(carr, P, T, axes)
+    return Q, TQ, solved, fail, pick_u
+
+
+def _read_in_chart(Q, TQ, solved, pick_u):
+    """The pushed frame as a (n, 2, 2) Jacobian in the chart of solved axis
+    and branches pick_u; returns (J, free, pick_rows)."""
+    free = _free_axes(solved)
+    pick_rows = [pick_u[ax, np.arange(len(Q))] for ax in free]
+    return _extract_velocities(Q, TQ, free, pick_rows), free, pick_rows
+
+
 def _chart_jacobian(carr, P, n, axes=FORWARD_AXES):
     """Image of each lane under n passes of the axis chain, with the 2x2
     derivative of that map in the source chart at the lane, read on the
     same branch at both ends.  Returns (Q, J, solved, fail, free,
     pick_rows): free are the two free axes and pick_rows their branches."""
-    T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
-    Q, TQ = P, T
-    for _ in range(n):
-        Q, TQ = _apply_chain(carr, Q, TQ, axes)
-    lanes = np.arange(P.shape[0])
-    free = _free_axes(solved)
-    pick_rows = [pick_u[free[0], lanes], pick_u[free[1], lanes]]
-    J = _extract_velocities(Q, TQ, free, pick_rows)
+    Q, TQ, solved, fail, pick_u = _pushed_frame(carr, P, tuple(axes) * n)
+    J, free, pick_rows = _read_in_chart(Q, TQ, solved, pick_u)
     return Q, J, solved, fail, free, pick_rows
+
+
+def _step_jacobian(carr, P, axes):
+    """Image of each lane under the axis chain and the 2x2 derivative from
+    the chart at the lane to the chart at the image.  Returns (Q, J,
+    (src_fail, dead, img_fail)): per-lane flags for no chart at the lane,
+    a degenerate fiber on the way, and no chart at the image."""
+    Q, TQ, _, src_fail, _ = _pushed_frame(carr, P, axes)
+    dead = ~np.all(np.isfinite(Q.reshape(len(Q), -1)), axis=1)
+    partials, pick_u = _affine_partials(carr, Q)
+    solved, img_fail = _chart_from_partials(partials)
+    J, _, _ = _read_in_chart(Q, TQ, solved, pick_u)
+    return Q, J, (src_fail, dead, img_fail)
 
 
 def _extract_velocities(P, T, axes, pick_u_rows):
@@ -623,18 +640,13 @@ def _extract_velocities(P, T, axes, pick_u_rows):
     J = np.empty((n, 2, 2), dtype=complex)
     with np.errstate(all="ignore"):
         for out_i, ax in enumerate(axes):
-            u = P[lanes, ax, 0]
-            v = P[lanes, ax, 1]
-            du = T[:, lanes, ax, 0]
-            dv = T[:, lanes, ax, 1]
-            pick = pick_u_rows[out_i]
-            vel = np.where(
-                pick[None],
+            u, v = P[lanes, ax, 0], P[lanes, ax, 1]
+            du, dv = T[:, lanes, ax, 0], T[:, lanes, ax, 1]
+            J[:, out_i, :] = np.where(
+                pick_u_rows[out_i][None],
                 (dv * u - v * du) / (u * u),
                 (du * v - u * dv) / (v * v),
-            )
-            J[:, out_i, 0] = vel[0]
-            J[:, out_i, 1] = vel[1]
+            ).T
     return J
 
 
@@ -644,22 +656,16 @@ def tangent_map(
     axes: tuple[int, ...] = FORWARD_AXES,
 ) -> np.ndarray:
     """2x2 complex derivative of the axis chain from the chart at p to the
-    chart at the image point, by dual-number propagation."""
-    carr = surface.array()
+    chart at the image point, by dual-number propagation: a one-lane
+    _step_jacobian."""
     P = _pack_points([(p.x, p.y, p.z)])
-    T, solved, fail, _ = _seed_chart_tangents(carr, P)
-    if fail[0]:
+    _, J, (src_fail, dead, img_fail) = _step_jacobian(surface.array(), P, axes)
+    if src_fail[0]:
         raise ChartFailureError("all three fiber gradients are below 1e-10")
-    Q, TQ = _apply_chain(carr, P, T, axes)
-    if not np.all(np.isfinite(Q[0])):
+    if dead[0]:
         raise IndeterminatePointError("chain hit a degenerate fiber", stage=0)
-    partials, pick_u = _affine_partials(carr, Q)
-    solved_out, fail_out = _chart_from_partials(partials)
-    if fail_out[0]:
+    if img_fail[0]:
         raise ChartFailureError("image point admits no chart")
-    out_axes = _free_axes(solved_out)
-    pick_rows = [pick_u[ax, 0] for ax in out_axes]
-    J = _extract_velocities(Q, TQ, out_axes, pick_rows)
     return J[0]
 
 
@@ -689,11 +695,7 @@ def _chordal_displacement(P, Q):
 
 
 def _plain_chain(carr, P, axes, repeats=1):
-    T = _zero_tan(P)
-    Q = P
-    for _ in range(repeats):
-        Q, T = _apply_chain(carr, Q, T, axes)
-    return Q
+    return _apply_chain(carr, P, None, tuple(axes) * repeats)[0]
 
 
 def _return_displacement(carr, P, m):
@@ -971,12 +973,7 @@ def newton_periodic(
             continue
         if not (np.isfinite(big[i]) and np.isfinite(small[i])):
             continue
-        point = SurfacePoint(
-            P1Point.make(cand[i, 0, 0], cand[i, 0, 1]),
-            P1Point.make(cand[i, 1, 0], cand[i, 1, 1]),
-            P1Point.make(cand[i, 2, 0], cand[i, 2, 1]),
-            float(res[i]),
-        )
+        point = SurfacePoint(*(P1Point.make(*row) for row in cand[i]), float(res[i]))
         kind = (
             OrbitType.SADDLE
             if abs(big[i]) > 1.0 > abs(small[i])

@@ -1,0 +1,112 @@
+"""One involution kernel for value lanes and jet lanes.
+
+_sigma_jets and _apply_chain carry no tangents when T is None; the values
+they return then must be the bits that the jet path carries in .val,
+because the census replays points on value lanes that Newton found on jet
+lanes.  _step_jacobian is the batched step derivative behind tangent_map.
+"""
+
+import numpy as np
+import pytest
+
+from kummerlab import wehler_dynamics as wd
+from kummerlab.errors import ChartFailureError, IndeterminatePointError
+from test_shared_helpers import _lanes
+from test_wehler_dynamics import _forced_node_surface, _zeroed_corner_surface
+
+
+def _branch_surface():
+    """Random surface with A = 0 on every fiber through (1:0)^3 and a
+    z-fiber A u^2 (double root (0:1)) over x = y = (0:1)."""
+    arr = wd.random_surface(5).array()
+    arr[2, 2, 2] = 0.0
+    arr[0, 0, 0] = arr[0, 0, 1] = 0.0
+    return wd.WehlerSurface.from_array(arr)
+
+
+def _branch_lanes(surface, count):
+    """count lanes of _lanes, then on-surface lanes, then the two corner
+    lanes (1:0)^3 and (0:1)^3, which lie on _branch_surface."""
+    carr = surface.array()
+    with np.errstate(all="ignore"):
+        on = wd._seed_points(carr, np.random.default_rng(31), 64)
+    corners = np.array([[(1.0, 0.0)] * 3, [(0.0, 1.0)] * 3], dtype=complex)
+    return np.concatenate([_lanes(5, count, nan_every=5), on, corners])
+
+
+def _tangents(P):
+    rng = np.random.default_rng(8)
+    return rng.normal(size=(2,) + P.shape) + 1j * rng.normal(size=(2,) + P.shape)
+
+
+def test_branch_lanes_reach_every_branch_of_the_involution():
+    surface = _branch_surface()
+    carr = surface.array()
+    P = _branch_lanes(surface, 1)
+    corner, double = len(P) - 2, len(P) - 1
+    assert wd._residuals(carr, P[-2:]).max() == 0.0
+    for axis in range(3):
+        A, B, C = wd._fiber_coeffs(carr, axis, P)
+        # A = 0 at (1:0), so both Vieta candidates vanish and (-C:B) wins
+        assert A[corner] == 0 and abs(B[corner]) > 0.1
+        Q, _ = wd._sigma_jets(carr, axis, P)
+        assert abs(Q[corner, axis, 1]) > 0.01
+        # the polish ran in the v-chart on some lanes and in the u-chart on others
+        pick_u = np.abs(Q[1:-2, axis, 0]) >= np.abs(Q[1:-2, axis, 1])
+        assert pick_u.any() and not pick_u.all()
+    # z-fiber A u^2 over (0:1)^2: the double root (0:1) comes back, with the
+    # u-chart polish skipped (it would divide 0 by 0 there)
+    A, B, C = wd._fiber_coeffs(carr, 2, P)
+    assert B[double] == C[double] == 0 and A[double] != 0
+    z = wd._sigma_jets(carr, 2, P)[0][double, 2]
+    assert z[0] == 0 and abs(z[1] - 1) < 1e-15
+
+
+@pytest.mark.parametrize("count", [1, 256])
+def test_value_lanes_match_jet_values_bitwise(count):
+    surface = _branch_surface()
+    carr = surface.array()
+    P = _branch_lanes(surface, count)
+    for T in (np.zeros((0,) + P.shape, dtype=complex), _tangents(P)):
+        for axis in range(3):
+            values, none = wd._sigma_jets(carr, axis, P)
+            jets, _ = wd._sigma_jets(carr, axis, P, T)
+            assert none is None and values.tobytes() == jets.tobytes()
+        for axes in (wd.FORWARD_AXES, wd.INVERSE_AXES, wd.FORWARD_AXES * 3):
+            values, none = wd._apply_chain(carr, P, None, axes)
+            jets, _ = wd._apply_chain(carr, P, T, axes)
+            assert none is None and values.tobytes() == jets.tobytes()
+            assert wd._plain_chain(carr, P, axes).tobytes() == values.tobytes()
+    assert np.isnan(P).any() and np.isnan(values).any()
+
+
+@pytest.mark.parametrize("axes", [wd.FORWARD_AXES, wd.INVERSE_AXES])
+def test_step_jacobian_equals_per_lane_tangent_map_bitwise(axes):
+    surface = wd.random_surface(7)
+    p = wd.random_surface_point(surface, np.random.default_rng(4))
+    pts, _ = wd.orbit(surface, p, 255)
+    P = wd._pack_points([(q.x, q.y, q.z) for q in pts])
+    Q, J, (src_fail, dead, img_fail) = wd._step_jacobian(surface.array(), P, axes)
+    assert J.shape == (256, 2, 2)
+    assert not (src_fail.any() or dead.any() or img_fail.any())
+    for i, q in enumerate(pts):
+        assert J[i].tobytes() == wd.tangent_map(surface, q, axes=axes).tobytes()
+    assert Q.tobytes() == wd._plain_chain(surface.array(), P, axes).tobytes()
+
+
+def test_tangent_map_errors_are_unchanged():
+    surface = _forced_node_surface()
+    inf = wd.P1Point(1.0, 0.0)
+    node = wd.make_surface_point(surface, inf, inf, inf)
+    with pytest.raises(ChartFailureError, match="all three fiber gradients are below 1e-10"):
+        wd.tangent_map(surface, node)
+    surface = _zeroed_corner_surface()
+    p = wd.make_surface_point(surface, inf, inf, wd.P1Point.make(1.0, 0.3 + 0.1j))
+    for axes in ((2,), wd.FORWARD_AXES):
+        with pytest.raises(IndeterminatePointError, match="chain hit a degenerate fiber") as info:
+            wd.tangent_map(surface, p, axes=axes)
+        assert info.value.stage == 0
+    # the batched flags say the same per lane
+    P = wd._pack_points([(p.x, p.y, p.z), (inf, inf, inf)])
+    _, _, (src_fail, dead, img_fail) = wd._step_jacobian(surface.array(), P, (2,))
+    assert dead.tolist() == [True, True] and not img_fail.any()

@@ -85,7 +85,7 @@ def _fiber_quadratic(surface, axis, p, q):
     P[0, others[0]] = (p.u, p.v)
     P[0, others[1]] = (q.u, q.v)
     P[0, axis.value] = (1.0, 0.0)
-    A, B, C = wd._fiber_coeffs(surface.array(), axis.value, P, wd._zero_tan(P))
+    A, B, C = wd._fiber_coeffs(surface.array(), axis.value, P, np.zeros((0,) + P.shape, dtype=complex))
     return A.val[0], B.val[0], C.val[0]
 
 
@@ -214,7 +214,7 @@ def _sigma_z_fixed_points(surface, x, count=4):
         P[0, 0] = (x.u, x.v)
         P[0, 1] = (1.0, w)
         P[0, 2] = (1.0, 0.0)
-        A, B, C = wd._fiber_coeffs(carr, 2, P, wd._zero_tan(P))
+        A, B, C = wd._fiber_coeffs(carr, 2, P, np.zeros((0,) + P.shape, dtype=complex))
         return A.val[0], B.val[0], C.val[0]
 
     def disc(w):
@@ -289,7 +289,7 @@ def _chart_state(surface, p):
     """Solved axis, free axes, and branch picks of the chart at p."""
     carr = surface.array()
     P = wd._pack_points([(p.x, p.y, p.z)])
-    solved, fail = wd._chart_solved_axis(carr, P)
+    solved, fail = wd._chart_from_partials(wd._affine_partials(carr, P)[0])
     assert not fail[0]
     s = int(solved[0])
     f0, f1 = wd._free_axes(solved)
