@@ -297,21 +297,26 @@ def _iterate_smith_form(f: TorusAutomorphism, n: int):
 
 
 def fix_enumerate(f: TorusAutomorphism, n: int, cap: int = 10**6) -> PeriodicEnsemble:
-    """All fixed points of the n-th iterate by Smith-form coset enumeration."""
+    """All fixed points of the n-th iterate by Smith-form coset enumeration.
+
+    Each d_c divides d4, so coordinate r of V (k / d) mod 1 is the table
+    entry Fraction(N_r mod d4, d4) with N_r = sum_c V[r][c] k_c (d4 / d_c).
+    """
     count = fix_count(f, n)
     if count > cap:
         raise CapExceededError(f"{count} fixed points exceed the cap {cap}")
     diag, v = _iterate_smith_form(f, n)
     if any(di == 0 for di in diag):
         raise InternalInvariantError("nonzero determinant left a zero divisor")
+    d4 = diag[3]
+    if any(d4 % di for di in diag):
+        raise InternalInvariantError("Smith divisors do not divide the last one")
+    w = [[v.entries[r][c] * (d4 // diag[c]) for c in range(4)] for r in range(4)]
+    table = [Fraction(j, d4) for j in range(d4)]
     points = []
-    for ks in itertools.product(*(range(di) for di in diag)):
-        y = [Fraction(ks[i], diag[i]) for i in range(4)]
-        coords = tuple(
-            sum((v.entries[r][c] * y[c] for c in range(4)), Fraction(0)) % 1
-            for r in range(4)
-        )
-        points.append(TorusPoint(coords))
+    for k0, k1, k2, k3 in itertools.product(*(range(di) for di in diag)):
+        coords = [table[(a * k0 + b * k1 + c * k2 + e * k3) % d4] for a, b, c, e in w]
+        points.append(TorusPoint(tuple(coords)))
     if len(points) != count:
         raise InternalInvariantError("enumeration disagrees with the Lefschetz count")
     return PeriodicEnsemble(period=n, points=tuple(points), count=count)
@@ -348,6 +353,8 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
         raise EmptyEnsembleError("no points to average over")
     x = np.array([p.to_floats() for p in e.points])
     ks = np.array(list(_frequency_vectors(k_max)))
+    # The block row count is pinned by the output bytes: block @ x.T can round
+    # differently for another count (1-row blocks change max_nontrivial_abs).
     chunk_rows = max(1, 4_000_000 // max(1, len(e.points)))
     max_abs = 0.0
     max_nontrivial = 0.0
@@ -467,10 +474,13 @@ def torus_distance(
     """Flat quotient metric from the embedding z = a + b*tau per coordinate.
 
     Coordinates are wrapped to the centered cell and the quadratic form is
-    minimized over the 3x3 grid of lattice translates, which is exhaustive
-    when tau lies in the standard fundamental domain |Re tau| <= 1/2.
+    minimized over the 3x3 grid of lattice translates.  That grid is
+    exhaustive for tau in the standard fundamental domain |Re tau| <= 1/2,
+    |tau| >= 1; any other tau raises PreconditionError.
     """
     re = lattice.tau.real
+    if abs(re) > 0.5 + 1e-12 or abs(lattice.tau) < 1.0 - 1e-12:
+        raise PreconditionError("torus_distance needs |Re tau| <= 1/2, |tau| >= 1")
     gram = np.array([[1.0, re], [re, abs(lattice.tau) ** 2]])
     shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=2)))
 

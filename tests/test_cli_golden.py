@@ -61,6 +61,19 @@ CASES = {
         ["torus", "fix-enum", "--n", "3"],
         "5298220331473556777",
     ),
+    "torus_fix_enum_n5": (
+        ["torus", "fix-enum", "--n", "5"],
+        "9555876699668246799",
+    ),
+    "torus_equidist_n5": (
+        ["torus", "equidist", "--n", "5", "--kmax", "3"],
+        "14409565806005773967",
+    ),
+    # Smith divisors [2, 2, 18, 18]: the other torus cases have equal divisors
+    "torus_fix_enum_uneven_divisors": (
+        ["torus", "fix-enum", "--matrix", "[[0,1],[1,3]]", "--n", "3"],
+        "11963519027775673001",
+    ),
     "torus_rigidity": (
         ["torus", "rigidity"],
         "3864535233900715432",

@@ -369,6 +369,14 @@ class TestTorusDistance:
             for j in range(10):
                 assert abs(di[j] - dist(samples, j)[i]) < 1e-12
 
+    def test_rejects_tau_outside_fundamental_domain(self):
+        # outside the domain the 3x3 translate grid can miss nearer
+        # translates: against a 13x13 search it overestimates by up to 0.13
+        # at 1.7 + 0.3i and 0.06 at 0.3 + 0.1i
+        for tau in (complex(1.7, 0.3), complex(-0.6, 1.0), complex(0.3, 0.1)):
+            with pytest.raises(PreconditionError):
+                torus_distance(TorusLattice(tau))
+
 
 class TestLocalDimension:
     RADII = np.geomspace(0.2, 0.02, 8)
