@@ -69,6 +69,11 @@ CASES = {
         ["torus", "equidist", "--n", "5", "--kmax", "3"],
         "14409565806005773967",
     ),
+    # 80 trivial frequencies: the n = 5 case has none above WEYL_TRIVIAL_TOL
+    "torus_equidist_n2": (
+        ["torus", "equidist", "--n", "2", "--kmax", "3"],
+        "9956907491564104251",
+    ),
     # Smith divisors [2, 2, 18, 18]: the other torus cases have equal divisors
     "torus_fix_enum_uneven_divisors": (
         ["torus", "fix-enum", "--matrix", "[[0,1],[1,3]]", "--n", "3"],
@@ -77,6 +82,11 @@ CASES = {
     "torus_rigidity": (
         ["torus", "rigidity"],
         "3864535233900715432",
+    ),
+    # a Gram matrix with nonzero off-diagonal terms: the other cases use tau = i
+    "torus_dimension_tau": (
+        ["torus", "dimension", "--tau", "0.3+1.2j", "--samples", "20000"],
+        "15382271108167285120",
     ),
     "lattice_salem_lehmer": (
         ["lattice", "salem", "--poly", "lehmer"],
