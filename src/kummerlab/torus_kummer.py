@@ -92,7 +92,9 @@ class TorusPoint:
         if len(self.coords) != 4:
             raise PreconditionError("a torus point has 4 lattice coordinates")
         for c in self.coords:
-            if not (0 <= c < 1):
+            # a Fraction's denominator is positive, so compare its integers
+            lo, hi = (c.numerator, c.denominator) if type(c) is Fraction else (c, 1)
+            if not (0 <= lo < hi):
                 raise PreconditionError("lattice coordinates live in [0, 1)")
 
     @classmethod
@@ -349,6 +351,8 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
     exactly 0 or 1; frequencies with |W(k)| > 1e-10 are the characters
     trivial on that subgroup.
     """
+    if k_max < 1:
+        raise PreconditionError("k_max must be at least 1")
     if not e.points:
         raise EmptyEnsembleError("no points to average over")
     x = np.array([p.to_floats() for p in e.points])
@@ -356,12 +360,24 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
     # The block row count is pinned by the output bytes: block @ x.T can round
     # differently for another count (1-row blocks change max_nontrivial_abs).
     chunk_rows = max(1, 4_000_000 // max(1, len(e.points)))
+    # exp(2j*pi*P) = cexp(+-0 + i*two_pi*P) is (cos, sin) of two_pi*P bit for bit.
+    # The 16-row sub-block is not pinned: a row's mean is the same in any count.
+    two_pi = (2j * np.pi).imag
+    buf = np.empty((min(16, chunk_rows), len(x)), dtype=complex)
     max_abs = 0.0
     max_nontrivial = 0.0
     trivial: list[tuple[int, int, int, int]] = []
     for start in range(0, len(ks), chunk_rows):
         block = ks[start : start + chunk_rows]
-        w = np.abs(np.exp(2j * np.pi * (block @ x.T)).mean(axis=1))
+        phase = block @ x.T
+        phase *= two_pi
+        w = np.empty(len(block))
+        for r in range(0, len(block), len(buf)):
+            p = phase[r : r + len(buf)]
+            sub = buf[: len(p)]
+            np.cos(p, out=sub.real)
+            np.sin(p, out=sub.imag)
+            w[r : r + len(p)] = np.abs(sub.mean(axis=1))
         max_abs = max(max_abs, float(w.max()))
         for kvec, wa in zip(block, w):
             if wa > WEYL_TRIVIAL_TOL:
@@ -386,6 +402,8 @@ def trivial_character_count(
     cap.  Returns (trivial, total) over nonzero frequencies with
     sup-norm at most k_max.
     """
+    if k_max < 1:
+        raise PreconditionError("k_max must be at least 1")
     fix_count(f, n)
     diag, v = _iterate_smith_form(f, n)
     cols = [[v.entries[r][j] for r in range(4)] for j in range(4)]
@@ -481,19 +499,26 @@ def torus_distance(
     re = lattice.tau.real
     if abs(re) > 0.5 + 1e-12 or abs(lattice.tau) < 1.0 - 1e-12:
         raise PreconditionError("torus_distance needs |Re tau| <= 1/2, |tau| >= 1")
-    gram = np.array([[1.0, re], [re, abs(lattice.tau) ** 2]])
-    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=2)))
+    g00, g01, g10, g11 = 1.0, re, re, abs(lattice.tau) ** 2
 
     def dist(samples: np.ndarray, i: int) -> np.ndarray:
         x = np.asarray(samples, dtype=float)
         d = x - x[i]
         d -= np.round(d)
         total = np.zeros(len(x))
-        for pair in ((0, 1), (2, 3)):
-            v = d[:, pair]
-            cand = v[:, None, :] + shifts[None, :, :]
-            q = np.einsum("nsa,ab,nsb->ns", cand, gram, cand)
-            total += q.min(axis=1)
+        for a, b in ((0, 1), (2, 3)):
+            # The operation order is pinned by the output bytes: the form of
+            # a translate (c0, c1) is ((c0*g00)*c0 + (c0*g01)*c1) + (c1*g10)*c0
+            # + (c1*g11)*c1, and (c0*g01)*c1, (c1*g10)*c0 round differently.
+            c0 = [d[:, a] + s for s in (-1.0, 0.0, 1.0)]
+            c1 = [d[:, b] + s for s in (-1.0, 0.0, 1.0)]
+            sq0, c0g = [(c * g00) * c for c in c0], [c * g01 for c in c0]
+            sq1, c1g = [(c * g11) * c for c in c1], [c * g10 for c in c1]
+            q_min = np.full(len(x), np.inf)
+            for s, t in itertools.product(range(3), repeat=2):
+                q = sq0[s] + c0g[s] * c1[t] + c1g[t] * c0[s] + sq1[t]
+                np.minimum(q_min, q, out=q_min)
+            total += q_min
         return np.sqrt(total)
 
     return dist

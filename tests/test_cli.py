@@ -324,6 +324,13 @@ def test_precondition_failure_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_torus_equidist_kmax_below_one_exits_2(capsys, kmax):
+    rc = cli.main(["torus", "equidist", "--n", "2", "--kmax", kmax])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_torus_dimension_tau_outside_fundamental_domain_exits_2(capsys):
     rc = cli.main(["torus", "dimension", "--tau", "1.7+0.3j",
                    "--samples", "2000", "--probes", "8"])

@@ -5,18 +5,29 @@ against a plain Fraction reference loop and the Lefschetz count; random
 small integer matrices check the Smith normal form contract that the
 enumeration relies on; random moduli in the standard fundamental domain
 check the torus metric against a wide brute-force translate search.
+
+The Weyl sums and the torus metric must also keep their bits: they are
+compared bit for bit against reference kernels written with complex np.exp
+and np.einsum.  The Weyl-sum equality rests on the numpy build (np.cos and
+np.sin equal the parts of complex np.exp), so a build where it does not
+hold fails here under a named test.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from kummerlab.errors import PreconditionError
 from kummerlab.lattice_algebra import IntMatrix, smith_normal_form
 from kummerlab.torus_kummer import (
+    WEYL_TRIVIAL_TOL,
     TorusAutomorphism,
     TorusLattice,
+    TorusPoint,
+    equidistribution_test,
     fix_enumerate,
     lattice_action_4x4,
     torus_distance,
@@ -133,3 +144,98 @@ def test_torus_distance_exhaustive_on_fundamental_domain(re, lift, seed):
     x = np.random.default_rng(seed).random((64, 4))
     for i in (0, 1, 2):
         assert np.max(np.abs(dist(x, i) - brute_distance(x, i, tau))) < 1e-12
+
+
+def exp_weyl_reference(points, k_max: int):
+    """Weyl sums as np.exp of the whole complex phase block."""
+    x = np.array([p.to_floats() for p in points])
+    ks = np.array(
+        [k for k in itertools.product(range(-k_max, k_max + 1), repeat=4) if any(k)]
+    )
+    chunk_rows = max(1, 4_000_000 // len(points))
+    max_abs = max_nontrivial = 0.0
+    trivial = []
+    for start in range(0, len(ks), chunk_rows):
+        block = ks[start : start + chunk_rows]
+        w = np.abs(np.exp(2j * np.pi * (block @ x.T)).mean(axis=1))
+        max_abs = max(max_abs, float(w.max()))
+        for kvec, wa in zip(block, w):
+            if wa > WEYL_TRIVIAL_TOL:
+                trivial.append(tuple(int(c) for c in kvec))
+            else:
+                max_nontrivial = max(max_nontrivial, float(wa))
+    return max_abs, max_nontrivial, tuple(trivial)
+
+
+@settings(max_examples=25, deadline=None)
+@given(unimodular_and_period(), st.integers(1, 3))
+@example((IntMatrix.from_rows([[2, 1], [1, 1]]), 4), 3)
+def test_equidistribution_bits_match_exp_reference(case, k_max):
+    m, n = case
+    e = fix_enumerate(TorusAutomorphism(m), n)
+    rep = equidistribution_test(e, k_max)
+    max_abs, max_nontrivial, trivial = exp_weyl_reference(e.points, k_max)
+    assert rep.max_abs.hex() == max_abs.hex()
+    assert rep.max_nontrivial_abs.hex() == max_nontrivial.hex()
+    assert rep.trivial_frequencies == trivial
+
+
+def einsum_distance_reference(x: np.ndarray, i: int, tau: complex) -> np.ndarray:
+    """The torus metric as one einsum over a (n, 9, 2) translate array."""
+    gram = np.array([[1.0, tau.real], [tau.real, abs(tau) ** 2]])
+    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=2)))
+    d = x - x[i]
+    d -= np.round(d)
+    total = np.zeros(len(x))
+    for pair in ((0, 1), (2, 3)):
+        cand = d[:, pair][:, None, :] + shifts[None, :, :]
+        total += np.einsum("nsa,ab,nsb->ns", cand, gram, cand).min(axis=1)
+    return np.sqrt(total)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)),
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    st.integers(0, 2**16),
+)
+@example(0.0, 0.0, 0)  # tau = i
+@example(0.3, 1.2 - np.sqrt(0.91), 1)  # tau = 0.3 + 1.2i
+@example(-0.5, 0.0, 2)  # tau = zeta3, a corner of the domain
+def test_torus_distance_bits_match_einsum_reference(re, lift, seed):
+    tau = complex(re, np.sqrt(1.0 - re * re) + lift)
+    dist = torus_distance(TorusLattice(tau))
+    x = np.random.default_rng(seed).random((500, 4))
+    for i in (0, 1, 499):
+        assert np.array_equal(dist(x, i), einsum_distance_reference(x, i, tau))
+
+
+RANGE_TABLE = [
+    (Fraction(0), True),
+    (Fraction(1, 3), True),
+    (Fraction(2, 3), True),
+    (Fraction(-1, 3), False),
+    (Fraction(1), False),
+    (Fraction(4, 3), False),
+    (0, True),
+    (1, False),
+    (-1, False),
+    (0.0, True),
+    (-0.0, True),
+    (0.5, True),
+    (0.9999999999999999, True),
+    (1.0, False),
+    (-1e-300, False),
+]
+
+
+@pytest.mark.parametrize("c, accepted", RANGE_TABLE)
+def test_torus_point_range_check_table(c, accepted):
+    """The integer range check on Fractions accepts what 0 <= c < 1 does."""
+    assert (0 <= c < 1) == accepted
+    coords = (c, Fraction(0), Fraction(1, 2), Fraction(0))
+    if accepted:
+        assert TorusPoint(coords).coords == coords
+    else:
+        with pytest.raises(PreconditionError):
+            TorusPoint(coords)

@@ -251,6 +251,14 @@ class TestEquidistribution:
         with pytest.raises(EmptyEnsembleError):
             equidistribution_test(PeriodicEnsemble(1, (), 0), 2)
 
+    def test_k_max_below_one_rejected(self):
+        e = fix_enumerate(FIB, 2)
+        for k_max in (0, -1):
+            with pytest.raises(PreconditionError):
+                equidistribution_test(e, k_max)
+            with pytest.raises(PreconditionError):
+                trivial_character_count(FIB, 2, k_max)
+
     def test_exact_counter_matches_direct_sums(self):
         for n in (2, 3):
             e = fix_enumerate(FIB, n)
