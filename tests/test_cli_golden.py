@@ -96,6 +96,40 @@ CASES = {
         ["lattice", "wehler-action"],
         "6280756361115419478",
     ),
+    # one case per branch of spectral_report
+    "lattice_salem_one": (
+        ["lattice", "salem", "--poly", "[1,0,1]"],
+        "276140303822595806",
+    ),
+    "lattice_salem_nilpotent": (
+        ["lattice", "salem", "--poly", "[0,0,1]"],
+        "16472766621091299524",
+    ),
+    "lattice_salem_other_below_one": (
+        ["lattice", "salem", "--poly", "[-1,0,2]"],
+        "5647883920181522642",
+    ),
+    "lattice_salem_plastic": (
+        ["lattice", "salem", "--poly", "[-1,-1,0,1]"],
+        "10444274586579347684",
+    ),
+    # Lehmer * Phi_1^2 * Phi_6: SALEM with stripped cyclotomic factors
+    "lattice_salem_lehmer_cyclotomic": (
+        ["lattice", "salem", "--poly", "[1,-2,1,0,0,-1,1,0,1,-1,0,0,1,-2,1]"],
+        "7436063552577188277",
+    ),
+    "lattice_degree_fibonacci": (
+        ["lattice", "degree", "--matrix", "[[2,1],[1,1]]"],
+        "7278416437077573336",
+    ),
+    "lattice_rank2": (
+        ["lattice", "rank2", "--gram", "[[2,11],[11,2]]"],
+        "17208076531819536269",
+    ),
+    "lattice_enriques": (
+        ["lattice", "enriques"],
+        "13442331491017950311",
+    ),
 }
 
 
