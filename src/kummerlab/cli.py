@@ -305,7 +305,7 @@ def spectral_json(rep: la.SpectralReport) -> dict:
         "classification": rep.classification.value,
         "min_poly_degree": rep.min_poly_degree,
         "kummer_possible": rep.kummer_possible,
-        "verdict": "undetermined by degree" if rep.kummer_possible else "mu_f singular",
+        "verdict": rep.measure_verdict,
     }
 
 
@@ -410,12 +410,11 @@ def cmd_lattice_wehler_action(args, cfg, files):
 def cmd_lattice_enriques(args, cfg, files):
     lattice = la.enriques_lattice()
     pos, neg, zero = la.signature(lattice)
-    entries = lattice.gram.entries
     payload = {
         "rank": lattice.gram.dim,
         "signature": [pos, neg, zero],
         "det": json_int(lattice.gram.det()),
-        "even": all(entries[i][i] % 2 == 0 for i in range(lattice.gram.dim)),
+        "even": lattice.is_even(),
     }
     return json_bytes(payload), "json"
 

@@ -51,6 +51,14 @@ MAX_FACTOR_DEGREE = 105
 # of 1, and a dynamical degree counts as 1 under the same tolerance.
 UNIT_CIRCLE_TOL = 1e-10
 
+# Iteration caps of the dominant-root search: power iteration on the
+# companion matrix, then Newton polish of a real witness.
+POWER_ITERATIONS = 3000
+NEWTON_POLISH_STEPS = 100
+
+# Largest Pell parameter u searched for the fundamental rank-2 isometry.
+PELL_BOUND = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # integer matrices
@@ -82,9 +90,6 @@ class IntMatrix:
     @property
     def dim(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.dim != other.dim:
@@ -134,37 +139,15 @@ class IntMatrix:
         return result
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse via the adjugate; only valid when det = +-1."""
-        d = self.det()
-        if d not in (1, -1):
+        """Inverse V @ U from the self-checked Smith form U @ m @ V = I;
+        only valid when det = +-1."""
+        if self.det() not in (1, -1):
             raise NonInvertibleError("matrix is not unimodular")
-        n = self.dim
-        cof = [
-            [
-                d * _cofactor_sign(i, j) * _minor_det(self.entries, j, i)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return IntMatrix.from_rows(cof)
+        u, _, v = smith_normal_form(self)
+        return v @ u
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
-
-
-def _cofactor_sign(i: int, j: int) -> int:
-    return -1 if (i + j) % 2 else 1
-
-
-def _minor_det(entries, drop_row: int, drop_col: int) -> int:
-    sub = [
-        [x for j, x in enumerate(row) if j != drop_col]
-        for i, row in enumerate(entries)
-        if i != drop_row
-    ]
-    if not sub:
-        return 1
-    return _bareiss_det(sub)
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -331,37 +314,21 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial.from_coeffs(out)
 
-    def divmod_exact(self, other: "IntPolynomial"):
-        """Polynomial long division over Q, returned only if quotient and
-        remainder are integral; otherwise returns None."""
-        num = [Fraction(c) for c in self.coeffs]
-        den = [Fraction(c) for c in other.coeffs]
-        if len(den) == 1 and den[0] == 0:
-            raise ZeroDivisionError
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        while len(num) >= len(den) and any(num):
-            shift = len(num) - len(den)
-            factor = num[-1] / den[-1]
-            q[shift] = factor
-            for i, d in enumerate(den):
-                num[shift + i] -= factor * d
-            while len(num) > 1 and num[-1] == 0:
-                num.pop()
-        if any(f.denominator != 1 for f in q) or any(f.denominator != 1 for f in num):
-            return None
-        quo = IntPolynomial.from_coeffs([int(f) for f in q])
-        rem = IntPolynomial.from_coeffs([int(f) for f in num])
-        return quo, rem
-
     def divides_into(self, other: "IntPolynomial"):
-        """If self divides other exactly over Z, return the quotient."""
-        res = other.divmod_exact(self)
-        if res is None:
-            return None
-        quo, rem = res
-        if rem.coeffs != (0,):
-            return None
-        return quo
+        """If self divides other exactly over Z, return the quotient; the
+        first quotient term that is not an integer rules it out."""
+        if self.coeffs == (0,):
+            raise ZeroDivisionError
+        num = list(other.coeffs)
+        quo = [0] * max(1, len(num) - self.degree)
+        for shift in range(len(num) - len(self.coeffs), -1, -1):
+            factor, r = divmod(num[shift + self.degree], self.leading)
+            if r:
+                return None
+            quo[shift] = factor
+            for i, c in enumerate(self.coeffs):
+                num[shift + i] -= factor * c
+        return None if any(num) else IntPolynomial.from_coeffs(quo)
 
     def content(self) -> int:
         return math.gcd(*[abs(c) for c in self.coeffs]) or 1
@@ -370,9 +337,6 @@ class IntPolynomial:
         g = self.content()
         sign = 1 if self.leading > 0 else -1
         return IntPolynomial.from_coeffs([sign * c // g for c in self.coeffs])
-
-    def reversed_coeffs(self) -> "IntPolynomial":
-        return IntPolynomial.from_coeffs(tuple(reversed(self.coeffs)))
 
     def is_reciprocal(self) -> bool:
         rev = tuple(reversed(self.coeffs))
@@ -456,7 +420,7 @@ def _companion_apply(coeffs: tuple[int, ...], vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dominant_by_power_iteration(p: IntPolynomial, iters: int = 3000):
+def _dominant_by_power_iteration(p: IntPolynomial):
     """Dominant eigenvalue of the companion matrix by power iteration with a
     Rayleigh quotient; returns None when the iteration does not settle
     (dominant complex pair or tied moduli)."""
@@ -465,7 +429,7 @@ def _dominant_by_power_iteration(p: IntPolynomial, iters: int = 3000):
         return None
     vec = np.ones(d, dtype=complex) / math.sqrt(d)
     est = None
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         img = _companion_apply(p.coeffs, vec)
         nrm = np.linalg.norm(img)
         if nrm == 0 or not np.isfinite(nrm):
@@ -478,10 +442,10 @@ def _dominant_by_power_iteration(p: IntPolynomial, iters: int = 3000):
     return None
 
 
-def _newton_polish(p: IntPolynomial, x0: float, steps: int = 100) -> float:
+def _newton_polish(p: IntPolynomial, x0: float) -> float:
     dp = p.derivative()
     x = float(x0)
-    for _ in range(steps):
+    for _ in range(NEWTON_POLISH_STEPS):
         fx = float(p(x))
         dfx = float(dp(x))
         if dfx == 0.0:
@@ -542,16 +506,12 @@ def cyclotomic_strip(
         p = IntPolynomial.from_coeffs(p.coeffs[1:])
         t_power += 1
     stripped: list[tuple[int, int]] = []
-    if p.degree > 0:
-        for n in _cyclotomic_candidates(p.degree):
-            f = cyclotomic(n)
-            if f.degree > p.degree:
-                continue
-            p, count = _strip_factor(p, f)
-            if count:
-                stripped.append((n, count))
-            if p.degree == 0:
-                break
+    for n in _cyclotomic_candidates(p.degree):
+        p, count = _strip_factor(p, cyclotomic(n))
+        if count:
+            stripped.append((n, count))
+        if p.degree == 0:
+            break
     return p, stripped, t_power
 
 
@@ -568,9 +528,6 @@ def _strip_factor(p: IntPolynomial, f: IntPolynomial) -> tuple[IntPolynomial, in
 
 def _rational_root_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
     # candidate linear factors a*t - b with b | constant, a | leading
-    if p.coeffs[0] == 0:
-        yield IntPolynomial((0, 1))
-        return
     const = abs(p.coeffs[0])
     lead = abs(p.leading)
     for a in _divisors(lead):
@@ -593,8 +550,6 @@ def _divisors(n: int) -> list[int]:
 
 
 def _quadratic_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
-    if p.coeffs[0] == 0:
-        return
     root_bound = 1.0 + max(abs(c) for c in p.coeffs) / abs(p.leading)
     for a in _divisors(p.leading):
         bmax = int(math.ceil(2 * root_bound * a)) + 1
@@ -607,16 +562,16 @@ def _quadratic_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
 
 
 def minimal_factor(p: IntPolynomial, root: complex) -> IntPolynomial:
-    """The factor of p over Z containing the given (numerical) root.
+    """The factor of p over Z containing the given nonzero (numerical) root.
 
-    Strategy: strip cyclotomic factors, then rational-root and integer
-    quadratic factors; whichever extracted factor annihilates the root is
-    returned, and otherwise the stripped remainder is.  For isometries of
-    hyperbolic lattices the characteristic polynomial is the minimal
-    polynomial of the dynamical degree times a product of cyclotomics, so
-    the remainder returned here is that minimal polynomial.
+    Strategy: take the cyclotomic factors that cyclotomic_strip removes,
+    then rational-root and integer quadratic factors of its remainder;
+    whichever extracted factor annihilates the root is returned, and
+    otherwise the stripped remainder is.  For isometries of hyperbolic
+    lattices the characteristic polynomial is the minimal polynomial of the
+    dynamical degree times a product of cyclotomics, so the remainder
+    returned here is that minimal polynomial.
     """
-    p = p.primitive()
     if p.degree > MAX_FACTOR_DEGREE:
         raise UnsupportedDegreeError(
             f"degree {p.degree} exceeds the supported factor bound {MAX_FACTOR_DEGREE}"
@@ -626,30 +581,18 @@ def minimal_factor(p: IntPolynomial, root: complex) -> IntPolynomial:
         scale = sum(abs(c) * max(1.0, abs(root)) ** k for k, c in enumerate(f.coeffs))
         return abs(complex(f(root))) <= 1e-7 * scale
 
-    rem = p
-    for n in _cyclotomic_candidates(p.degree):
-        f = cyclotomic(n)
-        if f.degree > rem.degree:
-            continue
-        stripped, count = _strip_factor(rem, f)
-        if count:
+    rem, cyclos, _ = cyclotomic_strip(p)
+    for n, _ in cyclos:
+        if hits(cyclotomic(n)):
+            return cyclotomic(n)
+    # linear and quadratic factors are regenerated after every strip since
+    # the candidate sets depend on the current constant and leading terms;
+    # the remainder has a nonzero constant term, so t is never a candidate
+    for generate in (_rational_root_factors, _quadratic_factors):
+        while rem.degree > 0 and (f := next(generate(rem), None)) is not None:
             if hits(f):
                 return f
-            rem = stripped
-        if rem.degree == 0:
-            break
-    # linear and quadratic factors are regenerated after every strip since
-    # the candidate sets depend on the current constant and leading terms
-    for generate in (_rational_root_factors, _quadratic_factors):
-        progress = True
-        while progress and rem.degree > 0:
-            progress = False
-            for f in generate(rem):
-                if hits(f):
-                    return f
-                rem, _ = _strip_factor(rem, f)
-                progress = True
-                break
+            rem, _ = _strip_factor(rem, f)
     if rem.degree == 0 or not hits(rem):
         raise InternalInvariantError("factor extraction lost the target root")
     return rem
@@ -685,14 +628,26 @@ def _classify_remainder(
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Dynamical degree data of an integer matrix action."""
+    """Dynamical degree data of an integer matrix action.
+
+    min_poly is psi_f, the factor of char_poly over Z that has the dominant
+    root as a root; it is t - 1 when lambda_f is exactly 1, and t for a
+    nilpotent action.
+    """
 
     char_poly: IntPolynomial
     lambda_f: float
     residual: float
     classification: SpectralClass
-    min_poly_degree: int
-    kummer_possible: bool
+    min_poly: IntPolynomial
+
+    @property
+    def min_poly_degree(self) -> int:
+        return self.min_poly.degree
+
+    @property
+    def kummer_possible(self) -> bool:
+        return self.min_poly.degree <= 4
 
     @property
     def entropy(self) -> float:
@@ -702,8 +657,8 @@ class SpectralReport:
     def measure_verdict(self) -> str:
         """Consequence of the degree criterion: a dynamical degree whose
         minimal polynomial has degree at least 5 forces a singular measure
-        of maximal entropy."""
-        return "kummer possible" if self.kummer_possible else "mu_f singular"
+        of maximal entropy; degree at most 4 leaves it undetermined."""
+        return "undetermined by degree" if self.kummer_possible else "mu_f singular"
 
 
 def spectral_report(p: IntPolynomial) -> SpectralReport:
@@ -723,21 +678,14 @@ def spectral_report(p: IntPolynomial) -> SpectralReport:
     if witness is None or lam <= 1 + UNIT_CIRCLE_TOL:
         if cyclos:
             # lambda_f is exactly 1, whose minimal polynomial is t - 1
-            return SpectralReport(p, 1.0, 0.0, SpectralClass.ONE, 1, True)
+            return SpectralReport(p, 1.0, 0.0, SpectralClass.ONE, IntPolynomial((-1, 1)))
         if witness is None:
             # pure power of t: nilpotent action, radius 0
-            return SpectralReport(p, 0.0, 0.0, SpectralClass.OTHER, 1, True)
+            return SpectralReport(p, 0.0, 0.0, SpectralClass.OTHER, IntPolynomial((0, 1)))
         classification, factor = SpectralClass.OTHER, minimal_factor(rem, witness)
     else:
         classification, factor = _classify_remainder(rem, witness, lam)
-    return SpectralReport(
-        p,
-        lam,
-        _relative_residual(p, witness),
-        classification,
-        factor.degree,
-        factor.degree <= 4,
-    )
+    return SpectralReport(p, lam, _relative_residual(p, witness), classification, factor)
 
 
 def salem_classify(p: IntPolynomial) -> SpectralClass:
@@ -840,25 +788,25 @@ class SplittingReport:
 
 
 def nf_splitting(m: IntMatrix, lattice: QuadraticLattice) -> SplittingReport:
+    """Split char_poly(m) as psi_f times its complement.
+
+    lambda_f and psi_f come from spectral_report; the complement's
+    non-cyclotomic part must have every root on the unit circle.
+    """
     if not isometry_check(m, lattice):
         raise NotIsometryError("matrix does not preserve the form")
     p = char_poly(m)
-    stripped, _, _ = cyclotomic_strip(p)
-    if stripped.degree == 0:
+    rep = spectral_report(p)
+    if rep.lambda_f <= 1 + UNIT_CIRCLE_TOL:
         raise PreconditionError("splitting requires dynamical degree > 1")
-    lam, witness, _ = dominant_root(stripped)
-    if lam <= 1 + UNIT_CIRCLE_TOL:
-        raise PreconditionError("splitting requires dynamical degree > 1")
-    psi = minimal_factor(stripped, witness)
+    psi = rep.min_poly
     comp = psi.divides_into(p)
     if comp is None:
         raise InternalInvariantError("extracted factor does not divide")
     # the non-cyclotomic complement must lie on the unit circle; test it on
-    # the exactly-stripped remainder so repeated cyclotomic roots cannot
+    # the exactly-stripped complement so repeated cyclotomic roots cannot
     # trip the numerical check
-    leftover = psi.divides_into(stripped)
-    if leftover is None:
-        raise InternalInvariantError("extracted factor does not divide")
+    leftover, _, _ = cyclotomic_strip(comp)
     for r in leftover.roots():
         if abs(abs(r) - 1) > UNIT_CIRCLE_TOL:
             raise SplitViolationError(
@@ -898,6 +846,8 @@ def _is_perfect_square(n: int) -> bool:
 def represents_value(lattice: QuadraticLattice, value: int, bound: int) -> bool:
     """Whether q(x, y) = value has an integer solution with |x| <= bound
     (y is solved exactly per x, so it is unrestricted)."""
+    if bound < 0:
+        raise PreconditionError("search bound must be nonnegative")
     g = lattice.gram.entries
     a, b, c = g[0][0], g[0][1], g[1][1]
     for x in range(0, bound + 1):
@@ -922,11 +872,7 @@ def represents_value(lattice: QuadraticLattice, value: int, bound: int) -> bool:
     return False
 
 
-def rank2_analysis(
-    lattice: QuadraticLattice,
-    search_bound: int = 10_000,
-    pell_bound: int = 1_000_000,
-) -> Rank2Analysis:
+def rank2_analysis(lattice: QuadraticLattice, search_bound: int = 10_000) -> Rank2Analysis:
     if lattice.rank != 2:
         raise WrongRankError("analysis requires a rank-2 lattice")
     pos, neg, zero = signature(lattice)
@@ -939,7 +885,7 @@ def rank2_analysis(
     aut_inf = not rep_zero and not rep_minus_two
     lam_psi = None
     if not rep_zero:
-        lam_psi = _fundamental_dilation(lattice, pell_bound)
+        lam_psi = _fundamental_dilation(lattice)
     if not aut_inf:
         lam_psi = None
     return Rank2Analysis(
@@ -950,7 +896,7 @@ def rank2_analysis(
     )
 
 
-def _fundamental_dilation(lattice: QuadraticLattice, pell_bound: int) -> float:
+def _fundamental_dilation(lattice: QuadraticLattice) -> float:
     """Dilation factor of the fundamental orientation-preserving hyperbolic
     isometry, via the classical automorph parametrization: solutions of
     t^2 - D u^2 = 4 for the discriminant D of the primitive binary form."""
@@ -959,7 +905,7 @@ def _fundamental_dilation(lattice: QuadraticLattice, pell_bound: int) -> float:
     d = math.gcd(a, math.gcd(b, c))
     a, b, c = a // d, b // d, c // d
     D = b * b - 4 * a * c
-    for u in range(1, pell_bound + 1):
+    for u in range(1, PELL_BOUND + 1):
         t2 = D * u * u + 4
         t = math.isqrt(t2)
         if t * t == t2:
@@ -967,7 +913,7 @@ def _fundamental_dilation(lattice: QuadraticLattice, pell_bound: int) -> float:
             # trace t, so its larger eigenvalue is (t + u sqrt(D)) / 2
             return (t + u * math.sqrt(D)) / 2
     raise SearchExhaustedError(
-        f"no fundamental isometry with Pell parameter u <= {pell_bound}"
+        f"no fundamental isometry with Pell parameter u <= {PELL_BOUND}"
     )
 
 
@@ -1011,5 +957,3 @@ LEHMER_POLY = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 
 PLASTIC_POLY = IntPolynomial((-1, -1, 0, 1))
 """x^3 - x - 1, whose real root is the smallest Pisot number."""
-
-POLY_ALIASES = {"lehmer": LEHMER_POLY, "plastic": PLASTIC_POLY}

@@ -483,6 +483,8 @@ def h2_action(f: TorusAutomorphism) -> IntMatrix:
 
 def haar_samples(n: int, rng_seed: int) -> np.ndarray:
     """n uniform points in lattice coordinates, shape (n, 4)."""
+    if n < 0:
+        raise PreconditionError("sample count must be nonnegative")
     return np.random.default_rng(rng_seed).random((n, 4))
 
 

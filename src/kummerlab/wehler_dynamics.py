@@ -518,6 +518,8 @@ def orbit(
     tol: float = MEMBERSHIP_TOL,
 ) -> tuple[list[SurfacePoint], float]:
     """Forward orbit with per-step polish; returns points and max residual."""
+    if n_steps < 0:
+        raise PreconditionError("orbit length must be nonnegative")
     carr = surface.array()
     pts = [p]
     worst = p.residual
@@ -1337,8 +1339,8 @@ def density_histogram(
     |v|^2/(|u|^2+|v|^2) in [0, 1]."""
     names = {"x": 0, "y": 1, "z": 2}
     ax_a, ax_b = names[proj[0]], names[proj[1]]
-    heights = np.empty((iters + 1, 2))
     pts, _ = orbit(surface, p0, iters)
+    heights = np.empty((iters + 1, 2))
     for i, p in enumerate(pts):
         for slot, ax in enumerate((ax_a, ax_b)):
             coord = (p.x, p.y, p.z)[ax]

@@ -371,3 +371,18 @@ def test_bad_workers_exits_2(capsys):
     rc = cli.main(["torus", "fix-count", "--n", "2", "--workers", "0"])
     assert rc == 2
     assert "worker" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "dimension", "--samples", "-5"],
+    ["wehler", "density", "--random", "--iters", "-5"],
+    ["wehler", "orbit", "--random", "--n", "-3"],
+    ["lattice", "rank2", "--gram", "[[2,11],[11,2]]", "--bound", "-1"],
+], ids=["torus-dimension-samples", "wehler-density-iters", "wehler-orbit-n",
+        "lattice-rank2-bound"])
+def test_negative_count_exits_2(tmp_path, capsys, argv):
+    rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1

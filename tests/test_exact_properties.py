@@ -11,17 +11,57 @@ compared bit for bit against reference kernels written with complex np.exp
 and np.einsum.  The Weyl-sum equality rests on the numpy build (np.cos and
 np.sin equal the parts of complex np.exp), so a build where it does not
 hold fails here under a named test.
+
+The lattice layer keeps one engine per question; each rewritten routine is
+checked against a test-local copy of the code it replaced.  The inverse of
+a random unimodular matrix must equal the cofactor adjugate; exact division
+must equal long division over Q; minimal_factor must equal the former
+cyclotomic loop on products of cyclotomics with a non-cyclotomic factor,
+at the dominant root and at a root of unity; and nf_splitting must equal
+its former sequence of public calls on conjugated isometries.
 """
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kummerlab.errors import PreconditionError
-from kummerlab.lattice_algebra import IntMatrix, smith_normal_form
+from kummerlab import cli
+from kummerlab.errors import (
+    InternalInvariantError,
+    KummerlabError,
+    NonInvertibleError,
+    NotIsometryError,
+    PreconditionError,
+    SplitViolationError,
+    UnsupportedDegreeError,
+)
+from kummerlab.lattice_algebra import (
+    LEHMER_POLY,
+    MAX_FACTOR_DEGREE,
+    PLASTIC_POLY,
+    UNIT_CIRCLE_TOL,
+    IntMatrix,
+    IntPolynomial,
+    QuadraticLattice,
+    SplittingReport,
+    _cyclotomic_candidates,
+    _divisors,
+    char_poly,
+    cyclotomic,
+    cyclotomic_strip,
+    dominant_root,
+    isometry_check,
+    minimal_factor,
+    nf_splitting,
+    smith_normal_form,
+    spectral_report,
+    wehler_cohomology_action,
+)
 from kummerlab.torus_kummer import (
     WEYL_TRIVIAL_TOL,
     TorusAutomorphism,
@@ -239,3 +279,264 @@ def test_torus_point_range_check_table(c, accepted):
     else:
         with pytest.raises(PreconditionError):
             TorusPoint(coords)
+
+
+# ---------------------------------------------------------------------------
+# lattice layer: one engine per question, against the code it replaced
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (KummerlabError, InternalInvariantError) as err:
+        return type(err), str(err)
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of transvections and sign flips, so det is +-1."""
+    m = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 6))):
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        i = draw(st.integers(0, n - 1))
+        if n > 1 and draw(st.booleans()):
+            j = draw(st.integers(0, n - 2))
+            e[i][j + (j >= i)] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        else:
+            e[i][i] = -1
+        m = m @ IntMatrix.from_rows(e)
+    return m
+
+
+def adjugate_inverse(m: IntMatrix) -> IntMatrix:
+    """det * adjugate, from cofactors of Bareiss minors."""
+    d, n = m.det(), m.dim
+
+    def minor(i, j):
+        sub = [[x for c, x in enumerate(row) if c != j]
+               for r, row in enumerate(m.entries) if r != i]
+        return IntMatrix.from_rows(sub).det() if sub else 1
+
+    return IntMatrix.from_rows(
+        [[d * (-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(unimodular))
+@example(IntMatrix.from_rows([[2, 1], [1, 1]]))
+def test_inverse_unimodular_matches_adjugate(m):
+    inv = m.inverse_unimodular()
+    assert inv == adjugate_inverse(m)
+    assert m @ inv == IntMatrix.identity(m.dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_square())
+def test_inverse_unimodular_rejects_other_determinants(a):
+    assume(a.det() not in (1, -1))
+    with pytest.raises(NonInvertibleError):
+        a.inverse_unimodular()
+
+
+def fraction_divides_into(f: IntPolynomial, p: IntPolynomial):
+    """Quotient p / f if it is integral, by long division over Q."""
+    num = [Fraction(c) for c in p.coeffs]
+    den = [Fraction(c) for c in f.coeffs]
+    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(num):
+        shift = len(num) - len(den)
+        factor = num[-1] / den[-1]
+        q[shift] = factor
+        for i, d in enumerate(den):
+            num[shift + i] -= factor * d
+        while len(num) > 1 and num[-1] == 0:
+            num.pop()
+    if any(num) or any(c.denominator != 1 for c in q):
+        return None
+    return IntPolynomial.from_coeffs([int(c) for c in q])
+
+
+int_poly = st.lists(st.integers(-6, 6), min_size=1, max_size=7).map(
+    IntPolynomial.from_coeffs
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_poly, int_poly, st.booleans())
+def test_divides_into_matches_fraction_division(f, g, multiply):
+    assume(f.coeffs != (0,))
+    p = f * g if multiply else g
+    assert f.divides_into(p) == fraction_divides_into(f, p)
+
+
+def former_minimal_factor(p: IntPolynomial, root: complex) -> IntPolynomial:
+    """minimal_factor with its own cyclotomic loop, as it was written."""
+    p = p.primitive()
+    if p.degree > MAX_FACTOR_DEGREE:
+        raise UnsupportedDegreeError(
+            f"degree {p.degree} exceeds the supported factor bound {MAX_FACTOR_DEGREE}"
+        )
+
+    def hits(f):
+        scale = sum(abs(c) * max(1.0, abs(root)) ** k for k, c in enumerate(f.coeffs))
+        return abs(complex(f(root))) <= 1e-7 * scale
+
+    def strip(p, f):
+        count = 0
+        while p.degree >= f.degree:
+            quo = fraction_divides_into(f, p)
+            if quo is None:
+                break
+            p, count = quo, count + 1
+        return p, count
+
+    def rational(p):
+        if p.coeffs[0] == 0:
+            yield IntPolynomial((0, 1))
+            return
+        for a in _divisors(p.leading):
+            for b in _divisors(p.coeffs[0]):
+                for sb in (b, -b):
+                    cand = IntPolynomial.from_coeffs([-sb, a]).primitive()
+                    if fraction_divides_into(cand, p) is not None:
+                        yield cand
+
+    def quadratic(p):
+        if p.coeffs[0] == 0:
+            return
+        root_bound = 1.0 + max(abs(c) for c in p.coeffs) / abs(p.leading)
+        for a in _divisors(p.leading):
+            bmax = int(math.ceil(2 * root_bound * a)) + 1
+            for c in _divisors(p.coeffs[0]):
+                for sc in (c, -c):
+                    for b in range(-bmax, bmax + 1):
+                        cand = IntPolynomial.from_coeffs([sc, b, a]).primitive()
+                        if fraction_divides_into(cand, p) is not None:
+                            yield cand
+
+    rem = p
+    for n in _cyclotomic_candidates(p.degree):
+        f = cyclotomic(n)
+        if f.degree > rem.degree:
+            continue
+        stripped, count = strip(rem, f)
+        if count:
+            if hits(f):
+                return f
+            rem = stripped
+        if rem.degree == 0:
+            break
+    for generate in (rational, quadratic):
+        progress = True
+        while progress and rem.degree > 0:
+            progress = False
+            for f in generate(rem):
+                if hits(f):
+                    return f
+                rem, _ = strip(rem, f)
+                progress = True
+                break
+    if rem.degree == 0 or not hits(rem):
+        raise InternalInvariantError("factor extraction lost the target root")
+    return rem
+
+
+NON_CYCLOTOMIC = [
+    LEHMER_POLY,
+    PLASTIC_POLY,
+    IntPolynomial((1, -3, 1)),
+    IntPolynomial((1, -18, 1)),
+    IntPolynomial((-1, 0, 2)),
+]
+
+
+@st.composite
+def cyclotomic_product(draw):
+    """One non-cyclotomic factor times up to three Phi_n with n <= 12."""
+    p = draw(st.sampled_from(NON_CYCLOTOMIC))
+    ns = draw(st.lists(st.integers(1, 12), max_size=3))
+    for n in ns:
+        p = p * cyclotomic(n)
+    return p, ns
+
+
+LEHMER_PHI1_SQ_PHI6 = (
+    LEHMER_POLY * cyclotomic(1) * cyclotomic(1) * cyclotomic(6),
+    [1, 1, 6],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_product())
+@example(LEHMER_PHI1_SQ_PHI6)
+def test_minimal_factor_matches_former_cyclotomic_loop(case):
+    p, ns = case
+    witness = dominant_root(p)[1]
+    assert outcome(minimal_factor, p, witness) == outcome(former_minimal_factor, p, witness)
+    if ns:
+        zeta = cmath.exp(2j * cmath.pi / ns[0])
+        assert minimal_factor(p, zeta) == former_minimal_factor(p, zeta) == cyclotomic(ns[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_product())
+@example(LEHMER_PHI1_SQ_PHI6)
+def test_degree_verdict_has_one_spelling(case):
+    rep = spectral_report(case[0])
+    assert rep.min_poly_degree == rep.min_poly.degree
+    expected = "undetermined by degree" if rep.min_poly.degree <= 4 else "mu_f singular"
+    assert rep.measure_verdict == cli.spectral_json(rep)["verdict"] == expected
+
+
+def former_nf_splitting(m: IntMatrix, lattice: QuadraticLattice) -> SplittingReport:
+    """nf_splitting as its former strip, root and factor sequence."""
+    if not isometry_check(m, lattice):
+        raise NotIsometryError("matrix does not preserve the form")
+    p = char_poly(m)
+    stripped, _, _ = cyclotomic_strip(p)
+    if stripped.degree == 0:
+        raise PreconditionError("splitting requires dynamical degree > 1")
+    lam, witness, _ = dominant_root(stripped)
+    if lam <= 1 + UNIT_CIRCLE_TOL:
+        raise PreconditionError("splitting requires dynamical degree > 1")
+    psi = minimal_factor(stripped, witness)
+    leftover = psi.divides_into(stripped)
+    if any(abs(abs(r) - 1) > UNIT_CIRCLE_TOL for r in leftover.roots()):
+        raise SplitViolationError(
+            "complement has a root off the unit circle; splitting fails"
+        )
+    return SplittingReport(
+        psi_f=psi,
+        cyclotomic_part=psi.divides_into(p),
+        non_cyclotomic=None if leftover.degree == 0 else leftover,
+    )
+
+
+def _rows(rows):
+    return IntMatrix.from_rows(rows)
+
+
+M1, M2, M3, WEHLER_GRAM = wehler_cohomology_action()
+SPLITTING_CASES = [
+    (M1 @ M2 @ M3, WEHLER_GRAM.gram),
+    (_rows([[2, 1], [1, 1]]), _rows([[-2, 1], [1, 2]])),
+    # the zero form admits any matrix, so the complement can leave the circle
+    (_rows([[2, 0], [0, 3]]), _rows([[0, 0], [0, 0]])),
+    (IntMatrix.identity(2), _rows([[0, 1], [1, 0]])),
+]
+
+
+@st.composite
+def conjugated_isometry(draw):
+    m, gram = draw(st.sampled_from(SPLITTING_CASES))
+    g = draw(unimodular(m.dim))
+    return adjugate_inverse(g) @ m @ g, QuadraticLattice(g.transpose() @ gram @ g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_isometry())
+def test_nf_splitting_matches_former_call_sequence(case):
+    m, lattice = case
+    assert outcome(nf_splitting, m, lattice) == outcome(former_nf_splitting, m, lattice)

@@ -491,3 +491,10 @@ class TestRepresentsValue:
         assert represents_value(lat, 2, 10)
         assert represents_value(lat, -2, 10)
         assert represents_value(lat, 0, 10)
+
+    def test_negative_bound_is_a_precondition_failure(self):
+        lat = QuadraticLattice(IntMatrix.from_rows([[2, 11], [11, 2]]))
+        with pytest.raises(PreconditionError):
+            represents_value(lat, -2, -1)
+        with pytest.raises(PreconditionError):
+            rank2_analysis(lat, search_bound=-1)
