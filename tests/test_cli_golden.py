@@ -88,6 +88,26 @@ CASES = {
         ["torus", "dimension", "--tau", "0.3+1.2j", "--samples", "20000"],
         "15382271108167285120",
     ),
+    "torus_lyapunov_exact": (
+        ["torus", "lyapunov"],
+        "11942179324816188421",
+    ),
+    "torus_lyapunov_qr": (
+        ["torus", "lyapunov", "--method", "qr", "--steps", "2000"],
+        "16421877710988319572",
+    ),
+    "torus_fix_count_n3": (
+        ["torus", "fix-count", "--n", "3"],
+        "12864667318046246392",
+    ),
+    "torus_dimension_probes": (
+        ["torus", "dimension", "--samples", "20000", "--probes", "16"],
+        "7643489435297281349",
+    ),
+    "blanc_check_involution": (
+        ["blanc", "check-involution", "--points", "50"],
+        "539577444796623989",
+    ),
     "lattice_salem_lehmer": (
         ["lattice", "salem", "--poly", "lehmer"],
         "7866479313749720055",
