@@ -314,6 +314,7 @@ PROBE_SUSPECTS = {
 }
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("name, seed", sorted(PROBE_SUSPECTS))
 def test_smoothness_probe_suspects_are_pinned(name, seed):
     suspects = bc.smoothness_probe(PROBE_CUBICS[name], trials=200, rng_seed=seed)

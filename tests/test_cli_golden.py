@@ -14,6 +14,8 @@ import pytest
 from kummerlab import cli
 from kummerlab import wehler_dynamics as wd
 
+pytestmark = pytest.mark.golden
+
 SURFACE_FILE = "@forced_node_surface"
 
 CASES = {

@@ -207,6 +207,7 @@ def exp_weyl_reference(points, k_max: int):
     return max_abs, max_nontrivial, tuple(trivial)
 
 
+@pytest.mark.golden
 @settings(max_examples=25, deadline=None)
 @given(unimodular_and_period(), st.integers(1, 3))
 @example((IntMatrix.from_rows([[2, 1], [1, 1]]), 4), 3)
@@ -233,6 +234,7 @@ def einsum_distance_reference(x: np.ndarray, i: int, tau: complex) -> np.ndarray
     return np.sqrt(total)
 
 
+@pytest.mark.golden
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)),
@@ -269,6 +271,7 @@ RANGE_TABLE = [
 ]
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("c, accepted", RANGE_TABLE)
 def test_torus_point_range_check_table(c, accepted):
     """The integer range check on Fractions accepts what 0 <= c < 1 does."""

@@ -12,6 +12,8 @@ import pytest
 
 from kummerlab import wehler_dynamics as wd
 
+pytestmark = pytest.mark.golden
+
 GOLDEN = {
     (3, 1): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (3, 2): (87, "969ff598841698a1a0d8d128dcbc47d0adb767c748a185894185ba22edefb577"),
