@@ -883,16 +883,11 @@ def rank2_analysis(lattice: QuadraticLattice, search_bound: int = 10_000) -> Ran
     rep_zero = _is_perfect_square(disc)
     rep_minus_two = represents_value(lattice, -2, search_bound)
     aut_inf = not rep_zero and not rep_minus_two
-    lam_psi = None
-    if not rep_zero:
-        lam_psi = _fundamental_dilation(lattice)
-    if not aut_inf:
-        lam_psi = None
     return Rank2Analysis(
         represents_zero=rep_zero,
         represents_minus_two=rep_minus_two,
         aut_infinite=aut_inf,
-        lambda_psi=lam_psi,
+        lambda_psi=_fundamental_dilation(lattice) if aut_inf else None,
     )
 
 

@@ -76,6 +76,17 @@ def test_lattice_rank2_hyperbolic_plane(tmp_path):
     assert payload["aut_infinite"] is False
 
 
+def test_lattice_rank2_minus_two_without_pell_search(tmp_path):
+    payload = run_json(tmp_path, "r2m.json",
+                       "lattice", "rank2", "--gram", "[[-6,2],[2,27]]")
+    assert payload == {
+        "represents_zero": False,
+        "represents_minus_two": True,
+        "aut_infinite": False,
+        "lambda_psi": None,
+    }
+
+
 def test_lattice_enriques_summary(tmp_path):
     payload = run_json(tmp_path, "enr.json", "lattice", "enriques")
     assert payload["rank"] == 10

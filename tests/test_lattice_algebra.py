@@ -419,6 +419,16 @@ class TestRank2:
         assert rep.represents_minus_two
         assert not rep.aut_infinite
 
+    def test_represents_minus_two_needs_no_pell_search(self):
+        # q(5, 2) = -2; the Pell search for the dilation would exhaust
+        # its bound here, and the answer does not need it
+        lat = QuadraticLattice(IntMatrix.from_rows([[-6, 2], [2, 27]]))
+        rep = rank2_analysis(lat)
+        assert not rep.represents_zero
+        assert rep.represents_minus_two
+        assert not rep.aut_infinite
+        assert rep.lambda_psi is None
+
     def test_infinite_case_oracle_values(self):
         # oracle values frozen from exhaustive search before the build:
         # no vector of square -2 with |x| <= 10^4, fundamental dilation
