@@ -143,8 +143,8 @@ def _line_restriction(cubic: PlaneCubic, origin: np.ndarray, direction: np.ndarr
     return total[0], total[1], total[2], total[3]
 
 
-def on_cubic(cubic: PlaneCubic, p: P2Point, tol: float = ON_CUBIC_TOL) -> bool:
-    return abs(cubic.evaluate(p.array())) <= tol * cubic.scale
+def on_cubic(cubic: PlaneCubic, p: P2Point) -> bool:
+    return abs(cubic.evaluate(p.array())) <= ON_CUBIC_TOL * cubic.scale
 
 
 def sigma_q(cubic: PlaneCubic, q: P2Point, p: P2Point) -> P2Point:
@@ -229,7 +229,7 @@ def _affine_image(B: BlancMap, x: complex, y: complex) -> tuple[complex, complex
     return w[0] / w[2], w[1] / w[2]
 
 
-def two_form_check(B: BlancMap, p: P2Point, step: float = FD_STEP) -> float:
+def two_form_check(B: BlancMap, p: P2Point) -> float:
     """Defect of the invariance of dx^dy / P(x, y, 1): computes
     |det Jac| * |P(p)| / |P(f p)| in the X2 != 0 chart via central
     differences and returns its distance from 1."""
@@ -245,13 +245,24 @@ def two_form_check(B: BlancMap, p: P2Point, step: float = FD_STEP) -> float:
     if abs(dst) <= ON_CUBIC_TOL * B.cubic.scale * max(1.0, abs(fx), abs(fy)) ** 3:
         raise OnCubicError("the form has a pole at the image point")
     jac = np.empty((2, 2), dtype=complex)
-    for col, (dx, dy) in enumerate(((step, 0.0), (0.0, step))):
+    for col, (dx, dy) in enumerate(((FD_STEP, 0.0), (0.0, FD_STEP))):
         px, py = _affine_image(B, x + dx, y + dy)
         mx, my = _affine_image(B, x - dx, y - dy)
-        jac[0, col] = (px - mx) / (2 * step)
-        jac[1, col] = (py - my) / (2 * step)
+        jac[0, col] = (px - mx) / (2 * FD_STEP)
+        jac[1, col] = (py - my) / (2 * FD_STEP)
     value = abs(np.linalg.det(jac)) * abs(src) / abs(dst)
     return abs(value - 1.0)
+
+
+def _random_line_roots(cubic: PlaneCubic, rng):
+    """A random line a + t*b and the roots t of the cubic along it; no roots
+    when the leading coefficient is negligible."""
+    a = rng.normal(size=3) + 1j * rng.normal(size=3)
+    b = rng.normal(size=3) + 1j * rng.normal(size=3)
+    g3, g2, g1, g0 = _line_restriction(cubic, a, b)
+    if abs(g3) < 1e-12 * max(abs(g0), abs(g1), abs(g2), 1e-300):
+        return a, b, ()
+    return a, b, np.roots([g3, g2, g1, g0])
 
 
 def cubic_points(cubic: PlaneCubic, count: int, rng_seed: int) -> list[P2Point]:
@@ -264,12 +275,9 @@ def cubic_points(cubic: PlaneCubic, count: int, rng_seed: int) -> list[P2Point]:
         guard += 1
         if guard > 100 * count + 100:
             raise InternalInvariantError("cubic point sampling stalled")
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        g3, g2, g1, g0 = _line_restriction(cubic, a, b)
-        if abs(g3) < 1e-12 * max(abs(g0), abs(g1), abs(g2), 1e-300):
+        a, b, roots = _random_line_roots(cubic, rng)
+        if len(roots) == 0:
             continue
-        roots = np.roots([g3, g2, g1, g0])
         t = roots[int(rng.integers(0, len(roots)))]
         ok = False
         for _ in range(5):
@@ -373,12 +381,8 @@ def smoothness_probe(
     points: list[np.ndarray] = []
     grads: list[float] = []
     for _ in range(trials):
-        a = rng.normal(size=3) + 1j * rng.normal(size=3)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        g3, g2, g1, g0 = _line_restriction(cubic, a, b)
-        if abs(g3) < 1e-12 * max(abs(g0), abs(g1), abs(g2), 1e-300):
-            continue
-        for t in np.roots([g3, g2, g1, g0]):
+        a, b, roots = _random_line_roots(cubic, rng)
+        for t in roots:
             v = a + t * b
             top = np.abs(v).max()
             if top == 0 or not np.isfinite(top):

@@ -35,6 +35,8 @@ TOL_RANGES = {
 
 BIG_INT = 2**53
 
+DEFAULT_MATRIX = [[2, 1], [1, 1]]
+
 QUOTIENTS = {
     "none": tk.Quotient.NONE,
     "kummer": tk.Quotient.KUMMER_ETA,
@@ -90,15 +92,10 @@ def csv_bytes(header: list[str], rows) -> bytes:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    command: str
-    rng_seed: int
     worker_count: int
-    output_path: str | None
     tolerances: dict
 
     def __post_init__(self):
-        if not 0 <= self.rng_seed < 2**64:
-            raise ConfigError("rng seed must fit in 64 bits")
         if self.worker_count < 1:
             raise ConfigError("worker count must be positive")
         for name, value in self.tolerances.items():
@@ -233,7 +230,7 @@ def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
         if quotient is None and "quotient" in data:
             quotient = data["quotient"]
     if matrix_obj is None:
-        matrix_obj = [[2, 1], [1, 1]]
+        matrix_obj = DEFAULT_MATRIX
     if getattr(args, "tau", None):
         tau = parse_complex(args.tau)
     if quotient is None:
@@ -373,7 +370,7 @@ def saddles_csv(orbits) -> bytes:
 
 
 def cmd_lattice_degree(args, cfg, files):
-    rep = la.dynamical_degree(parse_int_matrix(args.matrix or "[[2,1],[1,1]]"))
+    rep = la.dynamical_degree(parse_int_matrix(args.matrix or DEFAULT_MATRIX))
     return json_bytes(spectral_json(rep)), "json"
 
 
@@ -465,18 +462,14 @@ def cmd_torus_equidist(args, cfg, files):
 
 def cmd_torus_dimension(args, cfg, files):
     f = torus_automorphism(args, files)
-    samples = tk.haar_samples(args.samples, cfg.rng_seed)
-    radii = tuple(np.geomspace(0.5, 0.05, 8))
-    est, err = tk.local_dimension_estimate(
-        samples, tk.torus_distance(f.lattice), radii, args.probes, cfg.rng_seed + 1
-    )
+    est, err = tk.haar_dimension(f.lattice, args.samples, args.probes, args.seed)
     payload = {"dimension": float(est), "stderr": float(err), "n_samples": args.samples}
     return json_bytes(payload), "json"
 
 
 def cmd_torus_rigidity(args, cfg, files):
     f = torus_automorphism(args, files)
-    report = wd.torus_control_report(f, rng_seed=cfg.rng_seed)
+    report = wd.torus_control_report(f, rng_seed=args.seed)
     return json_bytes(rigidity_json(report)), "json"
 
 
@@ -486,7 +479,7 @@ def cmd_torus_rigidity(args, cfg, files):
 
 def cmd_wehler_orbit(args, cfg, files):
     surface = load_surface(args, files)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(args.seed)
     tol = cfg.tol("membership", wd.MEMBERSHIP_TOL)
     p0 = wd.random_surface_point(surface, rng, tol=tol)
     points, _ = wd.orbit(surface, p0, args.n, tol=tol)
@@ -500,7 +493,7 @@ def cmd_wehler_orbit(args, cfg, files):
 
 def _saddle_census(args, cfg, files):
     return wd.saddle_census(
-        load_surface(args, files), args.nmax, args.seeds, cfg.rng_seed,
+        load_surface(args, files), args.nmax, args.seeds, args.seed,
         workers=cfg.worker_count,
     )
 
@@ -520,14 +513,14 @@ def cmd_wehler_lyapunov(args, cfg, files):
 def cmd_wehler_rigidity(args, cfg, files):
     surface = load_surface(args, files)
     report, _ = wd.rigidity_report(
-        surface, args.nmax, args.seeds, cfg.rng_seed, workers=cfg.worker_count
+        surface, args.nmax, args.seeds, args.seed, workers=cfg.worker_count
     )
     return json_bytes(rigidity_json(report)), "json"
 
 
 def cmd_wehler_probe(args, cfg, files):
     surface = load_surface(args, files)
-    suspects = wd.singularity_probe(surface, args.trials, cfg.rng_seed)
+    suspects = wd.singularity_probe(surface, args.trials, args.seed)
     payload = {
         "n_suspects": len(suspects),
         "suspects": [
@@ -547,10 +540,10 @@ def cmd_wehler_density(args, cfg, files):
     surface = load_surface(args, files)
     if len(args.proj) != 2 or any(c not in "xyz" for c in args.proj):
         raise ConfigError("projection must be two of x, y, z")
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(args.seed)
     p0 = wd.random_surface_point(surface, rng)
     img = wd.density_histogram(
-        surface, p0, args.iters, proj=(args.proj[0], args.proj[1]), bins=512
+        surface, p0, args.iters, proj=(args.proj[0], args.proj[1])
     )
     header = f"P5 {img.shape[1]} {img.shape[0]} 255\n".encode()
     return header + img.tobytes(), "pgm"
@@ -572,7 +565,7 @@ def _blanc_map(args, cfg, files):
 def cmd_blanc_check_involution(args, cfg, files):
     B = _blanc_map(args, cfg, files)
     q = B.base_points[0]
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for idx in range(args.points):
         p = bc.P2Point.make(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
@@ -583,7 +576,7 @@ def cmd_blanc_check_involution(args, cfg, files):
 
 def cmd_blanc_check_fixed_cubic(args, cfg, files):
     B = _blanc_map(args, cfg, files)
-    pts = bc.cubic_points(B.cubic, args.points, cfg.rng_seed + 1)
+    pts = bc.cubic_points(B.cubic, args.points, args.seed + 1)
     rows = []
     idx = 0
     for p in pts:
@@ -596,7 +589,7 @@ def cmd_blanc_check_fixed_cubic(args, cfg, files):
 
 def cmd_blanc_check_two_form(args, cfg, files):
     B = _blanc_map(args, cfg, files)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     idx = 0
     guard = 0
@@ -618,7 +611,7 @@ def cmd_blanc_check_two_form(args, cfg, files):
 
 def cmd_blanc_orbit(args, cfg, files):
     B = _blanc_map(args, cfg, files)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(args.seed)
     p = bc.P2Point.make(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal(), 1.0)
     rows = []
     for idx in range(args.n):
@@ -666,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice_salem)
     p = sub.add_parser("rank2", parents=[common], help="rank-2 lattice analysis")
     p.add_argument("--gram", required=True, help="2x2 Gram matrix JSON")
-    p.add_argument("--bound", type=int, default=10000)
+    p.add_argument("--bound", type=int, default=la.RANK2_SEARCH_BOUND)
     p.set_defaults(func=cmd_lattice_rank2)
     p = sub.add_parser("wehler-action", parents=[common],
                        help="cohomology action of the three involutions")
@@ -687,23 +680,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = torus_parser("lyapunov", "Lyapunov exponents")
     p.add_argument("--method", choices=("exact", "qr"), default="exact")
-    p.add_argument("--steps", type=int, default=10000)
+    p.add_argument("--steps", type=int, default=tk.QR_STEPS)
     p.set_defaults(func=cmd_torus_lyapunov)
     p = torus_parser("fix-count", "periodic point count")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_torus_fix_count)
     p = torus_parser("fix-enum", "enumerate periodic points as CSV")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1000000)
+    p.add_argument("--cap", type=int, default=tk.FIX_CAP)
     p.set_defaults(func=cmd_torus_fix_enum)
     p = torus_parser("equidist", "Weyl sum equidistribution report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--cap", type=int, default=1000000)
+    p.add_argument("--cap", type=int, default=tk.FIX_CAP)
     p.set_defaults(func=cmd_torus_equidist)
     p = torus_parser("dimension", "local dimension of Haar samples")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--probes", type=int, default=64)
+    p.add_argument("--samples", type=int, default=tk.HAAR_SAMPLES)
+    p.add_argument("--probes", type=int, default=tk.DIMENSION_PROBES)
     p.set_defaults(func=cmd_torus_dimension)
     p = torus_parser("rigidity", "exactly solvable rigidity control")
     p.set_defaults(func=cmd_torus_rigidity)
@@ -795,36 +788,33 @@ def run(argv) -> int:
     argv, tols = extract_tol_overrides(list(argv))
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = ExperimentConfig(
-        command=f"{args.group} {args.command}",
-        rng_seed=args.seed,
-        worker_count=_worker_count(args),
-        output_path=args.out,
-        tolerances=tols,
-    )
+    workers = _worker_count(args)
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError("rng seed must fit in 64 bits")
+    cfg = ExperimentConfig(worker_count=workers, tolerances=tols)
     files = _RunFiles()
     started = time.perf_counter()
     payload, kind = args.func(args, cfg, files)
     compute_time = time.perf_counter() - started
-    if cfg.output_path is None:
+    if args.out is None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
         return 0
-    with open(cfg.output_path, "wb") as fh:
+    with open(args.out, "wb") as fh:
         fh.write(payload)
     emit_time = time.perf_counter() - started - compute_time
     manifest = {
         "artifact_version": __version__,
-        "command": cfg.command,
+        "command": f"{args.group} {args.command}",
         "config": _plain(_echo_config(args)) | {"tolerances": tols},
-        "result_file": os.path.basename(cfg.output_path),
+        "result_file": os.path.basename(args.out),
         "result_kind": kind,
         "result_digest": str(fnv1a64(payload)),
         "input_digests": files.digests,
         "wall_time_s": compute_time + emit_time,
         "stages": {"compute_s": compute_time, "emit_s": emit_time},
     }
-    with open(cfg.output_path + ".manifest.json", "w") as fh:
+    with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return 0

@@ -59,6 +59,9 @@ NEWTON_POLISH_STEPS = 100
 # Largest Pell parameter u searched for the fundamental rank-2 isometry.
 PELL_BOUND = 1_000_000
 
+# Largest |x| searched for a vector of square -2 in a rank-2 lattice.
+RANK2_SEARCH_BOUND = 10_000
+
 
 # ---------------------------------------------------------------------------
 # integer matrices
@@ -688,18 +691,6 @@ def spectral_report(p: IntPolynomial) -> SpectralReport:
     return SpectralReport(p, lam, _relative_residual(p, witness), classification, factor)
 
 
-def salem_classify(p: IntPolynomial) -> SpectralClass:
-    """Classify the largest-modulus root of an integer polynomial.
-
-    ONE: spectral radius exactly 1 (certified by cyclotomic stripping).
-    RECIPROCAL_QUADRATIC: the factor containing the largest root is a
-    reciprocal quadratic.  SALEM: the largest root lam > 1 is simple and
-    real, 1/lam is a root, and every other non-cyclotomic root has modulus
-    within 1e-10 of 1.  Anything else is OTHER.
-    """
-    return spectral_report(p).classification
-
-
 def dynamical_degree(m: IntMatrix) -> SpectralReport:
     """Spectral data of the action of m on a cohomology lattice."""
     if m.det() == 0:
@@ -872,7 +863,9 @@ def represents_value(lattice: QuadraticLattice, value: int, bound: int) -> bool:
     return False
 
 
-def rank2_analysis(lattice: QuadraticLattice, search_bound: int = 10_000) -> Rank2Analysis:
+def rank2_analysis(
+    lattice: QuadraticLattice, search_bound: int = RANK2_SEARCH_BOUND
+) -> Rank2Analysis:
     if lattice.rank != 2:
         raise WrongRankError("analysis requires a rank-2 lattice")
     pos, neg, zero = signature(lattice)

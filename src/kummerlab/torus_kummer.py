@@ -49,6 +49,15 @@ ETA_TAU_ORDERS = {"i": 4, "zeta3": 3}
 
 WEYL_TRIVIAL_TOL = 1e-10
 
+# Run defaults: the largest fixed-point count fix_enumerate lists, the QR
+# orbit, and the dimension leg (the surface leg reuses radii and probes).
+FIX_CAP = 10**6
+QR_STEPS = 10**4
+QR_WARMUP = 100
+HAAR_SAMPLES = 10**5
+DIMENSION_RADII = tuple(np.geomspace(0.5, 0.05, 8))
+DIMENSION_PROBES = 64
+
 
 class Quotient(Enum):
     NONE = "NONE"
@@ -237,7 +246,7 @@ def half_log_h2_degree(f: TorusAutomorphism) -> float:
 
 
 def lyapunov_qr_orbit(
-    f: TorusAutomorphism, p0: TorusPoint, n_steps: int, warmup: int = 100
+    f: TorusAutomorphism, p0: TorusPoint, n_steps: int
 ) -> LyapunovReport:
     """Lyapunov exponents by orthogonalized norm-growth accumulation.
 
@@ -249,7 +258,7 @@ def lyapunov_qr_orbit(
         raise PreconditionError("need at least 100 accumulation steps")
     m = np.array(f.matrix.entries, dtype=float)
     q = np.eye(2)
-    for _ in range(warmup):
+    for _ in range(QR_WARMUP):
         q, _ = np.linalg.qr(m @ q)
     logs = np.empty((n_steps, 2))
     for k in range(n_steps):
@@ -258,8 +267,7 @@ def lyapunov_qr_orbit(
     means = logs.mean(axis=0)
     lam_u, lam_s = float(means.max()), float(means.min())
     batch = np.array([b.mean(axis=0) for b in np.array_split(logs, 10)])
-    top = batch.max(axis=1)
-    stderr = float(top.std(ddof=1) / math.sqrt(len(top))) if len(top) > 1 else 0.0
+    stderr = mean_stderr(batch.max(axis=1))
     return LyapunovReport(lam_u, lam_s, LyapunovMethod.QR_ORBIT, stderr)
 
 
@@ -298,7 +306,7 @@ def _iterate_smith_form(f: TorusAutomorphism, n: int):
     return [d.entries[i][i] for i in range(4)], v
 
 
-def fix_enumerate(f: TorusAutomorphism, n: int, cap: int = 10**6) -> PeriodicEnsemble:
+def fix_enumerate(f: TorusAutomorphism, n: int, cap: int = FIX_CAP) -> PeriodicEnsemble:
     """All fixed points of the n-th iterate by Smith-form coset enumeration.
 
     Each d_c divides d4, so coordinate r of V (k / d) mod 1 is the table
@@ -526,6 +534,13 @@ def torus_distance(
     return dist
 
 
+def mean_stderr(values) -> float:
+    """Standard error of the mean of a sample; 0.0 for a single value."""
+    if len(values) < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
 def local_dimension_estimate(
     samples: Sequence,
     dist: Callable[[Sequence, int], np.ndarray],
@@ -571,10 +586,15 @@ def local_dimension_estimate(
         raise DegenerateRadiiError(
             "most probes see no neighbors at the largest radius"
         )
-    mean = float(np.mean(slopes))
-    stderr = (
-        float(np.std(slopes, ddof=1) / math.sqrt(len(slopes)))
-        if len(slopes) > 1
-        else 0.0
+    return float(np.mean(slopes)), mean_stderr(slopes)
+
+
+def haar_dimension(
+    lattice: TorusLattice, n_samples: int, probes: int, rng_seed: int
+) -> tuple[float, float]:
+    """Local dimension of n_samples Haar points in the flat torus metric; the
+    samples come from rng_seed and the probes from rng_seed + 1."""
+    samples = haar_samples(n_samples, rng_seed)
+    return local_dimension_estimate(
+        samples, torus_distance(lattice), DIMENSION_RADII, probes, rng_seed + 1
     )
-    return mean, stderr

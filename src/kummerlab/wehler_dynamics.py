@@ -46,17 +46,21 @@ from .errors import (
 from .blanc_cremona import gauss_newton
 from .lattice_algebra import dynamical_degree, wehler_cohomology_action
 from .torus_kummer import (
+    DIMENSION_PROBES,
+    DIMENSION_RADII,
+    HAAR_SAMPLES,
+    QR_STEPS,
     LyapunovMethod,
     LyapunovReport,
     TorusAutomorphism,
     TorusPoint,
     fix_count,
+    haar_dimension,
     half_log_h2_degree,
-    haar_samples,
     local_dimension_estimate,
     lyapunov_exact,
     lyapunov_qr_orbit,
-    torus_distance,
+    mean_stderr,
 )
 
 MEMBERSHIP_TOL = 1e-10
@@ -68,6 +72,7 @@ REPLAY_TOL = 1e-9
 NEWTON_STEP_CAP = 0.3
 PERIOD_CAP = 8
 SEED_CHUNK = 256
+NEWTON_MAX_ITER = 60
 
 
 class Axis(Enum):
@@ -859,11 +864,6 @@ def _newton_batch(chunks):
     return P[good]
 
 
-def _newton_chunk(args):
-    """Converged lanes of one seed chunk: a one-chunk _newton_batch."""
-    return _newton_batch([args])
-
-
 def _canonical_sort(P):
     if len(P) == 0:
         return P
@@ -923,7 +923,6 @@ def newton_periodic(
     rng_seed: int,
     exact_period: bool = True,
     workers: int = 1,
-    max_iter: int = 60,
 ) -> list[SaddleOrbit]:
     """Periodic points of f^n by damped chart Newton from random seeds.
 
@@ -941,7 +940,7 @@ def newton_periodic(
     remaining = seeds
     while remaining > 0:
         take = min(SEED_CHUNK, remaining)
-        chunks.append((carr, n, take, rng_seed, index, max_iter))
+        chunks.append((carr, n, take, rng_seed, index, NEWTON_MAX_ITER))
         index += 1
         remaining -= take
     # one batch per worker, each over a contiguous run of chunks
@@ -976,20 +975,14 @@ def newton_periodic(
         if not (np.isfinite(big[i]) and np.isfinite(small[i])):
             continue
         point = SurfacePoint(*(P1Point.make(*row) for row in cand[i]), float(res[i]))
-        kind = (
-            OrbitType.SADDLE
-            if abs(big[i]) > 1.0 > abs(small[i])
-            else OrbitType.NONSADDLE
-        )
-        out.append(
-            SaddleOrbit(
-                period=n,
-                point=point,
-                multipliers=(complex(big[i]), complex(small[i])),
-                type=kind,
-            )
-        )
+        out.append(_orbit_record(n, point, big[i], small[i]))
     return out
+
+
+def _orbit_record(period, point, big, small) -> SaddleOrbit:
+    """Record of a periodic point with multipliers |big| >= |small|."""
+    kind = OrbitType.SADDLE if abs(big) > 1.0 > abs(small) else OrbitType.NONSADDLE
+    return SaddleOrbit(period, point, (complex(big), complex(small)), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,12 +997,11 @@ def lyapunov_from_saddles(orbits: Sequence[SaddleOrbit]) -> LyapunovReport:
         raise TooFewSaddlesError(f"{len(saddles)} saddles; need at least 5")
     ups = np.array([math.log(abs(o.multipliers[0])) / o.period for o in saddles])
     downs = np.array([math.log(abs(o.multipliers[1])) / o.period for o in saddles])
-    stderr = float(ups.std(ddof=1) / math.sqrt(len(ups))) if len(ups) > 1 else 0.0
     return LyapunovReport(
         float(ups.mean()),
         float(downs.mean()),
         LyapunovMethod.SADDLE_MULTIPLIERS,
-        stderr,
+        mean_stderr(ups),
     )
 
 
@@ -1027,16 +1019,8 @@ def torus_control_saddles(
         l1, l2 = (t + sq) / 2, (t - sq) / 2
         if abs(l2) > abs(l1):
             l1, l2 = l2, l1
-        kind = OrbitType.SADDLE if abs(l1) > 1.0 > abs(l2) else OrbitType.NONSADDLE
         for _ in range(min(per_period, count)):
-            out.append(
-                SaddleOrbit(
-                    period=n,
-                    point=TorusPoint.origin(),
-                    multipliers=(l1, l2),
-                    type=kind,
-                )
-            )
+            out.append(_orbit_record(n, TorusPoint.origin(), l1, l2))
     return out
 
 
@@ -1187,17 +1171,11 @@ def surface_cloud_distance(samples: np.ndarray, i: int) -> np.ndarray:
     return np.sqrt((cross**2).sum(axis=1))
 
 
-DEFAULT_SURFACE_RADII = tuple(np.geomspace(0.5, 0.05, 8))
+DEFAULT_SURFACE_RADII = DIMENSION_RADII
 
 
 def rigidity_report(
-    surface: WehlerSurface,
-    n_max: int,
-    seeds: int,
-    rng_seed: int,
-    workers: int = 1,
-    radii: Sequence[float] = DEFAULT_SURFACE_RADII,
-    probes: int = 64,
+    surface: WehlerSurface, n_max: int, seeds: int, rng_seed: int, workers: int = 1
 ) -> tuple[RigidityReport, list[SaddleOrbit]]:
     """Pool saddle orbits over periods 1..n_max and assemble the verdict.
 
@@ -1219,8 +1197,8 @@ def rigidity_report(
             dimension = local_dimension_estimate(
                 cloud,
                 surface_cloud_distance,
-                radii,
-                min(probes, len(cloud)),
+                DEFAULT_SURFACE_RADII,
+                min(DIMENSION_PROBES, len(cloud)),
                 rng_seed,
             )
         except (InsufficientSamplesError, DegenerateRadiiError):
@@ -1236,14 +1214,7 @@ def rigidity_report(
     return report, orbits
 
 
-def torus_control_report(
-    f: TorusAutomorphism,
-    qr_steps: int = 10**4,
-    n_samples: int = 10**5,
-    radii: Sequence[float] = tuple(np.geomspace(0.5, 0.05, 8)),
-    probes: int = 64,
-    rng_seed: int = 0,
-) -> RigidityReport:
+def torus_control_report(f: TorusAutomorphism, rng_seed: int = 0) -> RigidityReport:
     """The exactly-solvable control run through the same report pipeline.
 
     lambda_u and half the log-degree are computed by one shared closed form,
@@ -1252,11 +1223,8 @@ def torus_control_report(
     """
     half = half_log_h2_degree(f)
     exact = lyapunov_exact(f)
-    qr = lyapunov_qr_orbit(f, TorusPoint.origin(), qr_steps)
-    samples = haar_samples(n_samples, rng_seed)
-    dimension = local_dimension_estimate(
-        samples, torus_distance(f.lattice), radii, probes, rng_seed + 1
-    )
+    qr = lyapunov_qr_orbit(f, TorusPoint.origin(), QR_STEPS)
+    dimension = haar_dimension(f.lattice, HAAR_SAMPLES, DIMENSION_PROBES, rng_seed)
     return assemble_rigidity(
         math.exp(2 * half), half, exact, dimension, 0, qr.lambda_u
     )

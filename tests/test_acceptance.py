@@ -74,7 +74,7 @@ def test_criterion_02_exact_cohomology_action():
 def test_criterion_03_torus_control_identities():
     with criterion(3, "torus control: exact exponents, QR orbit, dimension", 30.0):
         f = tk.TorusAutomorphism(FIB)
-        report = wd.torus_control_report(f, qr_steps=10000, n_samples=100000)
+        report = wd.torus_control_report(f)
         assert report.gap_u == 0.0
         assert report.gap_s == 0.0
         assert abs(report.qr_gap) <= 1e-5

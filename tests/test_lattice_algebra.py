@@ -31,7 +31,6 @@ from kummerlab.lattice_algebra import (
     nf_splitting,
     rank2_analysis,
     represents_value,
-    salem_classify,
     signature,
     smith_normal_form,
     spectral_report,
@@ -137,17 +136,17 @@ class TestDominantRoot:
 
 class TestSalemClassify:
     def test_one_for_identity(self):
-        assert salem_classify(char_poly(IntMatrix.identity(3))) is SpectralClass.ONE
+        assert spectral_report(char_poly(IntMatrix.identity(3))).classification is SpectralClass.ONE
 
     def test_one_for_rotation(self):
         rot = IntMatrix.from_rows([[0, -1], [1, 0]])
-        assert salem_classify(char_poly(rot)) is SpectralClass.ONE
+        assert spectral_report(char_poly(rot)).classification is SpectralClass.ONE
 
     def test_reciprocal_quadratic(self):
-        assert salem_classify(IntPolynomial((1, -3, 1))) is SpectralClass.RECIPROCAL_QUADRATIC
+        assert spectral_report(IntPolynomial((1, -3, 1))).classification is SpectralClass.RECIPROCAL_QUADRATIC
 
     def test_lehmer_is_salem(self):
-        assert salem_classify(LEHMER_POLY) is SpectralClass.SALEM
+        assert spectral_report(LEHMER_POLY).classification is SpectralClass.SALEM
         # structure check: one root outside, its reciprocal inside, 8 on circle
         roots = LEHMER_POLY.roots()
         outside = [r for r in roots if abs(r) > 1 + 1e-10]
@@ -158,14 +157,14 @@ class TestSalemClassify:
 
     def test_pisot_is_other(self):
         # plastic number: conjugates inside the disk but not on the circle
-        assert salem_classify(PLASTIC_POLY) is SpectralClass.OTHER
+        assert spectral_report(PLASTIC_POLY).classification is SpectralClass.OTHER
 
     def test_golden_nonreciprocal_is_other(self):
-        assert salem_classify(IntPolynomial((-1, -1, 1))) is SpectralClass.OTHER
+        assert spectral_report(IntPolynomial((-1, -1, 1))).classification is SpectralClass.OTHER
 
     def test_salem_times_cyclotomic_keeps_quadratic_class(self):
         p = IntPolynomial((1, -3, 1)) * cyclotomic(4)
-        assert salem_classify(p) is SpectralClass.RECIPROCAL_QUADRATIC
+        assert spectral_report(p).classification is SpectralClass.RECIPROCAL_QUADRATIC
 
     def test_conjugation_invariance(self):
         rng = random.Random(5)
@@ -182,14 +181,14 @@ class TestSalemClassify:
         # roots of (t-1)^3 scatter numerically by about eps^(1/3), so this
         # case must be decided by the exact cyclotomic certificate
         p = IntPolynomial((-1, 3, -3, 1))
-        assert salem_classify(p) is SpectralClass.ONE
+        assert spectral_report(p).classification is SpectralClass.ONE
         rep = spectral_report(p)
         assert rep.lambda_f == 1.0
         assert rep.residual == 0.0
 
     def test_salem_times_repeated_cyclotomic(self):
         p = LEHMER_POLY * cyclotomic(1) * cyclotomic(1)
-        assert salem_classify(p) is SpectralClass.SALEM
+        assert spectral_report(p).classification is SpectralClass.SALEM
 
 
 class TestCyclotomicStrip:

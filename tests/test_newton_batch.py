@@ -24,7 +24,7 @@ def test_newton_batch_equals_concatenated_chunks(n):
     carr = wd.random_surface(1).array()
     chunks = _chunks(carr, n, 11, 25)
     got = wd._newton_batch(chunks)
-    one_by_one = np.concatenate([wd._newton_chunk(c) for c in chunks])
+    one_by_one = np.concatenate([wd._newton_batch([c]) for c in chunks])
     want = np.concatenate([_reference_newton_chunk(*c) for c in chunks])
     assert got.shape == one_by_one.shape == want.shape
     assert _bits(got) == _bits(one_by_one) == _bits(want)

@@ -108,7 +108,7 @@ def _bits(*arrays):
 def test_newton_step_leaves_found_periodic_points_unchanged():
     carr = wd.random_surface(1).array()
     stab = wd._STABILIZERS[0]
-    P = wd._newton_chunk((carr, 2, 128, 3, 0, 60))
+    P = wd._newton_batch([(carr, 2, 128, 3, 0, 60)])
     assert len(P) > 5
     with np.errstate(all="ignore"):
         P2, alive, converged = wd._newton_step(carr, 2, stab, P)
@@ -156,7 +156,7 @@ def test_newton_chunk_with_frozen_lanes_matches_full_batch_loop():
     carr = wd.random_surface(1).array()
     for n, chunk_index in ((2, 0), (3, 5)):
         args = (carr, n, 48, 11, chunk_index, 30)
-        got = wd._newton_chunk(args)
+        got = wd._newton_batch([args])
         want = _reference_newton_chunk(*args)
         assert len(got) > 0
         assert _bits(got) == _bits(want)
