@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,20 +27,9 @@ from . import torus_kummer as tk
 from . import wehler_dynamics as wd
 from .errors import ConfigError, InternalInvariantError, KummerlabError
 
-# tolerance overrides accepted as --tol.<name> with their sane ranges
-TOL_RANGES = {
-    "membership": (1e-14, 1e-6),
-}
-
 BIG_INT = 2**53
 
 DEFAULT_MATRIX = [[2, 1], [1, 1]]
-
-QUOTIENTS = {
-    "none": tk.Quotient.NONE,
-    "kummer": tk.Quotient.KUMMER_ETA,
-    "eta_tau": tk.Quotient.ETA_TAU,
-}
 
 
 def fnv1a64(data: bytes) -> int:
@@ -88,54 +76,6 @@ def csv_bytes(header: list[str], rows) -> bytes:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue().encode()
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    worker_count: int
-    tolerances: dict
-
-    def __post_init__(self):
-        if self.worker_count < 1:
-            raise ConfigError("worker count must be positive")
-        for name, value in self.tolerances.items():
-            if name not in TOL_RANGES:
-                raise ConfigError(f"unknown tolerance override: {name}")
-            lo, hi = TOL_RANGES[name]
-            if not lo <= value <= hi:
-                raise ConfigError(
-                    f"tolerance {name}={value:g} outside sane range [{lo:g}, {hi:g}]"
-                )
-
-    def tol(self, name: str, default: float) -> float:
-        return self.tolerances.get(name, default)
-
-
-def extract_tol_overrides(argv):
-    """Pull --tol.<name> pairs (or --tol.<name>=v) out of the raw argv."""
-    clean: list[str] = []
-    tols: dict[str, float] = {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            body = arg[len("--tol."):]
-            if "=" in body:
-                name, text = body.split("=", 1)
-            else:
-                name = body
-                i += 1
-                if i >= len(argv):
-                    raise ConfigError(f"missing value for --tol.{name}")
-                text = argv[i]
-            try:
-                tols[name] = float(text)
-            except ValueError:
-                raise ConfigError(f"bad value for --tol.{name}: {text}") from None
-        else:
-            clean.append(arg)
-        i += 1
-    return clean, tols
 
 
 class _RunFiles:
@@ -216,8 +156,7 @@ def _pair(obj) -> complex:
 def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
     matrix_obj = args.matrix
     tau = None
-    quotient = getattr(args, "quotient", None)
-    if getattr(args, "file", None):
+    if args.file:
         data = files.read_json(args.file)
         if not isinstance(data, dict) or "matrix" not in data:
             raise ConfigError("automorphism file needs a 'matrix' field")
@@ -227,23 +166,22 @@ def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
             if not isinstance(t, dict) or "re" not in t or "im" not in t:
                 raise ConfigError("tau must be {\"re\": ..., \"im\": ...}")
             tau = complex(float(t["re"]), float(t["im"]))
-        if quotient is None and "quotient" in data:
-            quotient = data["quotient"]
+        if data.get("quotient", "none") != "none":
+            raise ConfigError(
+                f"unsupported quotient {data['quotient']!r}: no command "
+                "computes on a quotient, so it must be \"none\""
+            )
     if matrix_obj is None:
         matrix_obj = DEFAULT_MATRIX
-    if getattr(args, "tau", None):
+    if args.tau:
         tau = parse_complex(args.tau)
-    if quotient is None:
-        quotient = "none"
-    if quotient not in QUOTIENTS:
-        raise ConfigError(f"unknown quotient: {quotient}")
     matrix = parse_int_matrix(matrix_obj)
     lattice = tk.TorusLattice(tau) if tau is not None else tk.TorusLattice()
-    return tk.TorusAutomorphism(matrix, lattice, QUOTIENTS[quotient])
+    return tk.TorusAutomorphism(matrix, lattice)
 
 
 def load_surface(args, files: _RunFiles) -> wd.WehlerSurface:
-    if getattr(args, "surface", None):
+    if args.surface:
         data = files.read_json(args.surface)
         if not isinstance(data, dict) or "coeffs" not in data:
             raise ConfigError("surface file needs a 'coeffs' field")
@@ -262,13 +200,13 @@ def load_surface(args, files: _RunFiles) -> wd.WehlerSurface:
             return wd.WehlerSurface.from_array(arr)
         except KummerlabError as err:
             raise ConfigError(f"bad surface: {err}") from None
-    if getattr(args, "random", False):
+    if args.random:
         return wd.random_surface(args.seed)
     raise ConfigError("need --surface FILE or --random")
 
 
 def load_cubic(args, files: _RunFiles) -> bc.PlaneCubic:
-    if getattr(args, "cubic", None):
+    if args.cubic:
         data = files.read_json(args.cubic)
         if not isinstance(data, list) or len(data) != 10:
             raise ConfigError("cubic file must hold a list of 10 coefficients")
@@ -277,7 +215,7 @@ def load_cubic(args, files: _RunFiles) -> bc.PlaneCubic:
 
 
 def load_base_points(args, cubic: bc.PlaneCubic, files: _RunFiles):
-    if getattr(args, "base_points", None):
+    if args.base_points:
         data = files.read_json(args.base_points)
         if not isinstance(data, list) or not data:
             raise ConfigError("base point file must hold a list of triples")
@@ -369,17 +307,17 @@ def saddles_csv(orbits) -> bytes:
 # lattice subcommands
 
 
-def cmd_lattice_degree(args, cfg, files):
+def cmd_lattice_degree(args, files):
     rep = la.dynamical_degree(parse_int_matrix(args.matrix or DEFAULT_MATRIX))
     return json_bytes(spectral_json(rep)), "json"
 
 
-def cmd_lattice_salem(args, cfg, files):
+def cmd_lattice_salem(args, files):
     rep = la.spectral_report(parse_poly(args.poly))
     return json_bytes(spectral_json(rep)), "json"
 
 
-def cmd_lattice_rank2(args, cfg, files):
+def cmd_lattice_rank2(args, files):
     lattice = la.QuadraticLattice(parse_int_matrix(args.gram))
     analysis = la.rank2_analysis(lattice, search_bound=args.bound)
     payload = {
@@ -391,7 +329,7 @@ def cmd_lattice_rank2(args, cfg, files):
     return json_bytes(payload), "json"
 
 
-def cmd_lattice_wehler_action(args, cfg, files):
+def cmd_lattice_wehler_action(args, files):
     m1, m2, m3, lattice = la.wehler_cohomology_action()
     product = m1 @ m2 @ m3
     rep = la.dynamical_degree(product)
@@ -404,7 +342,7 @@ def cmd_lattice_wehler_action(args, cfg, files):
     return json_bytes(payload), "json"
 
 
-def cmd_lattice_enriques(args, cfg, files):
+def cmd_lattice_enriques(args, files):
     lattice = la.enriques_lattice()
     pos, neg, zero = la.signature(lattice)
     payload = {
@@ -420,7 +358,7 @@ def cmd_lattice_enriques(args, cfg, files):
 # torus subcommands
 
 
-def cmd_torus_lyapunov(args, cfg, files):
+def cmd_torus_lyapunov(args, files):
     f = torus_automorphism(args, files)
     if args.method == "exact":
         rep = tk.lyapunov_exact(f)
@@ -429,13 +367,13 @@ def cmd_torus_lyapunov(args, cfg, files):
     return json_bytes(lyapunov_json(rep)), "json"
 
 
-def cmd_torus_fix_count(args, cfg, files):
+def cmd_torus_fix_count(args, files):
     f = torus_automorphism(args, files)
     payload = {"n": args.n, "count": json_int(tk.fix_count(f, args.n))}
     return json_bytes(payload), "json"
 
 
-def cmd_torus_fix_enum(args, cfg, files):
+def cmd_torus_fix_enum(args, files):
     f = torus_automorphism(args, files)
     ensemble = tk.fix_enumerate(f, args.n, cap=args.cap)
     rows = [
@@ -445,7 +383,7 @@ def cmd_torus_fix_enum(args, cfg, files):
     return csv_bytes(["a1", "b1", "a2", "b2"], rows), "csv"
 
 
-def cmd_torus_equidist(args, cfg, files):
+def cmd_torus_equidist(args, files):
     f = torus_automorphism(args, files)
     ensemble = tk.fix_enumerate(f, args.n, cap=args.cap)
     weyl = tk.equidistribution_test(ensemble, args.kmax)
@@ -460,14 +398,14 @@ def cmd_torus_equidist(args, cfg, files):
     return json_bytes(payload), "json"
 
 
-def cmd_torus_dimension(args, cfg, files):
+def cmd_torus_dimension(args, files):
     f = torus_automorphism(args, files)
     est, err = tk.haar_dimension(f.lattice, args.samples, args.probes, args.seed)
     payload = {"dimension": float(est), "stderr": float(err), "n_samples": args.samples}
     return json_bytes(payload), "json"
 
 
-def cmd_torus_rigidity(args, cfg, files):
+def cmd_torus_rigidity(args, files):
     f = torus_automorphism(args, files)
     report = wd.torus_control_report(f, rng_seed=args.seed)
     return json_bytes(rigidity_json(report)), "json"
@@ -477,12 +415,11 @@ def cmd_torus_rigidity(args, cfg, files):
 # wehler subcommands
 
 
-def cmd_wehler_orbit(args, cfg, files):
+def cmd_wehler_orbit(args, files):
     surface = load_surface(args, files)
     rng = np.random.default_rng(args.seed)
-    tol = cfg.tol("membership", wd.MEMBERSHIP_TOL)
-    p0 = wd.random_surface_point(surface, rng, tol=tol)
-    points, _ = wd.orbit(surface, p0, args.n, tol=tol)
+    p0 = wd.random_surface_point(surface, rng)
+    points, _ = wd.orbit(surface, p0, args.n)
     header = ["step", *_complex_header(COORD_NAMES), "residual"]
     rows = []
     for step, p in enumerate(points):
@@ -491,34 +428,34 @@ def cmd_wehler_orbit(args, cfg, files):
     return csv_bytes(header, rows), "csv"
 
 
-def _saddle_census(args, cfg, files):
+def _saddle_census(args, files):
     return wd.saddle_census(
         load_surface(args, files), args.nmax, args.seeds, args.seed,
-        workers=cfg.worker_count,
+        workers=args.workers,
     )
 
 
-def cmd_wehler_saddles(args, cfg, files):
-    orbits, _, _ = _saddle_census(args, cfg, files)
+def cmd_wehler_saddles(args, files):
+    orbits, _, _ = _saddle_census(args, files)
     return saddles_csv(orbits), "csv"
 
 
-def cmd_wehler_lyapunov(args, cfg, files):
-    _, estimates, per_period = _saddle_census(args, cfg, files)
+def cmd_wehler_lyapunov(args, files):
+    _, estimates, per_period = _saddle_census(args, files)
     payload = lyapunov_json(wd.pool_period_estimates(estimates))
     payload["per_period"] = per_period
     return json_bytes(payload), "json"
 
 
-def cmd_wehler_rigidity(args, cfg, files):
+def cmd_wehler_rigidity(args, files):
     surface = load_surface(args, files)
     report, _ = wd.rigidity_report(
-        surface, args.nmax, args.seeds, args.seed, workers=cfg.worker_count
+        surface, args.nmax, args.seeds, args.seed, workers=args.workers
     )
     return json_bytes(rigidity_json(report)), "json"
 
 
-def cmd_wehler_probe(args, cfg, files):
+def cmd_wehler_probe(args, files):
     surface = load_surface(args, files)
     suspects = wd.singularity_probe(surface, args.trials, args.seed)
     payload = {
@@ -536,7 +473,7 @@ def cmd_wehler_probe(args, cfg, files):
     return json_bytes(payload), "json"
 
 
-def cmd_wehler_density(args, cfg, files):
+def cmd_wehler_density(args, files):
     surface = load_surface(args, files)
     if len(args.proj) != 2 or any(c not in "xyz" for c in args.proj):
         raise ConfigError("projection must be two of x, y, z")
@@ -553,7 +490,7 @@ def cmd_wehler_density(args, cfg, files):
 # blanc subcommands
 
 
-def _blanc_map(args, cfg, files):
+def _blanc_map(args, files):
     cubic = load_cubic(args, files)
     points = load_base_points(args, cubic, files)
     try:
@@ -562,8 +499,8 @@ def _blanc_map(args, cfg, files):
         raise ConfigError(str(err)) from None
 
 
-def cmd_blanc_check_involution(args, cfg, files):
-    B = _blanc_map(args, cfg, files)
+def cmd_blanc_check_involution(args, files):
+    B = _blanc_map(args, files)
     q = B.base_points[0]
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -574,8 +511,8 @@ def cmd_blanc_check_involution(args, cfg, files):
     return csv_bytes(["index", "defect"], rows), "csv"
 
 
-def cmd_blanc_check_fixed_cubic(args, cfg, files):
-    B = _blanc_map(args, cfg, files)
+def cmd_blanc_check_fixed_cubic(args, files):
+    B = _blanc_map(args, files)
     pts = bc.cubic_points(B.cubic, args.points, args.seed + 1)
     rows = []
     idx = 0
@@ -587,8 +524,8 @@ def cmd_blanc_check_fixed_cubic(args, cfg, files):
     return csv_bytes(["index", "displacement"], rows), "csv"
 
 
-def cmd_blanc_check_two_form(args, cfg, files):
-    B = _blanc_map(args, cfg, files)
+def cmd_blanc_check_two_form(args, files):
+    B = _blanc_map(args, files)
     rng = np.random.default_rng(args.seed)
     rows = []
     idx = 0
@@ -609,8 +546,8 @@ def cmd_blanc_check_two_form(args, cfg, files):
     return csv_bytes(["index", "x_re", "x_im", "y_re", "y_im", "defect"], rows), "csv"
 
 
-def cmd_blanc_orbit(args, cfg, files):
-    B = _blanc_map(args, cfg, files)
+def cmd_blanc_orbit(args, files):
+    B = _blanc_map(args, files)
     rng = np.random.default_rng(args.seed)
     p = bc.P2Point.make(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal(), 1.0)
     rows = []
@@ -641,9 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kummerlab",
         description="Invariants of surface automorphisms: exact lattice "
                     "algebra, torus models, (2,2,2) surface dynamics, and "
-                    "plane Cremona involutions.  Tolerance overrides are "
-                    "accepted as --tol.<name> VALUE (known: "
-                    + ", ".join(sorted(TOL_RANGES)) + ").",
+                    "plane Cremona involutions.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     top = parser.add_subparsers(dest="group", required=True)
@@ -675,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--matrix", help="2x2 integer matrix JSON")
         q.add_argument("--file", help="automorphism JSON file")
         q.add_argument("--tau", help="lattice parameter as a complex literal")
-        q.add_argument("--quotient", choices=sorted(QUOTIENTS))
         return q
 
     p = torus_parser("lyapunov", "Lyapunov exponents")
@@ -763,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _worker_count(args) -> int:
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         return args.workers
     env = os.environ.get("KUMMERLAB_WORKERS")
     if env is not None:
@@ -775,26 +709,19 @@ def _worker_count(args) -> int:
 
 
 def _echo_config(args) -> dict:
-    skip = {"func"}
-    echo = {}
-    for key, value in vars(args).items():
-        if key in skip or callable(value):
-            continue
-        echo[key] = value
-    return echo
+    return {key: value for key, value in vars(args).items() if not callable(value)}
 
 
 def run(argv) -> int:
-    argv, tols = extract_tol_overrides(list(argv))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    workers = _worker_count(args)
+    args = build_parser().parse_args(argv)
+    args.workers = _worker_count(args)
     if not 0 <= args.seed < 2**64:
         raise ConfigError("rng seed must fit in 64 bits")
-    cfg = ExperimentConfig(worker_count=workers, tolerances=tols)
+    if args.workers < 1:
+        raise ConfigError("worker count must be positive")
     files = _RunFiles()
     started = time.perf_counter()
-    payload, kind = args.func(args, cfg, files)
+    payload, kind = args.func(args, files)
     compute_time = time.perf_counter() - started
     if args.out is None:
         sys.stdout.buffer.write(payload)
@@ -806,7 +733,7 @@ def run(argv) -> int:
     manifest = {
         "artifact_version": __version__,
         "command": f"{args.group} {args.command}",
-        "config": _plain(_echo_config(args)) | {"tolerances": tols},
+        "config": _plain(_echo_config(args)),
         "result_file": os.path.basename(args.out),
         "result_kind": kind,
         "result_digest": str(fnv1a64(payload)),

@@ -123,7 +123,7 @@ class TorusPoint:
         )
 
     def to_floats(self) -> tuple[float, float, float, float]:
-        return tuple(float(c) for c in self.coords)
+        return tuple(c.numerator / c.denominator for c in self.coords)
 
 
 @dataclass(frozen=True)

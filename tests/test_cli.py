@@ -8,6 +8,8 @@ raw bytes across worker counts and repeat runs.
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +161,26 @@ def test_torus_automorphism_file(tmp_path):
     assert "auto.json" in manifest["input_digests"]
 
 
+def test_torus_automorphism_file_quotient_exits_2(tmp_path, capsys):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]],
+                                "quotient": "kummer"}))
+    rc = cli.main(["torus", "fix-count", "--file", str(path), "--n", "3"])
+    assert rc == 2
+    assert "quotient" in capsys.readouterr().err
+
+
+def test_torus_automorphism_file_tau_matches_flag(tmp_path):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]],
+                                "tau": {"re": 0.3, "im": 1.2}}))
+    from_file = run_cli(tmp_path, "df.json", "torus", "dimension",
+                        "--file", str(path), "--samples", "20000")
+    from_flag = run_cli(tmp_path, "dt.json", "torus", "dimension",
+                        "--tau", "0.3+1.2j", "--samples", "20000")
+    assert from_file.read_bytes() == from_flag.read_bytes()
+
+
 def test_wehler_orbit_csv_stays_on_surface(tmp_path):
     out = run_cli(tmp_path, "orb.csv", "wehler", "orbit",
                   "--random", "--seed", "4", "--n", "20")
@@ -308,6 +330,38 @@ def test_manifest_contents(tmp_path):
     assert set(manifest["stages"]) == {"compute_s", "emit_s"}
 
 
+@pytest.mark.parametrize("env, expected", [("2", 2), (None, 1)],
+                         ids=["env", "default"])
+def test_manifest_echoes_resolved_workers(tmp_path, monkeypatch, env, expected):
+    if env is None:
+        monkeypatch.delenv("KUMMERLAB_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("KUMMERLAB_WORKERS", env)
+    run_cli(tmp_path, "fc.json", "torus", "fix-count", "--n", "2")
+    manifest = json.loads((tmp_path / "fc.json.manifest.json").read_text())
+    assert manifest["config"]["workers"] == expected
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kummerlab ")]
+
+
+def test_readme_command_lines_parse():
+    parser = cli.build_parser()
+    handlers = set()
+    for line in _readme_command_lines():
+        try:
+            args = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        handlers.add(args.func)
+    commands = {f for name, f in vars(cli).items() if name.startswith("cmd_")}
+    assert handlers == commands
+
+
 def test_fnv1a64_reference_vectors():
     assert cli.fnv1a64(b"") == 0xCBF29CE484222325
     assert cli.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
@@ -349,21 +403,14 @@ def test_torus_dimension_tau_outside_fundamental_domain_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_unknown_tolerance_exits_2(capsys):
-    rc = cli.main(["wehler", "orbit", "--random", "--tol.bogus", "1e-8"])
-    assert rc == 2
-    assert "bogus" in capsys.readouterr().err
-
-
-def test_tolerance_out_of_range_exits_2(capsys):
-    rc = cli.main(["wehler", "orbit", "--random", "--tol.membership", "1e-3"])
-    assert rc == 2
-    assert "membership" in capsys.readouterr().err
-
-
-def test_tolerance_equals_form_accepted(tmp_path):
-    run_cli(tmp_path, "tol.csv", "wehler", "orbit", "--random",
-            "--seed", "4", "--n", "3", "--tol.membership=1e-9")
+@pytest.mark.parametrize("argv", [
+    ["wehler", "orbit", "--random", "--tol.membership", "1e-9"],
+    ["torus", "fix-enum", "--n", "2", "--quotient", "kummer"],
+], ids=["tol-membership", "quotient"])
+def test_removed_flag_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_usage_error_exits_2():
