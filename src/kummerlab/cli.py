@@ -160,7 +160,8 @@ def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
         data = files.read_json(args.file)
         if not isinstance(data, dict) or "matrix" not in data:
             raise ConfigError("automorphism file needs a 'matrix' field")
-        matrix_obj = data["matrix"]
+        if matrix_obj is None:
+            matrix_obj = data["matrix"]
         if "tau" in data:
             t = data["tau"]
             if not isinstance(t, dict) or "re" not in t or "im" not in t:

@@ -498,24 +498,44 @@ def haar_samples(n: int, rng_seed: int) -> np.ndarray:
 
 def torus_distance(
     lattice: TorusLattice,
-) -> Callable[[np.ndarray, int], np.ndarray]:
+) -> Callable[..., np.ndarray]:
     """Flat quotient metric from the embedding z = a + b*tau per coordinate.
 
     Coordinates are wrapped to the centered cell and the quadratic form is
     minimized over the 3x3 grid of lattice translates.  That grid is
     exhaustive for tau in the standard fundamental domain |Re tau| <= 1/2,
     |tau| >= 1; any other tau raises PreconditionError.
+
+    dist(samples, i, cutoff) may return inf for a point farther than cutoff
+    from point i; every other entry has the bits of the uncut metric.  Only
+    points with lam * |d|^2 <= cutoff^2 * (1 + slack) run the translate
+    search, where d is the wrapped difference and lam the smallest
+    eigenvalue of the Gram form [[1, Re tau], [Re tau, |tau|^2]].  The bound
+    is conservative: for wrapped |d_k| <= 1/2 every translate d + s has
+    |d + s| >= |d|, and the form is at least lam |.|^2 on each one.  lam is
+    at least 3/8 on the fundamental domain, so the slack of 1e-9 |tau|^2
+    covers the rounding of the form many times over.  With cutoff = inf
+    (the default) every point runs the search and a NaN row stays NaN;
+    under a finite cutoff a NaN row comes back inf.
     """
     re = lattice.tau.real
     if abs(re) > 0.5 + 1e-12 or abs(lattice.tau) < 1.0 - 1e-12:
         raise PreconditionError("torus_distance needs |Re tau| <= 1/2, |tau| >= 1")
     g00, g01, g10, g11 = 1.0, re, re, abs(lattice.tau) ** 2
+    lam = float(np.linalg.eigvalsh([[g00, g01], [g10, g11]])[0])
+    slack = 1e-9 * g11
 
-    def dist(samples: np.ndarray, i: int) -> np.ndarray:
+    def dist(samples: np.ndarray, i: int, cutoff: float = math.inf) -> np.ndarray:
         x = np.asarray(samples, dtype=float)
         d = x - x[i]
         d -= np.round(d)
-        total = np.zeros(len(x))
+        keep = slice(None)
+        if cutoff < math.inf:
+            keep = np.flatnonzero(
+                lam * np.einsum("ij,ij->i", d, d) <= cutoff * cutoff * (1.0 + slack)
+            )
+            d = d[keep]
+        total = np.zeros(len(d))
         for a, b in ((0, 1), (2, 3)):
             # The operation order is pinned by the output bytes: the form of
             # a translate (c0, c1) is ((c0*g00)*c0 + (c0*g01)*c1) + (c1*g10)*c0
@@ -524,12 +544,14 @@ def torus_distance(
             c1 = [d[:, b] + s for s in (-1.0, 0.0, 1.0)]
             sq0, c0g = [(c * g00) * c for c in c0], [c * g01 for c in c0]
             sq1, c1g = [(c * g11) * c for c in c1], [c * g10 for c in c1]
-            q_min = np.full(len(x), np.inf)
+            q_min = np.full(len(d), np.inf)
             for s, t in itertools.product(range(3), repeat=2):
                 q = sq0[s] + c0g[s] * c1[t] + c1g[t] * c0[s] + sq1[t]
                 np.minimum(q_min, q, out=q_min)
             total += q_min
-        return np.sqrt(total)
+        out = np.full(len(x), np.inf)
+        out[keep] = np.sqrt(total)
+        return out
 
     return dist
 
@@ -543,7 +565,7 @@ def mean_stderr(values) -> float:
 
 def local_dimension_estimate(
     samples: Sequence,
-    dist: Callable[[Sequence, int], np.ndarray],
+    dist: Callable[[Sequence, int, float], np.ndarray],
     radii: Sequence[float],
     probes: int,
     rng_seed: int = 0,
@@ -554,6 +576,10 @@ def local_dimension_estimate(
     log r is fit by least squares over the radii with at least one
     neighbor (the probe itself is excluded).  Returns the mean slope over
     probes and its standard error.
+
+    dist(samples, i, cutoff) returns the distances from sample i, with the
+    largest radius as cutoff: an entry for a sample farther than cutoff may
+    be inf (or any value above cutoff), since only counts d <= r are read.
     """
     n = len(samples)
     if n < 1000:
@@ -571,7 +597,7 @@ def local_dimension_estimate(
     slopes = []
     empty_at_largest = 0
     for i in idx:
-        d = np.asarray(dist(samples, int(i)), dtype=float)
+        d = np.asarray(dist(samples, int(i), r_arr[0]), dtype=float)
         d = np.delete(d, int(i))
         counts = (d[None, :] <= r_arr[:, None]).sum(axis=1)
         if counts[0] == 0:

@@ -1158,8 +1158,13 @@ def saddle_cloud(orbits: Sequence[SaddleOrbit]) -> np.ndarray:
     return _pack_points([(p.x, p.y, p.z) for p in pts])
 
 
-def surface_cloud_distance(samples: np.ndarray, i: int) -> np.ndarray:
-    """Product chordal metric on (n, 3, 2) homogeneous representatives."""
+def surface_cloud_distance(
+    samples: np.ndarray, i: int, cutoff: float = math.inf
+) -> np.ndarray:
+    """Product chordal metric on (n, 3, 2) homogeneous representatives.
+
+    cutoff is the local_dimension_estimate contract; every distance is
+    computed, so it is ignored."""
     x = np.asarray(samples)
     p = x[i]
     cross = np.abs(

@@ -161,6 +161,14 @@ def test_torus_automorphism_file(tmp_path):
     assert "auto.json" in manifest["input_digests"]
 
 
+def test_torus_matrix_flag_overrides_file(tmp_path):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]]}))
+    payload = run_json(tmp_path, "fcm.json", "torus", "fix-count", "--n", "3",
+                       "--file", str(path), "--matrix", "[[3,2],[1,1]]")
+    assert payload["count"] == 2500
+
+
 def test_torus_automorphism_file_quotient_exits_2(tmp_path, capsys):
     path = tmp_path / "auto.json"
     path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]],

@@ -10,7 +10,9 @@ The Weyl sums and the torus metric must also keep their bits: they are
 compared bit for bit against reference kernels written with complex np.exp
 and np.einsum.  The Weyl-sum equality rests on the numpy build (np.cos and
 np.sin equal the parts of complex np.exp), so a build where it does not
-hold fails here under a named test.
+hold fails here under a named test.  The torus metric's cutoff must keep
+the bits of every distance within it and put every other point beyond it,
+so the local dimension estimate is that of the uncut metric.
 
 The lattice layer keeps one engine per question; each rewritten routine is
 checked against a test-local copy of the code it replaced.  The inverse of
@@ -63,13 +65,18 @@ from kummerlab.lattice_algebra import (
     wehler_cohomology_action,
 )
 from kummerlab.torus_kummer import (
+    DIMENSION_RADII,
+    TAU_I,
+    TAU_ZETA3,
     WEYL_TRIVIAL_TOL,
     TorusAutomorphism,
     TorusLattice,
     TorusPoint,
     equidistribution_test,
     fix_enumerate,
+    haar_samples,
     lattice_action_4x4,
+    local_dimension_estimate,
     torus_distance,
 )
 
@@ -250,6 +257,64 @@ def test_torus_distance_bits_match_einsum_reference(re, lift, seed):
     x = np.random.default_rng(seed).random((500, 4))
     for i in (0, 1, 499):
         assert np.array_equal(dist(x, i), einsum_distance_reference(x, i, tau))
+
+
+@pytest.mark.golden
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)),
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    st.floats(0.0, 1.5),
+    st.integers(0, 2**16),
+)
+@example(0.0, 0.0, 0.5, 0)  # tau = i
+@example(-0.5, 0.0, 0.5, 1)  # tau = zeta3, where lambda_min = 1/2
+@example(0.5, 0.0, 0.3, 2)  # Re tau = 1/2, |tau| = 1
+def test_torus_distance_cutoff_keeps_bits_within(re, lift, cutoff, seed):
+    """Within the cutoff the bits are the uncut metric's; beyond it, > cutoff.
+
+    Cutoff 0 keeps the probe and its duplicate (row 1), and a cutoff equal
+    to a computed distance keeps that point even where squaring the cutoff
+    rounds below the prefilter's own sum of squares."""
+    tau = complex(re, np.sqrt(1.0 - re * re) + lift)
+    dist = torus_distance(TorusLattice(tau))
+    x = np.random.default_rng(seed).random((500, 4))
+    x[1] = x[0]
+    for i in (0, 1, 499):
+        full = dist(x, i)
+        for c in (cutoff, 0.0, *full[seed % 25 :: 25].tolist()):
+            cut = dist(x, i, c)
+            inside = full <= c
+            assert cut[inside].tobytes() == full[inside].tobytes()
+            assert np.all(cut[~inside] > c)
+
+
+def test_torus_distance_cutoff_inf_keeps_nan_rows():
+    dist = torus_distance(TorusLattice(TAU_I))
+    x = np.random.default_rng(0).random((50, 4))
+    x[7, 2] = np.nan
+    full = dist(x, 0)
+    assert np.isnan(full[7])
+    assert dist(x, 0, math.inf).tobytes() == full.tobytes()
+    assert dist(x, 0, 0.5)[7] == np.inf
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize(
+    "tau", [TAU_I, 0.3 + 1.2j, TAU_ZETA3, 0.5 + 1j, complex(0.3, math.sqrt(0.91))]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_dimension_estimate_cutoff_matches_uncut(tau, seed):
+    dist = torus_distance(TorusLattice(tau))
+    samples = haar_samples(10**4, seed)
+
+    def uncut(s, i, cutoff):
+        return dist(s, i)
+
+    args = (DIMENSION_RADII, 64, seed + 1)
+    assert local_dimension_estimate(samples, dist, *args) == local_dimension_estimate(
+        samples, uncut, *args
+    )
 
 
 RANGE_TABLE = [

@@ -589,6 +589,8 @@ def test_surface_cloud_distance_properties():
     pts = rng.normal(size=(6, 3, 2)) + 1j * rng.normal(size=(6, 3, 2))
     d0 = wd.surface_cloud_distance(pts, 0)
     assert d0[0] == 0.0
+    # the estimator's cutoff is accepted and ignored
+    assert wd.surface_cloud_distance(pts, 0, 0.01).tobytes() == d0.tobytes()
     scaled = pts.copy()
     scaled[2] *= 3.0 - 4.0j
     d0s = wd.surface_cloud_distance(scaled, 0)
