@@ -154,14 +154,11 @@ def _pair(obj) -> complex:
 
 
 def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
-    matrix_obj = args.matrix
-    tau = None
+    matrix = tau = None
     if args.file:
         data = files.read_json(args.file)
         if not isinstance(data, dict) or "matrix" not in data:
             raise ConfigError("automorphism file needs a 'matrix' field")
-        if matrix_obj is None:
-            matrix_obj = data["matrix"]
         if "tau" in data:
             t = data["tau"]
             if not isinstance(t, dict) or "re" not in t or "im" not in t:
@@ -172,11 +169,13 @@ def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
                 f"unsupported quotient {data['quotient']!r}: no command "
                 "computes on a quotient, so it must be \"none\""
             )
-    if matrix_obj is None:
-        matrix_obj = DEFAULT_MATRIX
+        matrix = parse_int_matrix(data["matrix"])
+    if args.matrix is not None:
+        matrix = parse_int_matrix(args.matrix)
+    elif matrix is None:
+        matrix = parse_int_matrix(DEFAULT_MATRIX)
     if args.tau:
         tau = parse_complex(args.tau)
-    matrix = parse_int_matrix(matrix_obj)
     lattice = tk.TorusLattice(tau) if tau is not None else tk.TorusLattice()
     return tk.TorusAutomorphism(matrix, lattice)
 

@@ -514,9 +514,8 @@ def torus_distance(
     is conservative: for wrapped |d_k| <= 1/2 every translate d + s has
     |d + s| >= |d|, and the form is at least lam |.|^2 on each one.  lam is
     at least 3/8 on the fundamental domain, so the slack of 1e-9 |tau|^2
-    covers the rounding of the form many times over.  With cutoff = inf
-    (the default) every point runs the search and a NaN row stays NaN;
-    under a finite cutoff a NaN row comes back inf.
+    covers the rounding of the form many times over.  cutoff = inf keeps
+    every point.
     """
     re = lattice.tau.real
     if abs(re) > 0.5 + 1e-12 or abs(lattice.tau) < 1.0 - 1e-12:
@@ -525,16 +524,14 @@ def torus_distance(
     lam = float(np.linalg.eigvalsh([[g00, g01], [g10, g11]])[0])
     slack = 1e-9 * g11
 
-    def dist(samples: np.ndarray, i: int, cutoff: float = math.inf) -> np.ndarray:
+    def dist(samples: np.ndarray, i: int, cutoff: float) -> np.ndarray:
         x = np.asarray(samples, dtype=float)
         d = x - x[i]
         d -= np.round(d)
-        keep = slice(None)
-        if cutoff < math.inf:
-            keep = np.flatnonzero(
-                lam * np.einsum("ij,ij->i", d, d) <= cutoff * cutoff * (1.0 + slack)
-            )
-            d = d[keep]
+        keep = np.flatnonzero(
+            lam * np.einsum("ij,ij->i", d, d) <= cutoff * cutoff * (1.0 + slack)
+        )
+        d = d[keep]
         total = np.zeros(len(d))
         for a, b in ((0, 1), (2, 3)):
             # The operation order is pinned by the output bytes: the form of

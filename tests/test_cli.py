@@ -169,6 +169,15 @@ def test_torus_matrix_flag_overrides_file(tmp_path):
     assert payload["count"] == 2500
 
 
+def test_torus_matrix_flag_still_checks_file_matrix(tmp_path, capsys):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"matrix": "junk"}))
+    rc = cli.main(["torus", "fix-count", "--n", "3", "--file", str(path),
+                   "--matrix", "[[2,1],[1,1]]"])
+    assert rc == 2
+    assert "matrix" in capsys.readouterr().err
+
+
 def test_torus_automorphism_file_quotient_exits_2(tmp_path, capsys):
     path = tmp_path / "auto.json"
     path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]],

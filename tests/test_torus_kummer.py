@@ -353,29 +353,29 @@ class TestTorusDistance:
     def test_wraparound_square_lattice(self):
         dist = torus_distance(TorusLattice(TAU_I))
         samples = np.array([[0.0, 0, 0, 0], [0.6, 0, 0, 0]])
-        d = dist(samples, 0)
+        d = dist(samples, 0, math.inf)
         assert abs(d[1] - 0.4) < 1e-12
         assert d[0] == 0.0
 
     def test_corner_square_lattice(self):
         dist = torus_distance(TorusLattice(TAU_I))
         samples = np.array([[0.0, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]])
-        assert abs(dist(samples, 0)[1] - 1.0) < 1e-12
+        assert abs(dist(samples, 0, math.inf)[1] - 1.0) < 1e-12
 
     def test_hexagonal_lattice_value(self):
         # |1/2 + (1/2) zeta3| = 1/2 since |1 + zeta3| = 1
         dist = torus_distance(TorusLattice(TAU_ZETA3))
         samples = np.array([[0.0, 0, 0, 0], [0.5, 0.5, 0.0, 0.0]])
-        assert abs(dist(samples, 0)[1] - 0.5) < 1e-12
+        assert abs(dist(samples, 0, math.inf)[1] - 0.5) < 1e-12
 
     def test_symmetry(self):
         dist = torus_distance(TorusLattice(TAU_ZETA3))
         rng = np.random.default_rng(8)
         samples = rng.random((10, 4))
         for i in range(10):
-            di = dist(samples, i)
+            di = dist(samples, i, math.inf)
             for j in range(10):
-                assert abs(di[j] - dist(samples, j)[i]) < 1e-12
+                assert abs(di[j] - dist(samples, j, math.inf)[i]) < 1e-12
 
     def test_rejects_tau_outside_fundamental_domain(self):
         # outside the domain the 3x3 translate grid can miss nearer
