@@ -268,6 +268,8 @@ def _random_line_roots(cubic: PlaneCubic, rng):
 def cubic_points(cubic: PlaneCubic, count: int, rng_seed: int) -> list[P2Point]:
     """Points on the cubic from random line slices, polished by Newton steps
     along the line to residual ~1e-15 relative."""
+    if count < 0:
+        raise PreconditionError("point count must be nonnegative")
     rng = np.random.default_rng(rng_seed)
     out: list[P2Point] = []
     guard = 0

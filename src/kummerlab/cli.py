@@ -25,7 +25,7 @@ from . import blanc_cremona as bc
 from . import lattice_algebra as la
 from . import torus_kummer as tk
 from . import wehler_dynamics as wd
-from .errors import ConfigError, InternalInvariantError, KummerlabError
+from .errors import ConfigError, InternalInvariantError, KummerlabError, PreconditionError
 
 BIG_INT = 2**53
 
@@ -146,11 +146,17 @@ def parse_complex(text: str) -> complex:
 
 
 def _pair(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    raise ConfigError("complex values must be numbers or [re, im] pairs")
+    z = math.nan
+    try:
+        if isinstance(obj, (int, float)):
+            z = complex(obj)
+        elif isinstance(obj, list) and len(obj) == 2:
+            z = complex(float(obj[0]), float(obj[1]))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if not np.isfinite(z):
+        raise ConfigError("complex values must be finite numbers or [re, im] pairs")
+    return z
 
 
 def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
@@ -500,6 +506,8 @@ def _blanc_map(args, files):
 
 
 def cmd_blanc_check_involution(args, files):
+    if args.points < 0:
+        raise PreconditionError("point count must be nonnegative")
     B = _blanc_map(args, files)
     q = B.base_points[0]
     rng = np.random.default_rng(args.seed)
@@ -525,6 +533,8 @@ def cmd_blanc_check_fixed_cubic(args, files):
 
 
 def cmd_blanc_check_two_form(args, files):
+    if args.points < 0:
+        raise PreconditionError("point count must be nonnegative")
     B = _blanc_map(args, files)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -547,6 +557,8 @@ def cmd_blanc_check_two_form(args, files):
 
 
 def cmd_blanc_orbit(args, files):
+    if args.n < 0:
+        raise PreconditionError("orbit length must be nonnegative")
     B = _blanc_map(args, files)
     rng = np.random.default_rng(args.seed)
     p = bc.P2Point.make(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal(), 1.0)

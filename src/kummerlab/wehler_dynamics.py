@@ -16,9 +16,10 @@ its value, so both kinds give the same point bits.  The scalar functions
 are one-lane calls of the same kernel.  Dead lanes are marked with NaN and
 dropped at collection time.
 
-The periodic-point search draws its seeds in fixed-size chunks; each chunk
-keys its own random stream and Newton stabilizer, but all chunks of one
-period are stepped together as a single lane set.
+The periodic-point search draws its seed lanes chunk by chunk, each chunk
+with its own random stream and Newton stabilizer, steps them with the
+damped Newton map and collects the survivors.  A lane's bits do not depend
+on the lanes stepped with it, so workers take contiguous lane slices.
 """
 
 from __future__ import annotations
@@ -302,6 +303,11 @@ def _pack_points(points) -> np.ndarray:
         out[i, 1] = (y.u, y.v)
         out[i, 2] = (z.u, z.v)
     return out
+
+
+def _finite_lanes(P) -> np.ndarray:
+    """True for each lane of a (n, 3, 2) array whose entries are all finite."""
+    return np.isfinite(P).all(axis=(1, 2))
 
 
 def _residuals(carr, P) -> np.ndarray:
@@ -632,7 +638,7 @@ def _step_jacobian(carr, P, axes):
     (src_fail, dead, img_fail)): per-lane flags for no chart at the lane,
     a degenerate fiber on the way, and no chart at the image."""
     Q, TQ, _, src_fail, _ = _pushed_frame(carr, P, axes)
-    dead = ~np.all(np.isfinite(Q.reshape(len(Q), -1)), axis=1)
+    dead = ~_finite_lanes(Q)
     partials, pick_u = _affine_partials(carr, Q)
     solved, img_fail = _chart_from_partials(partials)
     J, _, _ = _read_in_chart(Q, TQ, solved, pick_u)
@@ -710,7 +716,7 @@ def _return_displacement(carr, P, m):
     not finite."""
     Q = _plain_chain(carr, P, FORWARD_AXES, repeats=m)
     with np.errstate(all="ignore"):
-        finite = np.all(np.isfinite(Q.reshape(len(P), -1)), axis=1)
+        finite = _finite_lanes(Q)
         return np.where(finite, _chordal_displacement(P, Q), np.inf)
 
 
@@ -737,8 +743,6 @@ def _rebuild_solved(carr, P, solved, prev_u, prev_v):
     r1u, r1v, r2u, r2v = (np.empty(n, dtype=complex) for _ in range(4))
     for axis in range(3):
         sel = solved == axis
-        if not sel.any():
-            continue
         A, B, C = _fiber_coeffs(carr, axis, P[sel])
         (r1u[sel], r1v[sel]), (r2u[sel], r2v[sel]) = _solve_quadratic(A, B, C)
     n1u, n1v = _normalize_pair_arrays(r1u, r1v)
@@ -789,7 +793,7 @@ def _newton_step(carr, n, stab, P):
     lanes = np.arange(count)
     # displacement and Jacobian in the source chart, same branch
     Q, J, solved, fail, free, pick_rows = _chart_jacobian(carr, P, n)
-    finite = np.all(np.isfinite(Q.reshape(count, -1)), axis=1)
+    finite = _finite_lanes(Q)
     G = np.empty((count, 2), dtype=complex)
     W = np.empty((count, 2), dtype=complex)
     for i, ax in enumerate(free):
@@ -823,40 +827,41 @@ def _newton_step(carr, n, stab, P):
     prev_v = P[lanes, solved, 1]
     P2 = _rebuild_solved(carr, P2, solved, prev_u, prev_v)
     P2 = np.where(move[:, None, None], P2, P)
-    alive &= np.all(np.isfinite(P2.reshape(count, -1)), axis=1)
+    alive &= _finite_lanes(P2)
     return P2, alive, converged
 
 
-def _newton_batch(chunks):
-    """Converged lanes of a list of seed chunks, stepped as one lane set.
+def _draw_seeds(carr, n, seeds, rng_seed):
+    """Seed lanes (seeds, 3, 2) of the period-n search and their stabilizers
+    (seeds, 2, 2): chunk k of SEED_CHUNK seeds takes stabilizer k of the cycle
+    and draws from its own SeedSequence(entropy=rng_seed, spawn_key=(n, k))."""
+    P = np.empty((seeds, 3, 2), dtype=complex)
+    stab = np.empty((seeds, 2, 2), dtype=complex)
+    for k, start in enumerate(range(0, seeds, SEED_CHUNK)):
+        chunk = slice(start, start + SEED_CHUNK)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=rng_seed, spawn_key=(n, k))
+        )
+        P[chunk] = _seed_points(carr, rng, len(P[chunk]))
+        stab[chunk] = _STABILIZERS[k % len(_STABILIZERS)]
+    return P, stab
 
-    Each chunk (carr, n, count, rng_seed, chunk_index, max_iter) draws its
-    seeds from its own stream and gives its lanes the stabilizer of its
-    index; all chunks share carr, n and max_iter.  Lanes come back in chunk
-    order, and each lane's bits do not depend on which chunks share the
-    batch.
-    """
-    carr, n, _, _, _, max_iter = chunks[0]
-    seeds, stabs = [], []
+
+def _newton_lanes(carr, n, P, stab):
+    """The lanes of P that converge, within NEWTON_MAX_ITER damped Newton
+    steps with stabilizer stab[i] for lane i, to a point of period dividing
+    n, in lane order.  A lane's bits do not depend on the other lanes."""
+    P = P.copy()
     with np.errstate(all="ignore"):
-        for _, _, count, rng_seed, chunk_index, _ in chunks:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=rng_seed, spawn_key=(n, chunk_index))
-            )
-            seeds.append(_seed_points(carr, rng, count))
-            stab = _STABILIZERS[chunk_index % len(_STABILIZERS)]
-            stabs.append(np.broadcast_to(stab, (count, 2, 2)))
-        P = np.concatenate(seeds)
-        stab = np.concatenate(stabs)
-        count = len(P)
-        active = np.all(np.isfinite(P.reshape(count, -1)), axis=1)
-        converged = np.zeros(count, dtype=bool)
-        for _ in range(max_iter):
+        active = _finite_lanes(P)
+        converged = np.zeros(len(P), dtype=bool)
+        for _ in range(NEWTON_MAX_ITER):
             # converged lanes never move and dead lanes never revive, so
-            # only the rest are stepped
-            live = np.flatnonzero(active & ~converged)
-            if len(live) == 0:
+            # only the rest are stepped, until none is left
+            moving = active & ~converged
+            if not moving.any():
                 break
+            live = np.flatnonzero(moving)
             P[live], active[live], converged[live] = _newton_step(
                 carr, n, stab[live], P[live]
             )
@@ -865,9 +870,7 @@ def _newton_batch(chunks):
 
 
 def _canonical_sort(P):
-    if len(P) == 0:
-        return P
-    flat = P.reshape(len(P), -1)
+    flat = P.reshape(len(P), 6)
     keys = []
     for col in range(flat.shape[1]):
         keys.append(flat[:, col].imag)
@@ -883,7 +886,7 @@ def _greedy_dedup(P, tol=DEDUP_TOL):
     kept = np.empty_like(nP)
     keep = []
     for i in range(len(P)):
-        if keep and (_normalized_cross(nP[i], kept[: len(keep)]) <= tol).any():
+        if (_normalized_cross(nP[i], kept[: len(keep)]) <= tol).any():
             continue
         kept[len(keep)] = nP[i]
         keep.append(i)
@@ -891,8 +894,6 @@ def _greedy_dedup(P, tol=DEDUP_TOL):
 
 
 def _exact_period_filter(carr, P, n):
-    if len(P) == 0:
-        return P
     keep = np.ones(len(P), dtype=bool)
     for m in range(1, n):
         if n % m != 0:
@@ -926,46 +927,35 @@ def newton_periodic(
 ) -> list[SaddleOrbit]:
     """Periodic points of f^n by damped chart Newton from random seeds.
 
-    The seeds come in 256-seed chunks; each chunk has its own counter-based
-    stream and stabilizer, but all chunks are stepped together as one lane
-    set (one per worker, over a contiguous run of chunks).  Candidates are
-    canonically sorted before deduplication, so the result is identical
-    for any worker count.
+    Three stages: _draw_seeds draws each 256-seed chunk's lanes and
+    stabilizer from its own stream; _newton_lanes steps the lane set, or
+    one contiguous slice per worker with at most one worker per chunk; the
+    converged lanes are sorted, deduplicated and filtered by exact period,
+    then replayed and checked on the surface.  Lanes are independent and
+    sorted before dedup, so the result is identical for any worker count.
     """
     if n < 1 or n > PERIOD_CAP:
         raise PreconditionError(f"period must be between 1 and {PERIOD_CAP}")
+    if seeds < 0:
+        raise PreconditionError("seed count must be nonnegative")
     carr = surface.array()
-    chunks = []
-    index = 0
-    remaining = seeds
-    while remaining > 0:
-        take = min(SEED_CHUNK, remaining)
-        chunks.append((carr, n, take, rng_seed, index, NEWTON_MAX_ITER))
-        index += 1
-        remaining -= take
-    # one batch per worker, each over a contiguous run of chunks
-    groups = min(max(workers, 1), len(chunks))
-    batches = [
-        chunks[len(chunks) * g // groups : len(chunks) * (g + 1) // groups]
-        for g in range(groups)
-    ]
-    if len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            parts = list(pool.map(_newton_batch, batches))
+    P, stab = _draw_seeds(carr, n, seeds, rng_seed)
+    # one contiguous lane slice per worker, at most one per seed chunk
+    groups = min(workers, math.ceil(seeds / SEED_CHUNK))
+    if groups > 1:
+        with ProcessPoolExecutor(max_workers=groups) as pool:
+            parts = pool.map(
+                _newton_lanes, [carr] * groups, [n] * groups,
+                np.array_split(P, groups), np.array_split(stab, groups),
+            )
+            cand = np.concatenate(list(parts))
     else:
-        parts = [_newton_batch(b) for b in batches]
-    cand = (
-        np.concatenate(parts)
-        if parts
-        else np.empty((0, 3, 2), dtype=complex)
-    )
+        cand = _newton_lanes(carr, n, P, stab)
     cand = _canonical_sort(cand)
     cand = _greedy_dedup(cand)
     if exact_period:
         cand = _exact_period_filter(carr, cand, n)
     out: list[SaddleOrbit] = []
-    if len(cand) == 0:
-        return out
     big, small, fail = _multipliers_at(carr, cand, n)
     disp = _return_displacement(carr, cand, n)
     res = _residuals(carr, cand)
@@ -1131,6 +1121,8 @@ def saddle_census(
     estimate.  Returns (orbits, estimates, per_period), where per_period
     holds one (n, orbits of period n, lambda_u estimate) row per estimate.
     """
+    if n_max < 0:
+        raise PreconditionError("largest period must be nonnegative")
     orbits: list[SaddleOrbit] = []
     estimates: list[LyapunovReport] = []
     per_period: list[tuple[int, int, float]] = []
@@ -1261,14 +1253,14 @@ def singularity_probe(
     """Advisory search for singular points: sample fiber points, rank by the
     largest chart gradient, then Gauss-Newton refine the most suspicious
     candidates on (F, grad F) = 0 and flag residuals below 1e-8."""
+    if trials < 0:
+        raise PreconditionError("trial count must be nonnegative")
     carr = surface.array()
     rng = np.random.default_rng(rng_seed)
     with np.errstate(all="ignore"):
         P = _seed_points(carr, rng, max(trials, 1))
-        finite = np.all(np.isfinite(P.reshape(len(P), -1)), axis=1)
+        finite = _finite_lanes(P)
         P = P[finite]
-        if len(P) == 0:
-            return []
         grads = np.abs(_affine_partials(carr, P)[0]).max(axis=0)
         order = np.argsort(grads)
         best = P[order[: min(20, len(P))]]

@@ -453,10 +453,54 @@ def test_bad_workers_exits_2(capsys):
     ["wehler", "density", "--random", "--iters", "-5"],
     ["wehler", "orbit", "--random", "--n", "-3"],
     ["lattice", "rank2", "--gram", "[[2,11],[11,2]]", "--bound", "-1"],
+    ["wehler", "saddles", "--random", "--seeds", "-5"],
+    ["wehler", "rigidity", "--random", "--nmax", "-1"],
+    ["wehler", "probe", "--random", "--trials", "-5"],
+    ["blanc", "check-involution", "--points", "-5"],
+    ["blanc", "check-fixed-cubic", "--points", "-5"],
+    ["blanc", "check-two-form", "--points", "-5"],
+    ["blanc", "orbit", "--n", "-3"],
 ], ids=["torus-dimension-samples", "wehler-density-iters", "wehler-orbit-n",
-        "lattice-rank2-bound"])
+        "lattice-rank2-bound", "wehler-saddles-seeds", "wehler-rigidity-nmax",
+        "wehler-probe-trials", "blanc-check-involution-points",
+        "blanc-check-fixed-cubic-points", "blanc-check-two-form-points",
+        "blanc-orbit-n"])
 def test_negative_count_exits_2(tmp_path, capsys, argv):
     rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wehler", "saddles", "--random", "--seeds", "0"],
+    ["wehler", "rigidity", "--random", "--nmax", "0"],
+    ["wehler", "probe", "--random", "--trials", "0"],
+    ["blanc", "check-involution", "--points", "0"],
+    ["blanc", "check-fixed-cubic", "--points", "0"],
+    ["blanc", "check-two-form", "--points", "0"],
+    ["blanc", "orbit", "--n", "0"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_zero_count_still_runs(tmp_path, argv):
+    assert run_cli(tmp_path, "out", *argv).exists()
+
+
+@pytest.mark.parametrize("kind, flag, data", [
+    ("wehler", "--surface", {"coeffs": [[[["a", 0]] * 3] * 3] * 3}),
+    ("blanc", "--cubic", [["x", 0]] + [[1, 0]] * 9),
+    ("blanc", "--base-points", [[[None, 0], [1, 0], [0, 0]]]),
+    ("blanc", "--cubic", [10**400] + [[1, 0]] * 9),
+    ("blanc", "--cubic", [[math.nan, 0]] + [[1, 0]] * 9),
+], ids=["surface-string", "cubic-string", "base-points-null", "cubic-huge-int",
+        "cubic-nan"])
+def test_non_numeric_complex_in_file_exits_2(tmp_path, capsys, kind, flag, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    command = ["wehler", "orbit", "--n", "2"] if kind == "wehler" else [
+        "blanc", "check-involution", "--points", "2"]
+    rc = cli.main([*command, flag, str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -1,7 +1,9 @@
-"""Equivalence tests for stepping several seed chunks as one Newton lane set.
+"""Equivalence tests for the three stages of the periodic-point search.
 
-Each chunk keeps its own random stream and stabilizer, so a batch of chunks
-must give the same bits as running the chunks one after another, and a
+The seed stage draws every chunk from its own random stream and gives it
+its own stabilizer, and the lane stage steps any set of lanes; so a lane
+set must give the same bits as its chunks run one after another, any
+subset of lanes the same bits as the whole set restricted to it, and a
 per-lane stabilizer stack the same bits as one (2, 2) matrix per chunk.
 """
 
@@ -15,22 +17,66 @@ from test_newton_kernel import _bits, _reference_newton_chunk
 _SIZES = (5, 9, 3, 7, 4, 8, 2, 6, 5)
 
 
-def _chunks(carr, n, rng_seed, max_iter):
-    return [(carr, n, size, rng_seed, k, max_iter) for k, size in enumerate(_SIZES)]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_newton_batch_equals_concatenated_chunks(n):
+def test_newton_batch_equals_concatenated_chunks(n, monkeypatch):
+    # 9 chunks of 6 seeds and one of 1 wrap the 8-stabilizer cycle
+    monkeypatch.setattr(wd, "SEED_CHUNK", 6)
+    monkeypatch.setattr(wd, "NEWTON_MAX_ITER", 25)
     carr = wd.random_surface(1).array()
-    chunks = _chunks(carr, n, 11, 25)
-    got = wd._newton_batch(chunks)
-    one_by_one = np.concatenate([wd._newton_batch([c]) for c in chunks])
-    want = np.concatenate([_reference_newton_chunk(*c) for c in chunks])
+    P, stab = wd._draw_seeds(carr, n, 55, 11)
+    got = wd._newton_lanes(carr, n, P, stab)
+    bounds = range(0, 55, 6)
+    one_by_one = np.concatenate(
+        [wd._newton_lanes(carr, n, P[a:a + 6], stab[a:a + 6]) for a in bounds]
+    )
+    want = np.concatenate([
+        _reference_newton_chunk(carr, n, min(6, 55 - a), 11, k, 25)
+        for k, a in enumerate(bounds)
+    ])
     assert got.shape == one_by_one.shape == want.shape
     assert _bits(got) == _bits(one_by_one) == _bits(want)
     if n > 1:
         # n = 1 finds nothing: f has no fixed point on a general surface
         assert len(got) > 0
+
+
+def test_newton_lanes_on_lane_subsets_equals_restricted_whole_set(monkeypatch):
+    monkeypatch.setattr(wd, "SEED_CHUNK", 8)
+    monkeypatch.setattr(wd, "NEWTON_MAX_ITER", 25)
+    carr = wd.random_surface(1).array()
+    P, stab = wd._draw_seeds(carr, 2, 24, 7)
+    whole = wd._newton_lanes(carr, 2, P, stab)
+    # each single lane on its own gives that lane's part of the whole set
+    single = [wd._newton_lanes(carr, 2, P[i:i + 1], stab[i:i + 1]) for i in range(24)]
+    assert _bits(np.concatenate(single)) == _bits(whole)
+    assert 0 < len(whole) < 24
+    rng = np.random.default_rng(3)
+    for idx in (np.arange(5, 17), np.arange(0, 24, 5), rng.permutation(24)[:15]):
+        got = wd._newton_lanes(carr, 2, P[idx], stab[idx])
+        assert _bits(got) == _bits(np.concatenate([single[i] for i in idx]))
+
+
+def test_newton_lanes_leaves_its_input_unchanged():
+    carr = wd.random_surface(1).array()
+    P, stab = wd._draw_seeds(carr, 2, 16, 5)
+    before = _bits(P, stab)
+    wd._newton_lanes(carr, 2, P[:8], stab[:8])
+    assert _bits(P, stab) == before
+
+
+def test_zero_lanes_pass_through_every_stage():
+    carr = wd.random_surface(1).array()
+    P, stab = wd._draw_seeds(carr, 2, 0, 5)
+    assert P.shape == (0, 3, 2) and stab.shape == (0, 2, 2)
+    for n in (1, 2, 4):
+        found = wd._newton_lanes(carr, n, P, stab)
+        assert found.shape == (0, 3, 2)
+        assert wd._canonical_sort(found).shape == (0, 3, 2)
+        assert wd._greedy_dedup(found).shape == (0, 3, 2)
+        assert wd._exact_period_filter(carr, found, n).shape == (0, 3, 2)
+        big, small, fail = wd._multipliers_at(carr, found, n)
+        assert big.shape == small.shape == fail.shape == (0,)
+        assert wd.newton_periodic(wd.random_surface(1), n, 0, 5) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -61,7 +107,8 @@ def _orbit_bytes(orbits):
 
 
 def test_newton_periodic_is_byte_identical_over_uneven_worker_groups():
-    # 700 seeds make chunks of 256, 256 and 188; two workers split them 1 + 2
+    # 700 seeds make chunks of 256, 256 and 188; two and three workers
+    # split the 700 lanes into slices that cut across the chunks
     surface = wd.random_surface(3)
     runs = [
         wd.newton_periodic(surface, 2, seeds=700, rng_seed=4, workers=w)
@@ -69,3 +116,21 @@ def test_newton_periodic_is_byte_identical_over_uneven_worker_groups():
     ]
     assert len(runs[0]) > 0
     assert _orbit_bytes(runs[0]) == _orbit_bytes(runs[1]) == _orbit_bytes(runs[2])
+
+
+def test_newton_periodic_starts_at_most_one_worker_per_chunk(monkeypatch):
+    surface = wd.random_surface(3)
+    serial = wd.newton_periodic(surface, 2, seeds=300, rng_seed=4, workers=1)
+    started = []
+
+    class RecordingPool(wd.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(wd, "ProcessPoolExecutor", RecordingPool)
+    # 300 seeds are two chunks, so four workers start two processes
+    pooled = wd.newton_periodic(surface, 2, seeds=300, rng_seed=4, workers=4)
+    assert started == [2]
+    assert len(serial) > 0
+    assert _orbit_bytes(pooled) == _orbit_bytes(serial)

@@ -108,7 +108,7 @@ def _bits(*arrays):
 def test_newton_step_leaves_found_periodic_points_unchanged():
     carr = wd.random_surface(1).array()
     stab = wd._STABILIZERS[0]
-    P = wd._newton_batch([(carr, 2, 128, 3, 0, 60)])
+    P = wd._newton_lanes(carr, 2, *wd._draw_seeds(carr, 2, 128, 3))
     assert len(P) > 5
     with np.errstate(all="ignore"):
         P2, alive, converged = wd._newton_step(carr, 2, stab, P)
@@ -152,11 +152,14 @@ def _reference_newton_chunk(carr, n, count, rng_seed, chunk_index, max_iter):
     return P[good]
 
 
-def test_newton_chunk_with_frozen_lanes_matches_full_batch_loop():
+def test_newton_chunk_with_frozen_lanes_matches_full_batch_loop(monkeypatch):
+    monkeypatch.setattr(wd, "SEED_CHUNK", 48)
+    monkeypatch.setattr(wd, "NEWTON_MAX_ITER", 30)
     carr = wd.random_surface(1).array()
     for n, chunk_index in ((2, 0), (3, 5)):
-        args = (carr, n, 48, 11, chunk_index, 30)
-        got = wd._newton_batch([args])
-        want = _reference_newton_chunk(*args)
+        P, stab = wd._draw_seeds(carr, n, 48 * (chunk_index + 1), 11)
+        chunk = slice(48 * chunk_index, None)
+        got = wd._newton_lanes(carr, n, P[chunk], stab[chunk])
+        want = _reference_newton_chunk(carr, n, 48, 11, chunk_index, 30)
         assert len(got) > 0
         assert _bits(got) == _bits(want)
