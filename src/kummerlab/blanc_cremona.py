@@ -351,7 +351,20 @@ def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
     return w, True
 
 
-def _refine_singular(cubic: PlaneCubic, start: np.ndarray) -> np.ndarray | None:
+def refine_distinct(candidates, grads, refine, chordal) -> list:
+    """The advisory probes' last stage: refine the 20 candidates of lowest
+    gradient in that order, and keep each refined point (refine returns
+    None when it does not converge) unless it lies within chordal distance
+    1e-6 of a point already kept."""
+    kept: list = []
+    for idx in np.argsort(grads)[:20]:
+        point = refine(candidates[idx])
+        if point is not None and all(chordal(point, k) > 1e-6 for k in kept):
+            kept.append(point)
+    return kept
+
+
+def _refine_singular(cubic: PlaneCubic, start: np.ndarray) -> P2Point | None:
     """Gauss-Newton on the vanishing-gradient system in the best affine
     chart of the start point (P = 0 follows from Euler's relation)."""
     m = int(np.argmax(np.abs(start)))
@@ -370,7 +383,7 @@ def _refine_singular(cubic: PlaneCubic, start: np.ndarray) -> np.ndarray | None:
     v = point(w)
     if np.abs(cubic.gradient(v)).max() > 1e-8 * cubic.scale:
         return None
-    return v
+    return P2Point.make(*v)
 
 
 def smoothness_probe(
@@ -392,13 +405,6 @@ def smoothness_probe(
             v = v / top
             points.append(v)
             grads.append(float(np.abs(cubic.gradient(v)).max()))
-    suspects: list[P2Point] = []
-    order = np.argsort(grads)
-    for idx in order[: min(20, len(points))]:
-        refined = _refine_singular(cubic, points[idx])
-        if refined is None:
-            continue
-        cand = P2Point.make(*refined)
-        if all(cand.chordal(s) > 1e-6 for s in suspects):
-            suspects.append(cand)
-    return suspects
+    return refine_distinct(
+        points, grads, lambda v: _refine_singular(cubic, v), P2Point.chordal
+    )

@@ -104,6 +104,13 @@ class _RunFiles:
 # input parsing
 
 
+def _json_ints(values, what: str) -> None:
+    """Refuse values unless it is a list of JSON integers: a float, a string
+    or a bool would otherwise be truncated by int()."""
+    if not isinstance(values, list) or any(type(x) is not int for x in values):
+        raise ConfigError(f"{what} must be JSON integers")
+
+
 def parse_int_matrix(text_or_obj) -> la.IntMatrix:
     obj = text_or_obj
     if isinstance(obj, str):
@@ -111,12 +118,17 @@ def parse_int_matrix(text_or_obj) -> la.IntMatrix:
             obj = json.loads(obj)
         except ValueError as err:
             raise ConfigError(f"malformed matrix JSON: {err}") from None
-    if isinstance(obj, dict):
-        if "entries" not in obj:
-            raise ConfigError("matrix object needs an 'entries' field")
-        obj = obj["entries"]
+    spec = obj if isinstance(obj, dict) else {"entries": obj}
+    if "entries" not in spec:
+        raise ConfigError("matrix object needs an 'entries' field")
+    obj = spec["entries"]
     if not isinstance(obj, list) or not obj:
         raise ConfigError("matrix must be a non-empty list of rows")
+    dim = spec.get("dim", len(obj))
+    if not (type(dim) is int and dim == len(obj)):
+        raise ConfigError(f"matrix 'dim' {dim!r} disagrees with its {len(obj)} rows")
+    for row in obj:
+        _json_ints(row, "matrix entries")
     try:
         return la.IntMatrix.from_rows(obj)
     except (KummerlabError, TypeError, ValueError) as err:
@@ -132,6 +144,7 @@ def parse_poly(text: str) -> la.IntPolynomial:
         raise ConfigError(f"malformed polynomial JSON: {err}") from None
     if not isinstance(coeffs, list) or not coeffs:
         raise ConfigError("polynomial must be a list of integer coefficients")
+    _json_ints(coeffs, "polynomial coefficients")
     try:
         return la.IntPolynomial.from_coeffs(coeffs)
     except (KummerlabError, TypeError, ValueError) as err:
@@ -146,11 +159,15 @@ def parse_complex(text: str) -> complex:
 
 
 def _pair(obj) -> complex:
+    """A JSON number or [re, im] pair of JSON numbers (no string, no bool)
+    as a finite complex."""
     z = math.nan
     try:
-        if isinstance(obj, (int, float)):
+        if type(obj) in (int, float):
             z = complex(obj)
-        elif isinstance(obj, list) and len(obj) == 2:
+        elif isinstance(obj, list) and len(obj) == 2 and all(
+            type(x) in (int, float) for x in obj
+        ):
             z = complex(float(obj[0]), float(obj[1]))
     except (TypeError, ValueError, OverflowError):
         pass

@@ -151,16 +151,11 @@ class TorusAutomorphism:
         return t != 0
 
     def apply(self, p: TorusPoint) -> TorusPoint:
-        (a, b), (c, d) = self.matrix.entries
+        """M mixes the two factors: it acts on (a1, a2) and on (b1, b2)."""
         a1, b1, a2, b2 = p.coords
-        return TorusPoint(
-            (
-                (a * a1 + b * a2) % 1,
-                (a * b1 + b * b2) % 1,
-                (c * a1 + d * a2) % 1,
-                (c * b1 + d * b2) % 1,
-            )
-        )
+        a1, a2 = _act_mod1(self.matrix, a1, a2)
+        b1, b2 = _act_mod1(self.matrix, b1, b2)
+        return TorusPoint((a1, b1, a2, b2))
 
     def apply_n(self, p: TorusPoint, n: int) -> TorusPoint:
         return replace_matrix(self, self.matrix.power(n)).apply(p)
@@ -208,21 +203,6 @@ class LyapunovReport:
 # Lyapunov exponents
 
 
-def _spectral_radius_2x2(m: IntMatrix) -> float:
-    """Largest eigenvalue modulus of an integer 2x2 matrix, closed form.
-
-    Read by half_log_h2_degree, and so by lyapunov_exact, so the rigidity gap
-    lambda_u - (1/2) log lambda_f vanishes exactly in floating point.
-    """
-    t = m.trace()
-    d = m.det()
-    disc = t * t - 4 * d
-    if disc > 0:
-        return (abs(t) + math.sqrt(disc)) / 2.0
-    # complex pair; modulus^2 equals the determinant
-    return math.sqrt(abs(d))
-
-
 def lyapunov_exact(f: TorusAutomorphism) -> LyapunovReport:
     """Exact Lyapunov exponents of the constant-derivative torus map.
 
@@ -236,13 +216,16 @@ def lyapunov_exact(f: TorusAutomorphism) -> LyapunovReport:
 def half_log_h2_degree(f: TorusAutomorphism) -> float:
     """Half the entropy: (1/2) log of the induced degree-2 cohomology degree.
 
-    The H2 spectral radius is exactly rho(M)^2, so this equals log(rho(M));
+    The H2 spectral radius is exactly rho(M)^2, so this equals log(rho(M)),
+    with rho(M) = (|t| + sqrt(t^2 - 4d)) / 2 in closed form (t, d the trace
+    and determinant; a hyperbolic M with det +-1 has a real pair).
     lyapunov_exact takes its lambda_u from here, so the two floats are
     bit-identical and the Kummer rigidity gap is exactly zero.
     """
     if not f.is_hyperbolic:
         raise NotHyperbolicError("both eigenvalue moduli equal 1")
-    return math.log(_spectral_radius_2x2(f.matrix))
+    t, d = f.matrix.trace(), f.matrix.det()
+    return math.log((abs(t) + math.sqrt(t * t - 4 * d)) / 2.0)
 
 
 def lyapunov_qr_orbit(
@@ -445,23 +428,17 @@ def eta_tau_project(p: TorusPoint, lattice: TorusLattice) -> TorusPoint:
     best = p
     cur = p
     for _ in range(ETA_TAU_ORDERS[key] - 1):
-        cur = _apply_per_factor(eta, cur)
+        a1, b1, a2, b2 = cur.coords
+        cur = TorusPoint(_act_mod1(eta, a1, b1) + _act_mod1(eta, a2, b2))
         if cur.coords < best.coords:
             best = cur
     return best
 
 
-def _apply_per_factor(eta: IntMatrix, p: TorusPoint) -> TorusPoint:
-    (e00, e01), (e10, e11) = eta.entries
-    a1, b1, a2, b2 = p.coords
-    return TorusPoint(
-        (
-            (e00 * a1 + e01 * b1) % 1,
-            (e10 * a1 + e11 * b1) % 1,
-            (e00 * a2 + e01 * b2) % 1,
-            (e10 * a2 + e11 * b2) % 1,
-        )
-    )
+def _act_mod1(m: IntMatrix, x, y) -> tuple:
+    """The integer 2x2 matrix m applied to the column (x, y), mod 1."""
+    (a, b), (c, d) = m.entries
+    return (a * x + b * y) % 1, (c * x + d * y) % 1
 
 
 # ---------------------------------------------------------------------------

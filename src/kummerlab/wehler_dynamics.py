@@ -44,7 +44,7 @@ from .errors import (
     PreconditionError,
     TooFewSaddlesError,
 )
-from .blanc_cremona import gauss_newton
+from .blanc_cremona import gauss_newton, refine_distinct
 from .lattice_algebra import dynamical_degree, wehler_cohomology_action
 from .torus_kummer import (
     DIMENSION_PROBES,
@@ -69,7 +69,6 @@ NEWTON_ACCEPT_TOL = 1e-11
 DEDUP_TOL = 1e-7
 CHART_FAIL_TOL = 1e-10
 DEGENERATE_FIBER_TOL = 1e-14
-REPLAY_TOL = 1e-9
 NEWTON_STEP_CAP = 0.3
 PERIOD_CAP = 8
 SEED_CHUNK = 256
@@ -546,90 +545,99 @@ def orbit(
 # charts and the tangent map
 
 
-def _chart_from_partials(partials):
-    """Solved axis (largest |dF/dw|) and chart failure per lane."""
-    g = np.abs(partials)
-    solved = np.argmax(g, axis=0)
-    fail = np.all(g < CHART_FAIL_TOL, axis=0)
-    return solved, fail
+@dataclass(frozen=True)
+class _Chart:
+    """The affine chart at each lane of a set, decided once.
+
+    partials holds complex dF/dw per axis, shape (3, n), in the branch pick_u
+    of the lane's representative (w = v/u when |u| >= |v|, else u/v).  The
+    solved axis has the largest |dF/dw| and follows the other two by the
+    implicit function theorem; fail marks lanes where every |dF/dw| is below
+    CHART_FAIL_TOL.  free holds the two free axes and pick_rows their
+    branches, one row per free axis.
+    """
+
+    partials: np.ndarray
+    pick_u: np.ndarray
+    solved: np.ndarray
+    fail: np.ndarray
+    free: tuple[np.ndarray, np.ndarray]
+    pick_rows: tuple[np.ndarray, np.ndarray]
 
 
-def _free_axes(solved):
-    f0 = np.where(solved == 0, 1, 0)
-    f1 = np.where(solved == 2, 1, 2)
-    return f0, f1
-
-
-def _affine_partials(carr, P):
-    """Complex dF/dw per axis in the chart branch of the current
-    representative (w = v/u when |u| >= |v|, else u/v); shape (3, n)."""
-    out = np.empty((3, P.shape[0]), dtype=complex)
-    branch_pick_u = np.empty((3, P.shape[0]), dtype=bool)
+def _chart(carr, P) -> _Chart:
+    """The chart record of every lane of P."""
+    n = P.shape[0]
+    partials = np.empty((3, n), dtype=complex)
+    pick_u = np.empty((3, n), dtype=bool)
     for axis in range(3):
         A, B, C = _fiber_coeffs(carr, axis, P)
         u, v = P[:, axis, 0], P[:, axis, 1]
-        pick_u = np.abs(u) >= np.abs(v)
-        out[axis] = np.where(
-            pick_u,
+        pick_u[axis] = np.abs(u) >= np.abs(v)
+        partials[axis] = np.where(
+            pick_u[axis],
             u * (B * u + 2 * C * v),
             v * (2 * A * u + B * v),
         )
-        branch_pick_u[axis] = pick_u
-    return out, branch_pick_u
+    g = np.abs(partials)
+    solved = np.argmax(g, axis=0)
+    free = (np.where(solved == 0, 1, 0), np.where(solved == 2, 1, 2))
+    lanes = np.arange(n)
+    return _Chart(
+        partials,
+        pick_u,
+        solved,
+        np.all(g < CHART_FAIL_TOL, axis=0),
+        free,
+        tuple(pick_u[ax, lanes] for ax in free),
+    )
 
 
-def _seed_chart_tangents(carr, P):
-    """Tangent frame for the chart at each lane: two directions moving one
-    free-axis affine coordinate each, with the solved axis responding per
-    the implicit function theorem.  Returns (T, solved, fail, pick_u)."""
-    partials, pick_u = _affine_partials(carr, P)
-    solved, fail = _chart_from_partials(partials)
-    f0, f1 = _free_axes(solved)
+def _seed_chart_tangents(P, chart):
+    """Tangent frame (2, n, 3, 2) for the chart at each lane: two directions
+    moving one free-axis affine coordinate each, with the solved axis
+    responding per the implicit function theorem."""
     n = P.shape[0]
     lanes = np.arange(n)
+    solved = chart.solved
+    spick = chart.pick_u[solved, lanes]
     T = np.zeros((2, n, 3, 2), dtype=complex)
     with np.errstate(all="ignore"):
-        for d, free in enumerate((f0, f1)):
+        for d, (free, pick) in enumerate(zip(chart.free, chart.pick_rows)):
             # unit affine velocity on the free axis
-            fu = P[lanes, free, 0]
-            fv = P[lanes, free, 1]
-            pick = pick_u[free, lanes]
-            T[d, lanes, free, 1] = np.where(pick, fu, 0)
-            T[d, lanes, free, 0] = np.where(pick, 0, fv)
+            T[d, lanes, free, 1] = np.where(pick, P[lanes, free, 0], 0)
+            T[d, lanes, free, 0] = np.where(pick, 0, P[lanes, free, 1])
             # implicit response of the solved axis
-            dws = -partials[free, lanes] / partials[solved, lanes]
-            su = P[lanes, solved, 0]
-            sv = P[lanes, solved, 1]
-            spick = pick_u[solved, lanes]
-            T[d, lanes, solved, 1] += np.where(spick, su * dws, 0)
-            T[d, lanes, solved, 0] += np.where(spick, 0, sv * dws)
-    return T, solved, fail, pick_u
+            dws = -chart.partials[free, lanes] / chart.partials[solved, lanes]
+            T[d, lanes, solved, 1] += np.where(spick, P[lanes, solved, 0] * dws, 0)
+            T[d, lanes, solved, 0] += np.where(spick, 0, P[lanes, solved, 1] * dws)
+    return T
 
 
-def _pushed_frame(carr, P, axes):
-    """The chart tangent frame at each lane pushed through the axis chain:
-    (Q, TQ) and the source chart's solved axis, failure flags, branches."""
-    T, solved, fail, pick_u = _seed_chart_tangents(carr, P)
-    Q, TQ = _apply_chain(carr, P, T, axes)
-    return Q, TQ, solved, fail, pick_u
-
-
-def _read_in_chart(Q, TQ, solved, pick_u):
-    """The pushed frame as a (n, 2, 2) Jacobian in the chart of solved axis
-    and branches pick_u; returns (J, free, pick_rows)."""
-    free = _free_axes(solved)
-    pick_rows = [pick_u[ax, np.arange(len(Q))] for ax in free]
-    return _extract_velocities(Q, TQ, free, pick_rows), free, pick_rows
+def _frame_in_chart(Q, TQ, chart):
+    """A pushed frame as affine velocities of the chart's two free axes on
+    their branches: a (n, 2, 2) Jacobian J[lane, out, dir]."""
+    lanes = np.arange(Q.shape[0])
+    J = np.empty((Q.shape[0], 2, 2), dtype=complex)
+    with np.errstate(all="ignore"):
+        for out_i, (ax, pick) in enumerate(zip(chart.free, chart.pick_rows)):
+            u, v = Q[lanes, ax, 0], Q[lanes, ax, 1]
+            du, dv = TQ[:, lanes, ax, 0], TQ[:, lanes, ax, 1]
+            J[:, out_i, :] = np.where(
+                pick[None],
+                (dv * u - v * du) / (u * u),
+                (du * v - u * dv) / (v * v),
+            ).T
+    return J
 
 
 def _chart_jacobian(carr, P, n, axes=FORWARD_AXES):
-    """Image of each lane under n passes of the axis chain, with the 2x2
+    """Image of each lane under n passes of the axis chain, the 2x2
     derivative of that map in the source chart at the lane, read on the
-    same branch at both ends.  Returns (Q, J, solved, fail, free,
-    pick_rows): free are the two free axes and pick_rows their branches."""
-    Q, TQ, solved, fail, pick_u = _pushed_frame(carr, P, tuple(axes) * n)
-    J, free, pick_rows = _read_in_chart(Q, TQ, solved, pick_u)
-    return Q, J, solved, fail, free, pick_rows
+    same branch at both ends, and that chart: (Q, J, chart)."""
+    chart = _chart(carr, P)
+    Q, TQ = _apply_chain(carr, P, _seed_chart_tangents(P, chart), tuple(axes) * n)
+    return Q, _frame_in_chart(Q, TQ, chart), chart
 
 
 def _step_jacobian(carr, P, axes):
@@ -637,30 +645,10 @@ def _step_jacobian(carr, P, axes):
     the chart at the lane to the chart at the image.  Returns (Q, J,
     (src_fail, dead, img_fail)): per-lane flags for no chart at the lane,
     a degenerate fiber on the way, and no chart at the image."""
-    Q, TQ, _, src_fail, _ = _pushed_frame(carr, P, axes)
-    dead = ~_finite_lanes(Q)
-    partials, pick_u = _affine_partials(carr, Q)
-    solved, img_fail = _chart_from_partials(partials)
-    J, _, _ = _read_in_chart(Q, TQ, solved, pick_u)
-    return Q, J, (src_fail, dead, img_fail)
-
-
-def _extract_velocities(P, T, axes, pick_u_rows):
-    """Affine velocities d(w_axis) for the two chart axes; returns a
-    (n, 2, 2) Jacobian block J[lane, out, dir]."""
-    n = P.shape[0]
-    lanes = np.arange(n)
-    J = np.empty((n, 2, 2), dtype=complex)
-    with np.errstate(all="ignore"):
-        for out_i, ax in enumerate(axes):
-            u, v = P[lanes, ax, 0], P[lanes, ax, 1]
-            du, dv = T[:, lanes, ax, 0], T[:, lanes, ax, 1]
-            J[:, out_i, :] = np.where(
-                pick_u_rows[out_i][None],
-                (dv * u - v * du) / (u * u),
-                (du * v - u * dv) / (v * v),
-            ).T
-    return J
+    src = _chart(carr, P)
+    Q, TQ = _apply_chain(carr, P, _seed_chart_tangents(P, src), axes)
+    img = _chart(carr, Q)
+    return Q, _frame_in_chart(Q, TQ, img), (src.fail, ~_finite_lanes(Q), img.fail)
 
 
 def tangent_map(
@@ -735,9 +723,9 @@ def _seed_points(carr, rng, count):
     return P
 
 
-def _rebuild_solved(carr, P, solved, prev_u, prev_v):
+def _rebuild_solved(carr, P, solved, prev):
     """Re-solve the fiber quadratic on each lane's solved axis and take the
-    root chordally closest to the previous coordinate (on-surface return)."""
+    root chordally closest to that coordinate in prev (on-surface return)."""
     n = P.shape[0]
     lanes = np.arange(n)
     r1u, r1v, r2u, r2v = (np.empty(n, dtype=complex) for _ in range(4))
@@ -747,7 +735,7 @@ def _rebuild_solved(carr, P, solved, prev_u, prev_v):
         (r1u[sel], r1v[sel]), (r2u[sel], r2v[sel]) = _solve_quadratic(A, B, C)
     n1u, n1v = _normalize_pair_arrays(r1u, r1v)
     n2u, n2v = _normalize_pair_arrays(r2u, r2v)
-    pu, pv = _normalize_pair_arrays(prev_u, prev_v)
+    pu, pv = _normalize_pair_arrays(prev[lanes, solved, 0], prev[lanes, solved, 1])
     d1 = np.abs(n1u * pv - pu * n1v)
     d2 = np.abs(n2u * pv - pu * n2v)
     first = d1 <= d2
@@ -792,23 +780,22 @@ def _newton_step(carr, n, stab, P):
     count = P.shape[0]
     lanes = np.arange(count)
     # displacement and Jacobian in the source chart, same branch
-    Q, J, solved, fail, free, pick_rows = _chart_jacobian(carr, P, n)
+    Q, J, chart = _chart_jacobian(carr, P, n)
     finite = _finite_lanes(Q)
     G = np.empty((count, 2), dtype=complex)
     W = np.empty((count, 2), dtype=complex)
-    for i, ax in enumerate(free):
+    for i, (ax, pick) in enumerate(zip(chart.free, chart.pick_rows)):
         pu = P[lanes, ax, 0]
         pv = P[lanes, ax, 1]
         qu = Q[lanes, ax, 0]
         qv = Q[lanes, ax, 1]
-        pick = pick_rows[i]
         W[:, i] = np.where(pick, pv / pu, pu / pv)
         G[:, i] = np.where(pick, qv / qu, qu / qv) - W[:, i]
     gnorm = np.sqrt(np.abs(G[:, 0]) ** 2 + np.abs(G[:, 1]) ** 2)
     M = J - np.eye(2)[None]
     M = M - (NEWTON_BETA * gnorm)[:, None, None] * stab
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    alive = ~fail & finite & (np.abs(det) > 1e-14)
+    alive = ~chart.fail & finite & (np.abs(det) > 1e-14)
     delta = np.empty_like(G)
     delta[:, 0] = -(M[:, 1, 1] * G[:, 0] - M[:, 0, 1] * G[:, 1]) / det
     delta[:, 1] = -(-M[:, 1, 0] * G[:, 0] + M[:, 0, 0] * G[:, 1]) / det
@@ -819,13 +806,10 @@ def _newton_step(carr, n, stab, P):
     move = alive & ~converged
     Wn = W + np.where(move[:, None], delta, 0)
     P2 = P.copy()
-    for i, ax in enumerate(free):
-        pick = pick_rows[i]
+    for i, (ax, pick) in enumerate(zip(chart.free, chart.pick_rows)):
         P2[lanes, ax, 0] = np.where(pick, 1.0, Wn[:, i])
         P2[lanes, ax, 1] = np.where(pick, Wn[:, i], 1.0)
-    prev_u = P[lanes, solved, 0]
-    prev_v = P[lanes, solved, 1]
-    P2 = _rebuild_solved(carr, P2, solved, prev_u, prev_v)
+    P2 = _rebuild_solved(carr, P2, chart.solved, P)
     P2 = np.where(move[:, None, None], P2, P)
     alive &= _finite_lanes(P2)
     return P2, alive, converged
@@ -902,19 +886,25 @@ def _exact_period_filter(carr, P, n):
     return P[keep]
 
 
-def _multipliers_at(carr, P, n, axes=FORWARD_AXES):
-    """Eigenvalues of the chart derivative of f^n at each (periodic) lane."""
-    _, J, _, fail, _, _ = _chart_jacobian(carr, P, n, axes)
-    t = J[:, 0, 0] + J[:, 1, 1]
-    d = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+def _eigenpair(t, d):
+    """The eigenvalues (big, small) of 2x2 matrices with trace t and
+    determinant d, |big| >= |small|; a tie keeps (t + sqrt) / 2 first.
+    Integer t and d give the discriminant exactly before the complex sqrt."""
     with np.errstate(all="ignore"):
-        sq = np.sqrt(t * t - 4 * d)
+        sq = np.sqrt(np.asarray(t * t - 4 * d, dtype=complex))
         l1 = (t + sq) / 2
         l2 = (t - sq) / 2
     swap = np.abs(l2) > np.abs(l1)
-    big = np.where(swap, l2, l1)
-    small = np.where(swap, l1, l2)
-    return big, small, fail
+    return np.where(swap, l2, l1), np.where(swap, l1, l2)
+
+
+def _multipliers_at(carr, P, n, axes=FORWARD_AXES):
+    """Eigenvalues of the chart derivative of f^n at each (periodic) lane:
+    (big, small, no-chart flags)."""
+    _, J, chart = _chart_jacobian(carr, P, n, axes)
+    t = J[:, 0, 0] + J[:, 1, 1]
+    d = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    return (*_eigenpair(t, d), chart.fail)
 
 
 def newton_periodic(
@@ -931,8 +921,9 @@ def newton_periodic(
     stabilizer from its own stream; _newton_lanes steps the lane set, or
     one contiguous slice per worker with at most one worker per chunk; the
     converged lanes are sorted, deduplicated and filtered by exact period,
-    then replayed and checked on the surface.  Lanes are independent and
-    sorted before dedup, so the result is identical for any worker count.
+    then checked on the surface and given their multipliers.  Lanes are
+    independent and sorted before dedup, so the result is identical for any
+    worker count.
     """
     if n < 1 or n > PERIOD_CAP:
         raise PreconditionError(f"period must be between 1 and {PERIOD_CAP}")
@@ -955,15 +946,14 @@ def newton_periodic(
     cand = _greedy_dedup(cand)
     if exact_period:
         cand = _exact_period_filter(carr, cand, n)
-    out: list[SaddleOrbit] = []
+    # every row already returns within NEWTON_ACCEPT_TOL under f^n: it was
+    # checked in _newton_lanes on the same bits, and the stages above only
+    # select and permute rows, so the return is not checked again
     big, small, fail = _multipliers_at(carr, cand, n)
-    disp = _return_displacement(carr, cand, n)
     res = _residuals(carr, cand)
-    for i in range(len(cand)):
-        if fail[i] or disp[i] > REPLAY_TOL or res[i] > MEMBERSHIP_TOL:
-            continue
-        if not (np.isfinite(big[i]) and np.isfinite(small[i])):
-            continue
+    keep = ~fail & (res <= MEMBERSHIP_TOL) & np.isfinite(big) & np.isfinite(small)
+    out: list[SaddleOrbit] = []
+    for i in np.flatnonzero(keep):
         point = SurfacePoint(*(P1Point.make(*row) for row in cand[i]), float(res[i]))
         out.append(_orbit_record(n, point, big[i], small[i]))
     return out
@@ -1004,11 +994,7 @@ def torus_control_saddles(
     for n in periods:
         count = fix_count(f, n)
         mn = f.matrix.power(n)
-        t, d = mn.trace(), mn.det()
-        sq = cmath.sqrt(complex(t * t - 4 * d))
-        l1, l2 = (t + sq) / 2, (t - sq) / 2
-        if abs(l2) > abs(l1):
-            l1, l2 = l2, l1
+        l1, l2 = _eigenpair(mn.trace(), mn.det())
         for _ in range(min(per_period, count)):
             out.append(_orbit_record(n, TorusPoint.origin(), l1, l2))
     return out
@@ -1121,8 +1107,8 @@ def saddle_census(
     estimate.  Returns (orbits, estimates, per_period), where per_period
     holds one (n, orbits of period n, lambda_u estimate) row per estimate.
     """
-    if n_max < 0:
-        raise PreconditionError("largest period must be nonnegative")
+    if not 0 <= n_max <= PERIOD_CAP:
+        raise PreconditionError(f"largest period must be between 0 and {PERIOD_CAP}")
     orbits: list[SaddleOrbit] = []
     estimates: list[LyapunovReport] = []
     per_period: list[tuple[int, int, float]] = []
@@ -1261,31 +1247,28 @@ def singularity_probe(
         P = _seed_points(carr, rng, max(trials, 1))
         finite = _finite_lanes(P)
         P = P[finite]
-        grads = np.abs(_affine_partials(carr, P)[0]).max(axis=0)
-        order = np.argsort(grads)
-        best = P[order[: min(20, len(P))]]
-        found = []
-        for cand in best:
-            # move to the all-affine chart; skip candidates near a pole
-            if any(abs(cand[ax, 0]) < 1e-6 for ax in range(3)):
-                continue
-            w = np.array(
-                [cand[0, 1] / cand[0, 0], cand[1, 1] / cand[1, 0], cand[2, 1] / cand[2, 0]]
-            )
-            # a non-finite step leaves the last iterate to be scored
-            w, _ = gauss_newton(lambda v: _suspect_system(carr, *v), w)
-            r = _suspect_system(carr, *w)
-            score = float(np.abs(r).max())
-            if score < 1e-8 and np.all(np.isfinite(w)):
-                x = P1Point.make(1.0, w[0])
-                y = P1Point.make(1.0, w[1])
-                z = P1Point.make(1.0, w[2])
-                pt = SurfacePoint(x, y, z, float(np.abs(r[0])))
-                if all(
-                    pt.chordal(s.point) > 1e-6 for s in found
-                ):
-                    found.append(Suspect(point=pt, grad_max=score))
-    return found
+        grads = np.abs(_chart(carr, P).partials).max(axis=0)
+        return refine_distinct(
+            P, grads, lambda cand: _refine_suspect(carr, cand),
+            lambda a, b: a.point.chordal(b.point),
+        )
+
+
+def _refine_suspect(carr, cand) -> Suspect | None:
+    """Gauss-Newton on (F, grad F) = 0 from a lane in the all-affine chart;
+    a Suspect when the residual ends below 1e-8, else None."""
+    # skip candidates near a pole
+    if any(abs(cand[ax, 0]) < 1e-6 for ax in range(3)):
+        return None
+    w = np.array([cand[ax, 1] / cand[ax, 0] for ax in range(3)])
+    # a non-finite step leaves the last iterate to be scored
+    w, _ = gauss_newton(lambda v: _suspect_system(carr, *v), w)
+    r = _suspect_system(carr, *w)
+    score = float(np.abs(r).max())
+    if not (score < 1e-8 and np.all(np.isfinite(w))):
+        return None
+    x, y, z = (P1Point.make(1.0, c) for c in w)
+    return Suspect(point=SurfacePoint(x, y, z, float(np.abs(r[0]))), grad_max=score)
 
 
 # ---------------------------------------------------------------------------

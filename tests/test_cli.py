@@ -493,8 +493,13 @@ def test_zero_count_still_runs(tmp_path, argv):
     ("blanc", "--base-points", [[[None, 0], [1, 0], [0, 0]]]),
     ("blanc", "--cubic", [10**400] + [[1, 0]] * 9),
     ("blanc", "--cubic", [[math.nan, 0]] + [[1, 0]] * 9),
+    ("blanc", "--cubic", [["1.5", 0]] + [[1, 0]] * 9),
+    ("blanc", "--cubic", [[1, "2"]] + [[1, 0]] * 9),
+    ("blanc", "--cubic", [True] + [[1, 0]] * 9),
+    ("blanc", "--cubic", [[True, 0]] + [[1, 0]] * 9),
 ], ids=["surface-string", "cubic-string", "base-points-null", "cubic-huge-int",
-        "cubic-nan"])
+        "cubic-nan", "cubic-numeric-string-re", "cubic-numeric-string-im",
+        "cubic-bool", "cubic-bool-pair"])
 def test_non_numeric_complex_in_file_exits_2(tmp_path, capsys, kind, flag, data):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
@@ -505,3 +510,54 @@ def test_non_numeric_complex_in_file_exits_2(tmp_path, capsys, kind, flag, data)
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "degree", "--matrix", "[[2.7,1],[1,1]]"],
+    ["lattice", "salem", "--poly", "[1,-3.9,1]"],
+    ["lattice", "rank2", "--gram", "[[2,11.5],[11,2]]"],
+    ["lattice", "degree", "--matrix", '[["2",1],[1,1]]'],
+    ["lattice", "degree", "--matrix", "[[2,1],[1,true]]"],
+    ["lattice", "degree", "--matrix", "[[2.0,1],[1,1]]"],
+    ["lattice", "salem", "--poly", '[1,"-3",1]'],
+    ["lattice", "salem", "--poly", "[1,true,1]"],
+    ["lattice", "degree", "--matrix", '{"dim": 3, "entries": [[2,1],[1,1]]}'],
+    ["lattice", "degree", "--matrix", '{"dim": "2", "entries": [[2,1],[1,1]]}'],
+], ids=["matrix-float", "poly-float", "gram-float", "matrix-string",
+        "matrix-bool", "matrix-integral-float", "poly-string", "poly-bool",
+        "matrix-dim-disagrees", "matrix-dim-string"])
+def test_non_integer_input_exits_2(tmp_path, capsys, argv):
+    rc = cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_file_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"matrix": [[2.5, 1], [1, 1]]}))
+    rc = cli.main(["torus", "fix-count", "--n", "3", "--file", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["saddles", "lyapunov", "rigidity"])
+def test_nmax_above_period_cap_exits_2_before_any_search(tmp_path, capsys, monkeypatch,
+                                                        command):
+    calls = []
+    monkeypatch.setattr(wd, "newton_periodic", lambda *a, **k: calls.append(a) or [])
+    rc = cli.main(["wehler", command, "--random", "--nmax", str(wd.PERIOD_CAP + 1),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    # the cap itself is still searched, one call per period
+    run_cli(tmp_path, "cap.csv", "wehler", "saddles", "--random",
+            "--nmax", str(wd.PERIOD_CAP))
+    assert len(calls) == wd.PERIOD_CAP

@@ -134,3 +134,23 @@ def test_newton_periodic_starts_at_most_one_worker_per_chunk(monkeypatch):
     assert started == [2]
     assert len(serial) > 0
     assert _orbit_bytes(pooled) == _orbit_bytes(serial)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collected_lanes_return_within_the_accept_tolerance(n):
+    # newton_periodic keeps its survivors without replaying f^n: every lane
+    # _newton_lanes returns, and every sorted, deduplicated and
+    # period-filtered subset of them, returns within NEWTON_ACCEPT_TOL
+    carr = wd.random_surface(1).array()
+    found = wd._newton_lanes(carr, n, *wd._draw_seeds(carr, n, 512, 2))
+    disp = wd._return_displacement(carr, found, n)
+    assert (disp <= wd.NEWTON_ACCEPT_TOL).all()
+    cand = wd._canonical_sort(found)
+    dedup = wd._greedy_dedup(cand)
+    for subset in (cand, dedup, wd._exact_period_filter(carr, dedup, n)):
+        assert (wd._return_displacement(carr, subset, n) <= wd.NEWTON_ACCEPT_TOL).all()
+    # a lane's displacement bits do not depend on the lanes beside it
+    idx = np.random.default_rng(n).permutation(len(found))[: len(found) // 2]
+    assert _bits(wd._return_displacement(carr, found[idx], n)) == _bits(disp[idx])
+    if n > 1:
+        assert len(dedup) > 0

@@ -289,10 +289,11 @@ def _chart_state(surface, p):
     """Solved axis, free axes, and branch picks of the chart at p."""
     carr = surface.array()
     P = wd._pack_points([(p.x, p.y, p.z)])
-    solved, fail = wd._chart_from_partials(wd._affine_partials(carr, P)[0])
+    chart = wd._chart(carr, P)
+    solved, fail = chart.solved, chart.fail
     assert not fail[0]
     s = int(solved[0])
-    f0, f1 = wd._free_axes(solved)
+    f0, f1 = chart.free
     picks = [bool(abs(P[0, ax, 0]) >= abs(P[0, ax, 1])) for ax in range(3)]
     return s, (int(f0[0]), int(f1[0])), picks
 
@@ -470,15 +471,12 @@ def test_multiplier_product_matches_jacobian_determinant():
         m1, m2 = orb.multipliers
         p = orb.point
         P = wd._pack_points([(p.x, p.y, p.z)])
-        T, solved, fail, pick_u = wd._seed_chart_tangents(carr, P)
+        chart = wd._chart(carr, P)
+        T = wd._seed_chart_tangents(P, chart)
         Q, TQ = P, T
         for _ in range(orb.period):
             Q, TQ = wd._apply_chain(carr, Q, TQ, wd.FORWARD_AXES)
-        f0, f1 = wd._free_axes(solved)
-        lanes = np.arange(1)
-        jac = wd._extract_velocities(
-            Q, TQ, (f0, f1), [pick_u[f0, lanes], pick_u[f1, lanes]]
-        )[0]
+        jac = wd._frame_in_chart(Q, TQ, chart)[0]
         assert abs(abs(m1 * m2) - abs(np.linalg.det(jac))) < 1e-6
         # reading the orbit through the inverse map inverts the multipliers
         big, small, failed = wd._multipliers_at(carr, P, orb.period, axes=wd.INVERSE_AXES)
