@@ -186,7 +186,7 @@ def torus_automorphism(args, files: _RunFiles) -> tk.TorusAutomorphism:
             t = data["tau"]
             if not isinstance(t, dict) or "re" not in t or "im" not in t:
                 raise ConfigError("tau must be {\"re\": ..., \"im\": ...}")
-            tau = complex(float(t["re"]), float(t["im"]))
+            tau = _pair([t["re"], t["im"]])
         if data.get("quotient", "none") != "none":
             raise ConfigError(
                 f"unsupported quotient {data['quotient']!r}: no command "
@@ -666,6 +666,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     weh = top.add_parser("wehler", help="(2,2,2) surface dynamics")
     sub = weh.add_subparsers(dest="command", required=True)
+    nmax_help = (f"largest period, at most {wd.PERIOD_CAP}; periods with primitive "
+                 "Lefschetz count 0 (n = 1) are not searched: a smooth surface "
+                 "with Fix(f) finite has no such point")
 
     def wehler_parser(name, help_text):
         q = sub.add_parser(name, parents=[common], help=help_text)
@@ -678,15 +681,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.set_defaults(func=cmd_wehler_orbit)
     p = wehler_parser("saddles", "periodic saddle search as CSV")
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--nmax", type=int, default=3, help=nmax_help)
     p.add_argument("--seeds", type=int, default=512)
     p.set_defaults(func=cmd_wehler_saddles)
     p = wehler_parser("lyapunov", "saddle-multiplier Lyapunov estimate")
-    p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--nmax", type=int, default=3, help=nmax_help)
     p.add_argument("--seeds", type=int, default=512)
     p.set_defaults(func=cmd_wehler_lyapunov)
     p = wehler_parser("rigidity", "full rigidity report")
-    p.add_argument("--nmax", type=int, default=5)
+    p.add_argument("--nmax", type=int, default=5, help=nmax_help)
     p.add_argument("--seeds", type=int, default=2000)
     p.set_defaults(func=cmd_wehler_rigidity)
     p = wehler_parser("probe", "advisory singular point search")

@@ -369,48 +369,44 @@ def _sigma_jets(carr, axis, P, T=None):
     lanes: returns (P', T'), with T' None for value lanes (T None).
 
     Branch formulas (sum and product forms of Vieta plus the A ~ 0
-    fallback) are all computed; the candidate with the smallest fiber
-    residual wins lane-wise.  A single guarded Newton step in the moved
+    fallback) are all computed; their values pick, lane-wise, the candidate
+    with the smallest fiber residual, and only that candidate is normalized
+    with its tangents.  A single guarded Newton step on the smaller affine
     coordinate arrests drift.  Lanes with a degenerate fiber become NaN.
     """
     A, B, C = _fiber_coeffs(carr, axis, P, T)
     u, v = _comp(P, T, axis, 0), _comp(P, T, axis, 1)
-    cands = [
-        (-(B * v) - A * u, A * v),
-        (C * v, A * u),
-        (-C, B),
-    ]
     Av, Bv, Cv = _val(A), _val(B), _val(C)
     cscale = np.maximum(np.maximum(np.abs(Av), np.abs(Bv)), np.abs(Cv))
-    res = []
-    normed = []
+    scale = np.maximum(cscale, 1e-300)
     with np.errstate(all="ignore"):
-        for cu, cv in cands:
-            size = np.maximum(np.abs(_val(cu)), np.abs(_val(cv)))
-            pick_u = np.abs(_val(cu)) >= np.abs(_val(cv))
-            denom = _where(pick_u, cu, cv)
-            nu, nv = _quot(cu, denom), _quot(cv, denom)
-            nuv, nvv = _val(nu), _val(nv)
-            r = np.abs(Av * nuv * nuv + Bv * nuv * nvv + Cv * nvv * nvv)
-            r = np.where(size <= 1e-13 * np.maximum(cscale, 1e-300), np.inf, r)
-            res.append(r)
-            normed.append((nu, nv))
+        Au = A * u
+        cands = [(-(B * v) - Au, A * v), (C * v, Au), (-C, B)]
+        res = []
+        for cu, cv in (map(_val, c) for c in cands):
+            au, av = np.abs(cu), np.abs(cv)
+            inv = 1.0 / np.where(au >= av, cu, cv)
+            nu, nv = cu * inv, cv * inv
+            r = np.abs(Av * nu * nu + Bv * nu * nv + Cv * nv * nv)
+            res.append(np.where(np.maximum(au, av) <= 1e-13 * scale, np.inf, r))
         choice = np.argmin(np.stack(res), axis=0)
-        nu, nv = normed[0]
+        cu, cv = cands[0]
         for k in (1, 2):
-            nu = _where(choice == k, normed[k][0], nu)
-            nv = _where(choice == k, normed[k][1], nv)
-        # one Newton step on the affine fiber equation, skipped where the
-        # derivative is tiny (double roots are already exact)
+            sel = choice == k
+            cu, cv = _where(sel, cands[k][0], cu), _where(sel, cands[k][1], cv)
+        denom = _where(np.abs(_val(cu)) >= np.abs(_val(cv)), cu, cv)
+        nu, nv = _quot(cu, denom), _quot(cv, denom)
+        # one Newton step on the affine fiber equation in the smaller
+        # coordinate x, skipped where the derivative is tiny (double roots
+        # are already exact); the sums keep their association per chart,
+        # (A + B x) + C x^2 for x = v/u and (A x^2 + B x) + C for x = u/v
         pick_u = np.abs(_val(nu)) >= np.abs(_val(nv))
-        g_v = A + B * nv + C * (nv * nv)
-        gp_v = B + 2.0 * (C * nv)
-        ok_v = pick_u & (np.abs(_val(gp_v)) > 1e-8 * np.maximum(cscale, 1e-300))
-        nv = _where(ok_v, nv - _quot(g_v, gp_v), nv)
-        g_u = A * (nu * nu) + B * nu + C
-        gp_u = 2.0 * (A * nu) + B
-        ok_u = (~pick_u) & (np.abs(_val(gp_u)) > 1e-8 * np.maximum(cscale, 1e-300))
-        nu = _where(ok_u, nu - _quot(g_u, gp_u), nu)
+        x = _where(pick_u, nv, nu)
+        xx = x * x
+        g = (B * x + _where(pick_u, A, A * xx)) + _where(pick_u, C * xx, C)
+        gp = 2.0 * (_where(pick_u, C, A) * x) + B
+        x = _where(np.abs(_val(gp)) > 1e-8 * scale, x - _quot(g, gp), x)
+        nu, nv = _where(pick_u, nu, x), _where(pick_u, x, nv)
         dead = cscale <= DEGENERATE_FIBER_TOL
         uval = np.where(dead, np.nan, _val(nu))
         vval = np.where(dead, np.nan, _val(nv))
@@ -1103,16 +1099,20 @@ def saddle_census(
 ) -> tuple[list[SaddleOrbit], list[LyapunovReport], list[tuple[int, int, float]]]:
     """Periodic orbits of periods 1..n_max, stratified by period.
 
-    Each period with enough saddles gets its own lyapunov_from_saddles
-    estimate.  Returns (orbits, estimates, per_period), where per_period
-    holds one (n, orbits of period n, lambda_u estimate) row per estimate.
+    A period with wehler_primitive_count(n) = 0 is not searched: that is
+    only n = 1, where on a smooth surface with Fix(f) finite L(f) = 0 and
+    each fixed point of the holomorphic f would count with index >= 1, so
+    there is none.  Each period with enough saddles gets its own
+    lyapunov_from_saddles estimate.  Returns (orbits, estimates, per_period),
+    where per_period holds one (n, orbits of period n, lambda_u estimate)
+    row per estimate.
     """
     if not 0 <= n_max <= PERIOD_CAP:
         raise PreconditionError(f"largest period must be between 0 and {PERIOD_CAP}")
     orbits: list[SaddleOrbit] = []
     estimates: list[LyapunovReport] = []
     per_period: list[tuple[int, int, float]] = []
-    for n in range(1, n_max + 1):
+    for n in filter(wehler_primitive_count, range(1, n_max + 1)):
         batch = newton_periodic(surface, n, seeds, rng_seed, workers=workers)
         orbits.extend(batch)
         try:
@@ -1129,6 +1129,27 @@ def wehler_lambda_f() -> float:
     independent of the surface coefficients."""
     m1, m2, m3, _ = wehler_cohomology_action()
     return dynamical_degree(m1 @ m2 @ m3).lambda_f
+
+
+def wehler_lefschetz_count(n: int) -> int:
+    """L(f^n) = 2 + tr M^n + 19 (-1)^n in integers, M = m1 m2 m3 the action
+    of f on the three hyperplane classes of a smooth (2,2,2) surface; each
+    involution acts by -1 on the 19 other dimensions of H^2.  When Fix(f^n)
+    is finite this counts its points with their indices, each at least 1
+    since f is holomorphic: 0, 344, 5760, 103704, 1860480 for n = 1..5."""
+    m1, m2, m3, _ = wehler_cohomology_action()
+    return 2 + (m1 @ m2 @ m3).power(n).trace() + (-19 if n % 2 else 19)
+
+
+def wehler_primitive_count(n: int) -> int:
+    """Points of exact period n >= 1, by Moebius inversion of L(f^d) over
+    d | n in integers (exact when every point of period dividing n is
+    nondegenerate): 0, 344, 5760, 103360, 1860480 for n = 1..5."""
+    if n < 1:
+        raise PreconditionError("period must be positive")
+    return wehler_lefschetz_count(n) - sum(
+        wehler_primitive_count(d) for d in range(1, n) if n % d == 0
+    )
 
 
 def saddle_cloud(orbits: Sequence[SaddleOrbit]) -> np.ndarray:

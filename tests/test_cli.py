@@ -198,6 +198,30 @@ def test_torus_automorphism_file_tau_matches_flag(tmp_path):
     assert from_file.read_bytes() == from_flag.read_bytes()
 
 
+@pytest.mark.parametrize("tau", [{"re": "0", "im": True}, {"re": 0, "im": "1"},
+                                 {"re": None, "im": 1}, {"re": 0.0, "im": [1.0]},
+                                 {"re": 0.0, "im": float("inf")}])
+def test_torus_automorphism_file_tau_must_be_numbers(tmp_path, capsys, tau):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "tau": tau}))
+    rc = cli.main(["torus", "fix-count", "--n", "2", "--file", str(path),
+                   "--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_torus_automorphism_file_integer_tau_matches_float(tmp_path):
+    outs = []
+    for name, tau in (("int", {"re": 0, "im": 1}), ("float", {"re": 0.0, "im": 1.0})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]], "tau": tau}))
+        outs.append(run_cli(tmp_path, f"{name}-out.json", "torus", "dimension",
+                            "--file", str(path), "--samples", "2000").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_wehler_orbit_csv_stays_on_surface(tmp_path):
     out = run_cli(tmp_path, "orb.csv", "wehler", "orbit",
                   "--random", "--seed", "4", "--n", "20")
@@ -557,7 +581,9 @@ def test_nmax_above_period_cap_exits_2_before_any_search(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
-    # the cap itself is still searched, one call per period
+    # the cap itself is still searched, one call per period with a nonzero
+    # primitive count: every period but n = 1
     run_cli(tmp_path, "cap.csv", "wehler", "saddles", "--random",
             "--nmax", str(wd.PERIOD_CAP))
-    assert len(calls) == wd.PERIOD_CAP
+    searched = [n for n in range(1, wd.PERIOD_CAP + 1) if wd.wehler_primitive_count(n)]
+    assert [a[1] for a in calls] == searched == list(range(2, wd.PERIOD_CAP + 1))

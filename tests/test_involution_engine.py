@@ -39,6 +39,24 @@ def _tangents(P):
     return rng.normal(size=(2,) + P.shape) + 1j * rng.normal(size=(2,) + P.shape)
 
 
+def _vieta_choice(carr, axis, P):
+    """Which root formula the kernel takes on each lane: 0 and 1 for the sum
+    and product forms of Vieta, 2 for (-C:B).  The same rule as _sigma_jets
+    (smallest fiber residual of the max-normalized candidate), written with
+    plain division."""
+    A, B, C = wd._fiber_coeffs(carr, axis, P)
+    u, v = P[:, axis, 0], P[:, axis, 1]
+    scale = np.maximum(np.maximum(np.maximum(abs(A), abs(B)), abs(C)), 1e-300)
+    res = []
+    with np.errstate(all="ignore"):
+        for cu, cv in ((-(B * v) - A * u, A * v), (C * v, A * u), (-C, B)):
+            d = np.where(abs(cu) >= abs(cv), cu, cv)
+            nu, nv = cu / d, cv / d
+            r = abs(A * nu * nu + B * nu * nv + C * nv * nv)
+            res.append(np.where(np.maximum(abs(cu), abs(cv)) <= 1e-13 * scale, np.inf, r))
+    return np.argmin(np.stack(res), axis=0)
+
+
 def test_branch_lanes_reach_every_branch_of_the_involution():
     surface = _branch_surface()
     carr = surface.array()
@@ -59,6 +77,36 @@ def test_branch_lanes_reach_every_branch_of_the_involution():
     A, B, C = wd._fiber_coeffs(carr, 2, P)
     assert B[double] == C[double] == 0 and A[double] != 0
     z = wd._sigma_jets(carr, 2, P)[0][double, 2]
+    assert z[0] == 0 and abs(z[1] - 1) < 1e-15
+    # jet lanes, with 64 off-surface lanes more: on every root formula and
+    # in both charts of the polish the tangent is the derivative of the
+    # value map, by central differences on the lanes whose formula and
+    # chart do not change within +-h
+    P = _branch_lanes(surface, 64)
+    T = _tangents(P)
+    corner, double = len(P) - 2, len(P) - 1
+    h = 1e-6
+    for axis in range(3):
+        choice = _vieta_choice(carr, axis, P)
+        assert choice[corner] == 2
+        Q, TQ = wd._sigma_jets(carr, axis, P, T)
+        pick_u = np.abs(Q[:, axis, 0]) >= np.abs(Q[:, axis, 1])
+        with np.errstate(all="ignore"):
+            plus, minus = P + h * T[0], P - h * T[0]
+            Qp, Qm = wd._sigma_jets(carr, axis, plus)[0], wd._sigma_jets(carr, axis, minus)[0]
+            stable = wd._finite_lanes(Qp) & wd._finite_lanes(Qm) & wd._finite_lanes(Q)
+            for X, Y in ((plus, Qp), (minus, Qm)):
+                stable &= _vieta_choice(carr, axis, X) == choice
+                stable &= (np.abs(Y[:, axis, 0]) >= np.abs(Y[:, axis, 1])) == pick_u
+        stable[double] = False  # the fiber map is not smooth at a double root
+        fd = (Qp[:, axis] - Qm[:, axis]) / (2 * h)
+        jet = TQ[0][:, axis]
+        err = np.abs(fd - jet).max(axis=1) / (1 + np.abs(jet).max(axis=1))
+        assert err[stable].max() < 1e-5
+        assert set(choice[stable]) == {0, 1, 2}
+        assert pick_u[stable].any() and not pick_u[stable].all()
+        assert np.isfinite(TQ[:, corner]).all()
+    z = wd._sigma_jets(carr, 2, P, T)[0][double, 2]
     assert z[0] == 0 and abs(z[1] - 1) < 1e-15
 
 

@@ -420,6 +420,45 @@ def test_newton_periodic_finds_no_fixed_points():
     assert wd.newton_periodic(surface, 1, seeds=512, rng_seed=0) == []
 
 
+def _mobius(k):
+    """The Moebius function by trial division."""
+    sign, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if k > 1 else sign
+
+
+def test_lefschetz_and_primitive_counts_are_exact():
+    assert [wd.wehler_lefschetz_count(n) for n in range(1, 6)] == [
+        0, 344, 5760, 103704, 1860480]
+    assert [wd.wehler_primitive_count(n) for n in range(1, 6)] == [
+        0, 344, 5760, 103360, 1860480]
+    # f^0 is the identity: L is the Euler characteristic of a K3 surface
+    assert wd.wehler_lefschetz_count(0) == 24
+    for n in range(1, wd.PERIOD_CAP + 1):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert sum(wd.wehler_primitive_count(d) for d in divisors) == (
+            wd.wehler_lefschetz_count(n))
+        # the same inversion through an independent Moebius function
+        assert wd.wehler_primitive_count(n) == sum(
+            _mobius(n // d) * wd.wehler_lefschetz_count(d) for d in divisors)
+        assert type(wd.wehler_primitive_count(n)) is int
+    with pytest.raises(PreconditionError):
+        wd.wehler_primitive_count(0)
+
+
+def test_saddle_census_searches_only_periods_with_points(monkeypatch):
+    calls = []
+    monkeypatch.setattr(wd, "newton_periodic", lambda *a, **k: calls.append(a[1]) or [])
+    assert wd.saddle_census(wd.random_surface(1), wd.PERIOD_CAP, 16, 0) == ([], [], [])
+    assert calls == list(range(2, wd.PERIOD_CAP + 1))
+
+
 def test_newton_periodic_results_are_distinct():
     surface = wd.random_surface(1)
     orbits = wd.newton_periodic(surface, 2, seeds=512, rng_seed=7)
