@@ -1,0 +1,101 @@
+"""Byte pins of the involution kernel and the Cremona step.
+
+The CLI goldens run the kernel on one on-surface lane at a time and never
+reach its ramification branches.  These digests pin the bytes of
+_fiber_coeffs and of two turns of f through _apply_chain, on value lanes
+and on jet lanes, for three lane sets: random off-surface lanes with NaN
+lanes, the branch lanes (A = 0 corners and a double root) and seeded lanes
+on the Cayley cubic; and 200 blanc_compose steps of the map of the orbit
+benchmark.  A same-bytes change keeps every digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from kummerlab import blanc_cremona as bc
+from kummerlab import wehler_dynamics as wd
+from test_cayley_cubic import cayley_surface
+from test_involution_engine import _branch_lanes, _branch_surface
+from test_shared_helpers import _lanes
+
+pytestmark = pytest.mark.golden
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _lane_set(name):
+    if name == "random":
+        return wd.random_surface(2).array(), _lanes(2, 256, nan_every=5)
+    if name == "branch":
+        surface = _branch_surface()
+        return surface.array(), _branch_lanes(surface, 64)
+    # seeded lanes, then the six points where two projections ramify at once
+    # and the four nodes, (2a, 2b, -2ab) for a, b = +-1
+    carr = cayley_surface().array()
+    with np.errstate(all="ignore"):
+        P = wd._seed_points(carr, np.random.default_rng(11), 256)
+    special = [(0, 0, z) for z in (2, -2)] + [(0, y, 0) for y in (2, -2)]
+    special += [(x, 0, 0) for x in (2, -2)]
+    special += [(2 * a, 2 * b, -2 * a * b) for a in (1, -1) for b in (1, -1)]
+    S = np.array([[(c, 1.0) for c in row] for row in special], dtype=complex)
+    assert wd._residuals(carr, S).max() == 0.0
+    return carr, np.concatenate([P, S])
+
+
+def _kernel_bytes(name, kind):
+    carr, P = _lane_set(name)
+    rng = np.random.default_rng(9)
+    T = rng.normal(size=(2,) + P.shape) + 1j * rng.normal(size=(2,) + P.shape)
+    with np.errstate(all="ignore"):
+        if kind == "fiber_values":
+            return [c for axis in range(3) for c in wd._fiber_coeffs(carr, axis, P)]
+        if kind == "fiber_jets":
+            return [part for axis in range(3) for c in wd._fiber_coeffs(carr, axis, P, T)
+                    for part in (c.val, c.tan)]
+        if kind == "chain_values":
+            Q, none = wd._apply_chain(carr, P, None, wd.FORWARD_AXES * 2)
+            assert none is None
+            return [Q]
+        return list(wd._apply_chain(carr, P, T, wd.FORWARD_AXES * 2))
+
+
+KERNEL_PINS = {
+    ("random", "fiber_values"): "e9817804dd79ed67",
+    ("random", "fiber_jets"): "b2f92b00ae3e4736",
+    ("random", "chain_values"): "181b7686087c1d59",
+    ("random", "chain_jets"): "2acd737348e366d9",
+    ("branch", "fiber_values"): "ff1ae66c29b9bcdb",
+    ("branch", "fiber_jets"): "dca0918c6f9634f5",
+    ("branch", "chain_values"): "175166defbba9d98",
+    ("branch", "chain_jets"): "7fda1f51afcfb391",
+    ("cayley", "fiber_values"): "8462b445a9821914",
+    ("cayley", "fiber_jets"): "f246a3013eb82002",
+    ("cayley", "chain_values"): "a2c6465c44d17e2e",
+    ("cayley", "chain_jets"): "a91d6bb98f3886ad",
+}
+BLANC_PIN = "8fcb4dc0e5a1b523"
+
+
+@pytest.mark.parametrize("name, kind", sorted(KERNEL_PINS))
+def test_kernel_bytes_are_pinned(name, kind):
+    assert _digest(*_kernel_bytes(name, kind)) == KERNEL_PINS[(name, kind)]
+
+
+def test_blanc_compose_bytes_are_pinned():
+    # the map and start point of `blanc orbit --seed 1 --l 3`
+    cubic = bc.fermat_cubic()
+    B = bc.BlancMap(cubic, tuple(bc.distinct_cubic_points(cubic, 3, 1)))
+    rng = np.random.default_rng(1)
+    p = bc.P2Point.make(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal(), 1.0)
+    steps = []
+    for _ in range(200):
+        p = bc.blanc_compose(B, p)
+        steps.append(p.array())
+    assert _digest(*steps) == BLANC_PIN
