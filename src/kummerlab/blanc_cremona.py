@@ -60,10 +60,11 @@ class P2Point:
     @classmethod
     def make(cls, x0: complex, x1: complex, x2: complex) -> "P2Point":
         v = np.array([x0, x1, x2], dtype=complex)
-        top = np.abs(v).max()
+        mag = np.abs(v)
+        top = mag.max()
         if top == 0 or not np.isfinite(top):
             raise PreconditionError("(0, 0, 0) is not a projective point")
-        v = v / v[int(np.argmax(np.abs(v)))]
+        v = v / v[int(np.argmax(mag))]
         return cls(complex(v[0]), complex(v[1]), complex(v[2]))
 
     def array(self) -> np.ndarray:
@@ -151,6 +152,11 @@ def sigma_q(cubic: PlaneCubic, q: P2Point, p: P2Point) -> P2Point:
     """The involution of the pencil of lines through the base point q."""
     if not on_cubic(cubic, q):
         raise PreconditionError("base point is not on the cubic")
+    return _pencil_involution(cubic, q, p)
+
+
+def _pencil_involution(cubic: PlaneCubic, q: P2Point, p: P2Point) -> P2Point:
+    """sigma_q for a base point q already checked to lie on the cubic."""
     if p.chordal(q) <= 1e-12:
         raise IndeterminatePointError("input coincides with the base point")
     qarr = q.array()
@@ -212,11 +218,11 @@ def blanc_inverse(B: BlancMap, p: P2Point) -> P2Point:
 
 
 def _apply_stages(B: BlancMap, p: P2Point, stages) -> P2Point:
-    """Apply sigma_q for the 1-based base-point indices in stages order; an
-    indeterminacy is re-raised with the index of the failing base point."""
+    """Apply sigma_q (base points checked once, by BlancMap) for the 1-based
+    indices in stages order; an indeterminacy is re-raised with the index."""
     for stage in stages:
         try:
-            p = sigma_q(B.cubic, B.base_points[stage - 1], p)
+            p = _pencil_involution(B.cubic, B.base_points[stage - 1], p)
         except IndeterminatePointError as err:
             raise IndeterminatePointError(str(err), stage=stage) from None
     return p

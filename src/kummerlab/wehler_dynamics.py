@@ -73,6 +73,7 @@ NEWTON_STEP_CAP = 0.3
 PERIOD_CAP = 8
 SEED_CHUNK = 256
 NEWTON_MAX_ITER = 60
+_SOLVED_LAST = ((1, 2, 0), (0, 2, 1), (0, 1, 2))  # coefficient axes, solved axis last
 
 
 class Axis(Enum):
@@ -275,24 +276,27 @@ def _comp(P, T, axis, c):
 
 def _fiber_coeffs(carr, axis, P, T=None):
     """Quadratic F = A u^2 + B uv + C v^2 in the chosen axis; A, B, C are
-    jets in the other two coordinates, or plain arrays when T is None."""
-    others = [a for a in range(3) if a != axis]
-    cm = np.moveaxis(carr, axis, 2)
+    jets in the other two coordinates, or plain arrays when T is None.
+
+    A, B, C are one stack over the solved exponent (2, 1, 0): per monomial
+    pair (a, b), one multiply by cm[a, b] and one add.  The sum keeps (a, b)
+    order and each term is prod * c, which fixes the bits (numpy's complex
+    multiply may use FMA, so c * prod can round differently)."""
+    cm = carr.transpose(_SOLVED_LAST[axis])[:, :, ::-1, None]
     mono = []
-    for ax in others:
+    for ax in (a for a in range(3) if a != axis):
         u, v = _comp(P, T, ax, 0), _comp(P, T, ax, 1)
         mono.append((v * v, u * v, u * u))
-    # the nine jet products are shared by A, B and C; each sum runs in the
-    # same (a, b) order so the rounding does not depend on the sharing
-    prods = [(a, b, mono[0][a] * mono[1][b]) for a in range(3) for b in range(3)]
-    out = []
-    for k in (2, 1, 0):
-        acc = None
-        for a, b, prod in prods:
-            term = prod * cm[a, b, k]
+    acc = None
+    for a in range(3):
+        for b in range(3):
+            prod = mono[0][a] * mono[1][b]
+            c = cm[a, b]
+            term = prod * c if T is None else _Jet(prod.val * c, prod.tan * c[:, None])
             acc = term if acc is None else acc + term
-        out.append(acc)
-    return out[0], out[1], out[2]
+    if T is None:
+        return acc[0], acc[1], acc[2]
+    return tuple(_Jet(acc.val[k], acc.tan[k]) for k in range(3))
 
 
 def _pack_points(points) -> np.ndarray:
@@ -382,14 +386,13 @@ def _sigma_jets(carr, axis, P, T=None):
     with np.errstate(all="ignore"):
         Au = A * u
         cands = [(-(B * v) - Au, A * v), (C * v, Au), (-C, B)]
-        res = []
-        for cu, cv in (map(_val, c) for c in cands):
-            au, av = np.abs(cu), np.abs(cv)
-            inv = 1.0 / np.where(au >= av, cu, cv)
-            nu, nv = cu * inv, cv * inv
-            r = np.abs(Av * nu * nu + Bv * nu * nv + Cv * nv * nv)
-            res.append(np.where(np.maximum(au, av) <= 1e-13 * scale, np.inf, r))
-        choice = np.argmin(np.stack(res), axis=0)
+        cu, cv = (np.array([_val(c[i]) for c in cands]) for i in (0, 1))
+        au, av = np.abs(cu), np.abs(cv)
+        inv = 1.0 / np.where(au >= av, cu, cv)
+        nu, nv = cu * inv, cv * inv
+        r = np.abs(Av * nu * nu + Bv * nu * nv + Cv * nv * nv)
+        tiny = np.maximum(au, av) <= 1e-13 * scale
+        choice = np.argmin(np.where(tiny, np.inf, r), axis=0)
         cu, cv = cands[0]
         for k in (1, 2):
             sel = choice == k

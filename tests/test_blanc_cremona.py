@@ -204,6 +204,21 @@ def test_blanc_compose_reports_failing_stage():
     assert info.value.stage == 1
 
 
+def test_blanc_compose_equals_the_public_sigma_chain_bitwise():
+    # blanc_compose skips the per-step base-point check that BlancMap
+    # already made; the points it returns are sigma_q's, bit for bit
+    qs = bc.distinct_cubic_points(FERMAT, 3, 1)
+    B = bc.BlancMap(FERMAT, tuple(qs))
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        p = random_p2(rng)
+        ref = p
+        for q in reversed(qs):
+            ref = bc.sigma_q(FERMAT, q, ref)
+        got = bc.blanc_compose(B, p)
+        assert got.array().tobytes() == ref.array().tobytes()
+
+
 def test_two_involution_composition_does_not_return_early():
     # consistent with the free product structure: no relation of length <= 6
     qs = bc.distinct_cubic_points(FERMAT, 2, 13)
