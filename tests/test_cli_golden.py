@@ -90,6 +90,40 @@ CASES = {
         ["torus", "dimension", "--tau", "0.3+1.2j", "--samples", "20000"],
         "15382271108167285120",
     ),
+    # corners of the fundamental domain, where the metric's translate search
+    # has ties: tau = zeta3 and Re tau = 1/2
+    "torus_dimension_zeta3": (
+        ["torus", "dimension", "--tau=-0.5+0.8660254037844386j",
+         "--samples", "20000", "--probes", "16"],
+        "801137881918393470",
+    ),
+    "torus_dimension_re_half": (
+        ["torus", "dimension", "--tau", "0.5+1j", "--samples", "20000",
+         "--probes", "16"],
+        "17207217544728375785",
+    ),
+    # QR frames: positive and negative dominant eigenvalue, a parabolic
+    # shear, and a rotation whose frame has period 2
+    "torus_lyapunov_qr_fib": (
+        ["torus", "lyapunov", "--method", "qr", "--matrix", "[[1,1],[1,0]]"],
+        "2320655486367793045",
+    ),
+    "torus_lyapunov_qr_negative_trace": (
+        ["torus", "lyapunov", "--method", "qr", "--matrix", "[[-2,1],[1,-1]]"],
+        "1899782085602564624",
+    ),
+    "torus_lyapunov_qr_parabolic": (
+        ["torus", "lyapunov", "--method", "qr", "--matrix", "[[1,1],[0,1]]"],
+        "17633343934273863042",
+    ),
+    "torus_lyapunov_qr_rotation": (
+        ["torus", "lyapunov", "--method", "qr", "--matrix", "[[0,-1],[1,0]]"],
+        "17633343934273863042",
+    ),
+    "torus_rigidity_matrix": (
+        ["torus", "rigidity", "--matrix", "[[3,1],[2,1]]"],
+        "6993876428339106727",
+    ),
     "torus_lyapunov_exact": (
         ["torus", "lyapunov"],
         "11942179324816188421",
