@@ -236,17 +236,26 @@ def lyapunov_qr_orbit(
     The derivative of a torus automorphism is the constant matrix M, so the
     estimate does not depend on the start point p0; the warmup discards the
     O(1/n) transient from aligning the frame with the eigendirections.
+
+    Once a step returns a frame q with the bytes of its input, every later
+    step repeats the same (q, r), so the remaining rows are filled with that
+    step's row and the loop stops, in the warmup or in the accumulation.
+    The bytes are compared, not the values, since -0.0 == 0.0; a frame of
+    period 2, as under a rotation, runs every step.
     """
     if n_steps < 100:
         raise PreconditionError("need at least 100 accumulation steps")
     m = np.array(f.matrix.entries, dtype=float)
     q = np.eye(2)
-    for _ in range(QR_WARMUP):
-        q, _ = np.linalg.qr(m @ q)
     logs = np.empty((n_steps, 2))
-    for k in range(n_steps):
+    for k in range(-QR_WARMUP, n_steps):
+        q_in = q
         q, r = np.linalg.qr(m @ q)
-        logs[k] = np.log(np.abs(np.diagonal(r)))
+        if k >= 0:
+            logs[k] = np.log(np.abs(np.diagonal(r)))
+        if q.tobytes() == q_in.tobytes():
+            logs[max(k, 0) :] = np.log(np.abs(np.diagonal(r)))
+            break
     means = logs.mean(axis=0)
     lam_u, lam_s = float(means.max()), float(means.min())
     batch = np.array([b.mean(axis=0) for b in np.array_split(logs, 10)])
@@ -473,6 +482,15 @@ def haar_samples(n: int, rng_seed: int) -> np.ndarray:
     return np.random.default_rng(rng_seed).random((n, 4))
 
 
+def _min_translate_form(form, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """Smallest form(c0 + s, c1 + t) over the 3x3 translates s, t in {-1, 0, 1}."""
+    q_min = np.full(len(c0), np.inf)
+    shifts = (-1.0, 0.0, 1.0)
+    for u, v in itertools.product([c0 + s for s in shifts], [c1 + t for t in shifts]):
+        np.minimum(q_min, form(u, v), out=q_min)
+    return q_min
+
+
 def torus_distance(
     lattice: TorusLattice,
 ) -> Callable[..., np.ndarray]:
@@ -493,6 +511,16 @@ def torus_distance(
     at least 3/8 on the fundamental domain, so the slack of 1e-9 |tau|^2
     covers the rounding of the form many times over.  cutoff = inf keeps
     every point.
+
+    A coordinate pair whose zero translate z has computed form q00 <
+    (1 - slack) / 4 keeps q00 without the search, which gives the search's
+    bits: on the fundamental domain every nonzero lattice vector w has
+    |w| >= 1, so |z| < 1/2 puts every other translate at |z + w| >= 1 - |z|
+    > 1/2 > |z|.  Rounding moves each computed form by a few ulps of its
+    terms, at most about 1e-15 |tau|^2 (the translates' coordinates are at
+    most 3/2), and the domain check's 1e-12 tolerance shortens w by less
+    than 1e-11; the slack keeps |z| below 1/2 - 2.5e-10 |tau|^2, so each
+    other translate's computed form exceeds 1/4 and q00 stays the minimum.
     """
     re = lattice.tau.real
     if abs(re) > 0.5 + 1e-12 or abs(lattice.tau) < 1.0 - 1e-12:
@@ -500,6 +528,12 @@ def torus_distance(
     g00, g01, g10, g11 = 1.0, re, re, abs(lattice.tau) ** 2
     lam = float(np.linalg.eigvalsh([[g00, g01], [g10, g11]])[0])
     slack = 1e-9 * g11
+    near = 0.25 * (1.0 - slack)
+
+    def form(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+        # The operation order is pinned by the output bytes: (c0*g01)*c1 and
+        # (c1*g10)*c0 round differently.
+        return (c0 * g00) * c0 + (c0 * g01) * c1 + (c1 * g10) * c0 + (c1 * g11) * c1
 
     def dist(samples: np.ndarray, i: int, cutoff: float) -> np.ndarray:
         x = np.asarray(samples, dtype=float)
@@ -511,17 +545,10 @@ def torus_distance(
         d = d[keep]
         total = np.zeros(len(d))
         for a, b in ((0, 1), (2, 3)):
-            # The operation order is pinned by the output bytes: the form of
-            # a translate (c0, c1) is ((c0*g00)*c0 + (c0*g01)*c1) + (c1*g10)*c0
-            # + (c1*g11)*c1, and (c0*g01)*c1, (c1*g10)*c0 round differently.
-            c0 = [d[:, a] + s for s in (-1.0, 0.0, 1.0)]
-            c1 = [d[:, b] + s for s in (-1.0, 0.0, 1.0)]
-            sq0, c0g = [(c * g00) * c for c in c0], [c * g01 for c in c0]
-            sq1, c1g = [(c * g11) * c for c in c1], [c * g10 for c in c1]
-            q_min = np.full(len(d), np.inf)
-            for s, t in itertools.product(range(3), repeat=2):
-                q = sq0[s] + c0g[s] * c1[t] + c1g[t] * c0[s] + sq1[t]
-                np.minimum(q_min, q, out=q_min)
+            # the (0, 0) translate, built as in the search
+            q_min = form(d[:, a] + 0.0, d[:, b] + 0.0)
+            far = np.flatnonzero(~(q_min < near))
+            q_min[far] = _min_translate_form(form, d[far, a], d[far, b])
             total += q_min
         out = np.full(len(x), np.inf)
         out[keep] = np.sqrt(total)

@@ -12,7 +12,8 @@ and np.einsum.  The Weyl-sum equality rests on the numpy build (np.cos and
 np.sin equal the parts of complex np.exp), so a build where it does not
 hold fails here under a named test.  The torus metric's cutoff must keep
 the bits of every distance within it and put every other point beyond it,
-so the local dimension estimate is that of the uncut metric.
+so the local dimension estimate is that of the uncut metric; its shortcut
+for pairs with |z| < 1/2 must keep the bits a few ulps from |z| = 1/2.
 
 The lattice layer keeps one engine per question; each rewritten routine is
 checked against a test-local copy of the code it replaced.  The inverse of
@@ -27,12 +28,14 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kummerlab import cli
+from kummerlab import torus_kummer as tk
 from kummerlab.errors import (
     InternalInvariantError,
     KummerlabError,
@@ -289,6 +292,85 @@ def test_torus_distance_cutoff_keeps_bits_within(re, lift, cutoff, seed):
             inside = full <= c
             assert cut[inside].tobytes() == full[inside].tobytes()
             assert np.all(cut[~inside] > c)
+
+
+def near_half_pairs(tau: complex, rng, n: int) -> np.ndarray:
+    """n lattice-coordinate pairs (c0, c1) within a few ulps of |z| = 1/2,
+    z = c0 + c1*tau: half at midpoints w/2 of the vectors w = 1, tau,
+    1 + tau and 1 - tau (ties between the zero translate and -w where w is
+    a shortest vector), half at random angles; then every pair drawn from
+    {-1/2, 0, 1/2} and its neighbouring floats."""
+    mid = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.5], [0.5, -0.5]])
+    z = 0.5 * np.exp(2j * np.pi * rng.random(n - n // 2))
+    c1 = z.imag / tau.imag
+    circle = np.stack([z.real - c1 * tau.real, c1], axis=1)
+    pairs = np.concatenate(
+        [mid[rng.integers(0, 4, n // 2)] * rng.choice([-1.0, 1.0], (n // 2, 1)), circle]
+    )
+    pairs += rng.integers(-4, 5, pairs.shape) * np.spacing(pairs)
+    edge = np.array([-0.5, np.nextafter(-0.5, 0), 0.0, np.nextafter(0.5, 0), 0.5])
+    grid = np.array(list(itertools.product(edge, repeat=2)))
+    return np.concatenate([grid, pairs])
+
+
+@pytest.mark.golden
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(
+            [TAU_ZETA3, complex(0.5, math.sqrt(0.75)), TAU_I, 0.5 + 1j, 0.3 + 1e3j]
+        ),
+        st.builds(
+            lambda re, lift: complex(re, math.sqrt(1.0 - re * re) + lift),
+            st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)),
+            st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(10.0, 1e4)),
+        ),
+    ),
+    st.integers(0, 2**16),
+)
+def test_torus_distance_shortcut_keeps_bits_near_half(tau, seed):
+    """Rows a few ulps from |z| = 1/2 get the einsum reference's bits, and
+    both the zero-translate shortcut and the 9-translate search run."""
+    rng = np.random.default_rng(seed)
+    pairs = near_half_pairs(tau, rng, 400)
+    x = np.concatenate([np.zeros((1, 4)), np.hstack([pairs, rng.permutation(pairs)])])
+    dist = torus_distance(TorusLattice(tau))
+    with mock.patch.object(
+        tk, "_min_translate_form", wraps=tk._min_translate_form
+    ) as search:
+        for i in (0, int(rng.integers(1, len(x)))):
+            out = dist(x, i, math.inf)
+            assert out.tobytes() == einsum_distance_reference(x, i, tau).tobytes()
+    searched = [len(c[0][1]) for c in search.call_args_list]
+    assert len(searched) == 4
+    assert all(0 < k < len(x) for k in searched)
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("tau", [TAU_I, TAU_ZETA3, 0.5 + 1j, 0.3 + 1e3j])
+def test_torus_distance_searches_the_slack_band(tau):
+    """Pairs with |z|^2 = (1 - slack/2)/4, inside the slack band below 1/4,
+    run the translate search; pairs at (1 - 2 slack)/4 keep the zero
+    translate.  The angles keep both lattice coordinates inside the
+    centered cell, so the wrap leaves every pair where it is."""
+    slack = 1e-9 * abs(tau) ** 2
+    z = 0.5 * np.exp(2j * np.pi * np.random.default_rng(0).random(400))
+    c1 = z.imag / tau.imag
+    z = z[np.maximum(np.abs(z.real - c1 * tau.real), np.abs(c1)) < 0.49][:50]
+    rings = []
+    for scale in (math.sqrt(1.0 - 2.0 * slack), math.sqrt(1.0 - 0.5 * slack)):
+        c1 = scale * z.imag / tau.imag
+        rings.append(np.stack([scale * z.real - c1 * tau.real, c1], axis=1))
+    inner, band = rings
+    x = np.concatenate(
+        [np.zeros((1, 4)), np.hstack([inner, band]), np.hstack([band, inner])]
+    )
+    with mock.patch.object(
+        tk, "_min_translate_form", wraps=tk._min_translate_form
+    ) as search:
+        out = torus_distance(TorusLattice(tau))(x, 0, math.inf)
+    assert [len(c[0][1]) for c in search.call_args_list] == [50, 50]
+    assert out.tobytes() == einsum_distance_reference(x, 0, tau).tobytes()
 
 
 @pytest.mark.golden

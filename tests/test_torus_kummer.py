@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kummerlab import torus_kummer as tk
 from kummerlab.errors import (
     CapExceededError,
     DegeneratePeriodError,
@@ -20,6 +21,7 @@ from kummerlab.lattice_algebra import IntMatrix, dynamical_degree
 from kummerlab.torus_kummer import (
     ETA_TAU_MATRICES,
     LyapunovMethod,
+    LyapunovReport,
     PeriodicEnsemble,
     Quotient,
     TAU_I,
@@ -39,6 +41,7 @@ from kummerlab.torus_kummer import (
     local_dimension_estimate,
     lyapunov_exact,
     lyapunov_qr_orbit,
+    mean_stderr,
     torus_distance,
     trivial_character_count,
 )
@@ -158,6 +161,68 @@ class TestLyapunovQrOrbit:
     def test_too_few_steps(self):
         with pytest.raises(PreconditionError):
             lyapunov_qr_orbit(FIB, TorusPoint.origin(), 99)
+
+
+def full_qr_loop(f, n_steps, warmup):
+    """The QR orbit with every step run, as before the fixed-point exit, and
+    the number of steps up to the first whose frame has the bytes of its
+    input (every step if there is none)."""
+    m = np.array(f.matrix.entries, dtype=float)
+    q = np.eye(2)
+    steps = warmup + n_steps
+    for k in range(warmup):
+        q_in = q
+        q, _ = np.linalg.qr(m @ q)
+        if q.tobytes() == q_in.tobytes():
+            steps = min(steps, k + 1)
+    logs = np.empty((n_steps, 2))
+    for k in range(n_steps):
+        q_in = q
+        q, r = np.linalg.qr(m @ q)
+        logs[k] = np.log(np.abs(np.diagonal(r)))
+        if q.tobytes() == q_in.tobytes():
+            steps = min(steps, warmup + k + 1)
+    means = logs.mean(axis=0)
+    lam_u, lam_s = float(means.max()), float(means.min())
+    batch = np.array([b.mean(axis=0) for b in np.array_split(logs, 10)])
+    stderr = mean_stderr(batch.max(axis=1))
+    return LyapunovReport(lam_u, lam_s, LyapunovMethod.QR_ORBIT, stderr), steps
+
+
+QR_CASES = {
+    "fib": FIB,
+    "fib_inverse": FIB.inverse(),
+    "golden": TorusAutomorphism(IntMatrix.from_rows([[1, 1], [1, 0]])),
+    "negative_trace": TorusAutomorphism(IntMatrix.from_rows([[-2, 1], [1, -1]])),
+    "trace_4": TorusAutomorphism(IntMatrix.from_rows([[3, 1], [2, 1]])),
+    # upper triangular: the first frame equals its input only up to the
+    # sign of a zero, so the exit comes one step later
+    "parabolic": PARABOLIC,
+    "rotation": ROTATION,
+}
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("warmup", [tk.QR_WARMUP, 3])
+@pytest.mark.parametrize("n_steps", [100, 10**4])
+@pytest.mark.parametrize("name", sorted(QR_CASES))
+def test_qr_orbit_exit_matches_full_loop(monkeypatch, name, n_steps, warmup):
+    """Same report repr as every step run; the loop stops at the first frame
+    with its input's bytes (in the warmup or, with a 3-step warmup, in the
+    accumulation), and the rotation's period-2 frame runs every step."""
+    f = QR_CASES[name]
+    monkeypatch.setattr(tk, "QR_WARMUP", warmup)
+    ref, steps = full_qr_loop(f, n_steps, warmup)
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a) or qr(a))
+    rep = lyapunov_qr_orbit(f, TorusPoint.origin(), n_steps)
+    assert repr(rep) == repr(ref)
+    assert len(calls) == steps
+    if name == "rotation":
+        assert steps == warmup + n_steps
+    else:
+        assert steps < 50
 
 
 class TestFixCount:
