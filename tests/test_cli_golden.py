@@ -42,6 +42,20 @@ CASES = {
         ["wehler", "density", "--random", "--seed", "1", "--iters", "200"],
         "8323539877776394411",
     ),
+    # longer scalar orbits on other surfaces, so a change to the chain's
+    # bookkeeping shows past the first few hundred steps
+    "wehler_orbit_seed2": (
+        ["wehler", "orbit", "--random", "--seed", "2", "--n", "500"],
+        "12487844437584969760",
+    ),
+    "wehler_orbit_seed7": (
+        ["wehler", "orbit", "--random", "--seed", "7", "--n", "500"],
+        "11859839265778892793",
+    ),
+    "wehler_density_seed7": (
+        ["wehler", "density", "--random", "--seed", "7", "--iters", "500"],
+        "12762174389262651219",
+    ),
     "wehler_probe_node": (
         ["wehler", "probe", "--surface", SURFACE_FILE, "--seed", "5"],
         "16112329818949560833",

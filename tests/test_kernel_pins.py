@@ -5,8 +5,9 @@ reach its ramification branches.  These digests pin the bytes of
 _fiber_coeffs and of two turns of f through _apply_chain, on value lanes
 and on jet lanes, for three lane sets: random off-surface lanes with NaN
 lanes, the branch lanes (A = 0 corners and a double root) and seeded lanes
-on the Cayley cubic; and 200 blanc_compose steps of the map of the orbit
-benchmark.  A same-bytes change keeps every digest.
+on the Cayley cubic; 200 blanc_compose steps of the map of the orbit
+benchmark; and the scalar surface wrappers, whose inverse chain and single
+involutions no CLI golden runs.  A same-bytes change keeps every digest.
 """
 
 import hashlib
@@ -81,6 +82,8 @@ KERNEL_PINS = {
     ("cayley", "chain_jets"): "a91d6bb98f3886ad",
 }
 BLANC_PIN = "8fcb4dc0e5a1b523"
+INVERSE_PIN = "cfadb3c3fa608492"
+SIGMA_PIN = "837c4be03f29d395"
 
 
 @pytest.mark.parametrize("name, kind", sorted(KERNEL_PINS))
@@ -99,3 +102,23 @@ def test_blanc_compose_bytes_are_pinned():
         p = bc.blanc_compose(B, p)
         steps.append(p.array())
     assert _digest(*steps) == BLANC_PIN
+
+
+def _point_bytes(p):
+    return np.array([p.x.u, p.x.v, p.y.u, p.y.v, p.z.u, p.z.v, p.residual])
+
+
+def test_scalar_inverse_and_sigma_bytes_are_pinned():
+    surface = wd.random_surface(3)
+    rng = np.random.default_rng(4)
+    p = wd.random_surface_point(surface, rng)
+    steps = []
+    for _ in range(200):
+        p = wd.wehler_map_inverse(surface, p)
+        steps.append(_point_bytes(p))
+    assert _digest(*steps) == INVERSE_PIN
+    images = []
+    for _ in range(200):
+        p = wd.random_surface_point(surface, rng)
+        images += [_point_bytes(wd.sigma(surface, axis, p)) for axis in wd.Axis]
+    assert _digest(*images) == SIGMA_PIN
