@@ -237,25 +237,34 @@ def lyapunov_qr_orbit(
     estimate does not depend on the start point p0; the warmup discards the
     O(1/n) transient from aligning the frame with the eigendirections.
 
-    Once a step returns a frame q with the bytes of its input, every later
-    step repeats the same (q, r), so the remaining rows are filled with that
-    step's row and the loop stops, in the warmup or in the accumulation.
-    The bytes are compared, not the values, since -0.0 == 0.0; a frame of
-    period 2, as under a rotation, runs every step.
+    Once a step returns a frame q with the bytes of the frame one step back
+    (its input) or two steps back (as under a rotation), the later steps
+    repeat the last one or two (q, r) in turn, so the remaining rows are
+    filled with those steps' rows and the loop stops, in the warmup or in
+    the accumulation.  The bytes are compared, not the values, since
+    -0.0 == 0.0.
     """
     if n_steps < 100:
         raise PreconditionError("need at least 100 accumulation steps")
     m = np.array(f.matrix.entries, dtype=float)
-    q = np.eye(2)
+    q, r = np.eye(2), None
+    back = [b"", q.tobytes()]  # the frames two steps and one step back
     logs = np.empty((n_steps, 2))
     for k in range(-QR_WARMUP, n_steps):
-        q_in = q
+        r_in = r
         q, r = np.linalg.qr(m @ q)
         if k >= 0:
             logs[k] = np.log(np.abs(np.diagonal(r)))
-        if q.tobytes() == q_in.tobytes():
-            logs[max(k, 0) :] = np.log(np.abs(np.diagonal(r)))
+        q_bytes = q.tobytes()
+        if q_bytes in back:
+            # step t > k repeats step k - (k - t) % period
+            period = 2 - back.index(q_bytes)
+            last = [np.log(np.abs(np.diagonal(s))) for s in (r_in, r)[2 - period :]]
+            j = max(k + 1, 0)
+            for t in range(j, min(j + period, n_steps)):
+                logs[t::period] = last[-1 - (k - t) % period]
             break
+        back = [back[1], q_bytes]
     means = logs.mean(axis=0)
     lam_u, lam_s = float(means.max()), float(means.min())
     batch = np.array([b.mean(axis=0) for b in np.array_split(logs, 10)])

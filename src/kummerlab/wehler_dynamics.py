@@ -202,11 +202,11 @@ def make_surface_point(
     z: P1Point,
     tol: float = MEMBERSHIP_TOL,
 ) -> SurfacePoint:
-    return _checked_point(surface.array(), x, y, z, tol)
+    res = float(_residuals(surface.array(), _pack_points([(x, y, z)]))[0])
+    return _checked_point(x, y, z, res, tol)
 
 
-def _checked_point(carr, x, y, z, tol) -> SurfacePoint:
-    res = float(_residuals(carr, _pack_points([(x, y, z)]))[0])
+def _checked_point(x, y, z, res, tol) -> SurfacePoint:
     if res > tol:
         raise OffSurfaceError(f"residual {res:.3e} exceeds membership tolerance {tol:.1e}")
     return SurfacePoint(x, y, z, res)
@@ -314,7 +314,11 @@ def _finite_lanes(P) -> np.ndarray:
 
 
 def _residuals(carr, P) -> np.ndarray:
-    A, B, C = _fiber_coeffs(carr, 2, P)
+    return _z_residuals(*_fiber_coeffs(carr, 2, P), P)
+
+
+def _z_residuals(A, B, C, P) -> np.ndarray:
+    """|F| at each lane of P from its z-fiber quadratic (A, B, C)."""
     u, v = P[:, 2, 0], P[:, 2, 1]
     return np.abs(A * u * u + B * u * v + C * v * v)
 
@@ -369,8 +373,15 @@ def _normalize_pair_arrays(u, v):
 
 
 def _sigma_jets(carr, axis, P, T=None):
-    """Swap the axis coordinate to the other fiber root, on copies of the
-    lanes: returns (P', T'), with T' None for value lanes (T None).
+    """The involution of the axis on copies of the lanes: returns (P', T'),
+    with T' None for value lanes (T None)."""
+    return _swap_root(*_fiber_coeffs(carr, axis, P, T), axis, P, T)
+
+
+def _swap_root(A, B, C, axis, P, T=None):
+    """Swap the axis coordinate to the other root of its fiber quadratic
+    A u^2 + B uv + C v^2 (the axis's _fiber_coeffs at P, T), on copies of
+    the lanes: returns (P', T'), with T' None for value lanes (T None).
 
     Branch formulas (sum and product forms of Vieta plus the A ~ 0
     fallback) are all computed; their values pick, lane-wise, the candidate
@@ -378,7 +389,6 @@ def _sigma_jets(carr, axis, P, T=None):
     with its tangents.  A single guarded Newton step on the smaller affine
     coordinate arrests drift.  Lanes with a degenerate fiber become NaN.
     """
-    A, B, C = _fiber_coeffs(carr, axis, P, T)
     u, v = _comp(P, T, axis, 0), _comp(P, T, axis, 1)
     Av, Bv, Cv = _val(A), _val(B), _val(C)
     cscale = np.maximum(np.maximum(np.abs(Av), np.abs(Bv)), np.abs(Cv))
@@ -463,41 +473,66 @@ def sigma(
     tol: float = MEMBERSHIP_TOL,
 ) -> SurfacePoint:
     """The covering involution of the projection forgetting the axis."""
-    return _sigma_chain(surface.array(), (axis.value,), p, tol)
+    return _sigma_chain(surface.array(), (axis.value,), p, tol, 1)[0]
 
 
 def wehler_map(
     surface: WehlerSurface, p: SurfacePoint, tol: float = MEMBERSHIP_TOL
 ) -> SurfacePoint:
     """f = sigma_1 o sigma_2 o sigma_3, with sigma_3 applied first."""
-    return _sigma_chain(surface.array(), FORWARD_AXES, p, tol)
+    return _sigma_chain(surface.array(), FORWARD_AXES, p, tol, 1)[0]
 
 
 def wehler_map_inverse(
     surface: WehlerSurface, p: SurfacePoint, tol: float = MEMBERSHIP_TOL
 ) -> SurfacePoint:
-    return _sigma_chain(surface.array(), INVERSE_AXES, p, tol)
+    return _sigma_chain(surface.array(), INVERSE_AXES, p, tol, 1)[0]
 
 
-def _sigma_chain(carr, axes, p, tol):
-    """The involutions of axes applied to p in order, each a one-lane call
-    of _sigma_jets; a degenerate fiber raises with stage i for sigma_i.
+def _sigma_chain(carr, axes, p, tol, steps):
+    """The point after each of steps passes of the involutions of axes
+    from p, each involution a one-lane _swap_root.  A degenerate fiber
+    raises with stage i for sigma_i, and a point whose residual exceeds tol
+    raises OffSurfaceError; the input is checked once, when a pass runs.
 
     Every intermediate point is rebuilt with P1Point.make: Python's complex
     division rounds differently from numpy's, so renormalising in numpy
     instead would change the bits of an orbit within a few steps.
+
+    The z-fiber quadratic of the current point is kept with the bytes of
+    its x and y rows, and computed once per distinct rows: it gives the
+    point's residual, it is sigma_3's own quadratic (sigma_3 leaves x and y
+    alone), and after sigma_1 it is the next pass's sigma_3 quadratic.  The
+    rows are compared rather than assumed kept: P1Point.make moves the rows
+    of a point it did not build, such as the start point's.
     """
-    if p.residual > tol:
+    if steps and p.residual > tol:
         raise OffSurfaceError("input point fails the membership tolerance")
-    for axis in axes:
-        Q, _ = _sigma_jets(carr, axis, _pack_points([(p.x, p.y, p.z)]))
-        if not np.all(np.isfinite(Q)):
-            # sigma_1 moves x (axis 0), sigma_2 y, sigma_3 z
-            raise IndeterminatePointError(
-                "degenerate fiber under the involution", stage=axis + 1
-            )
-        p = _checked_point(carr, *(P1Point.make(*row) for row in Q[0]), tol)
-    return p
+    P = _pack_points([(p.x, p.y, p.z)])
+    key = zq = None
+
+    def z_fiber():
+        nonlocal key, zq
+        xy = P[0, :2].tobytes()
+        if xy != key:
+            key, zq = xy, _fiber_coeffs(carr, 2, P)
+        return zq
+
+    out = []
+    for _ in range(steps):
+        for axis in axes:
+            abc = z_fiber() if axis == 2 else _fiber_coeffs(carr, axis, P)
+            Q, _ = _swap_root(*abc, axis, P)
+            if not np.all(np.isfinite(Q)):
+                # sigma_1 moves x (axis 0), sigma_2 y, sigma_3 z
+                raise IndeterminatePointError(
+                    "degenerate fiber under the involution", stage=axis + 1
+                )
+            rows = [P1Point.make(*row) for row in Q[0]]
+            P = _pack_points([rows])
+            p = _checked_point(*rows, float(_z_residuals(*z_fiber(), P)[0]), tol)
+        out.append(p)
+    return out
 
 
 def random_surface_point(
@@ -529,15 +564,8 @@ def orbit(
     """Forward orbit with per-step polish; returns points and max residual."""
     if n_steps < 0:
         raise PreconditionError("orbit length must be nonnegative")
-    carr = surface.array()
-    pts = [p]
-    worst = p.residual
-    cur = p
-    for _ in range(n_steps):
-        cur = _sigma_chain(carr, FORWARD_AXES, cur, tol)
-        worst = max(worst, cur.residual)
-        pts.append(cur)
-    return pts, worst
+    pts = [p, *_sigma_chain(surface.array(), FORWARD_AXES, p, tol, n_steps)]
+    return pts, max(q.residual for q in pts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,239 @@
+"""The scalar surface chain against a per-involution reference.
+
+sigma, wehler_map, wehler_map_inverse and orbit run one loop that keeps the
+z-fiber quadratic of the current point and reuses it for the point's
+residual and for the next sigma_3.  reference_chain below is the chain as
+it was before that sharing: every involution rebuilds its point and
+evaluates a fresh z-fiber quadratic for the residual.  The loop must give
+the same points, residuals and errors, bit for bit, with fewer fiber
+quadratics.
+"""
+
+import numpy as np
+import pytest
+
+from kummerlab import wehler_dynamics as wd
+from kummerlab.errors import IndeterminatePointError, OffSurfaceError
+from test_cayley_cubic import _point as cayley_point
+from test_cayley_cubic import cayley_surface
+
+INF = wd.P1Point(1.0, 0.0)
+
+
+def reference_chain(carr, axes, p, tol):
+    """The involutions of axes applied to p in order, each point rebuilt
+    with P1Point.make and checked with its own z-fiber quadratic."""
+    if p.residual > tol:
+        raise OffSurfaceError("input point fails the membership tolerance")
+    for axis in axes:
+        Q, _ = wd._sigma_jets(carr, axis, wd._pack_points([(p.x, p.y, p.z)]))
+        if not np.all(np.isfinite(Q)):
+            raise IndeterminatePointError(
+                "degenerate fiber under the involution", stage=axis + 1
+            )
+        x, y, z = (wd.P1Point.make(*row) for row in Q[0])
+        res = float(wd._residuals(carr, wd._pack_points([(x, y, z)]))[0])
+        if res > tol:
+            raise OffSurfaceError(
+                f"residual {res:.3e} exceeds membership tolerance {tol:.1e}"
+            )
+        p = wd.SurfacePoint(x, y, z, res)
+    return p
+
+
+def reference_orbit(surface, p, n_steps, tol=wd.MEMBERSHIP_TOL):
+    carr = surface.array()
+    pts, worst = [p], p.residual
+    for _ in range(n_steps):
+        p = reference_chain(carr, wd.FORWARD_AXES, p, tol)
+        worst = max(worst, p.residual)
+        pts.append(p)
+    return pts, worst
+
+
+def _point_bytes(p):
+    return np.array([p.x.u, p.x.v, p.y.u, p.y.v, p.z.u, p.z.v, p.residual]).tobytes()
+
+
+def outcome(fn, *args):
+    """What a call returns, as bytes, or the error it raises."""
+    try:
+        out = fn(*args)
+    except (OffSurfaceError, IndeterminatePointError) as err:
+        return type(err).__name__, str(err), getattr(err, "stage", None)
+    if isinstance(out, tuple):  # orbit: (points, worst)
+        pts, worst = out
+        return [_point_bytes(p) for p in pts], np.float64(worst).tobytes()
+    return _point_bytes(out)
+
+
+def _chain_ref(axes):
+    return lambda surface, p, tol=wd.MEMBERSHIP_TOL: reference_chain(
+        surface.array(), axes, p, tol
+    )
+
+
+def _assert_same(surface, p, n_steps=60, tol=wd.MEMBERSHIP_TOL):
+    assert outcome(wd.orbit, surface, p, n_steps, tol) == outcome(
+        reference_orbit, surface, p, n_steps, tol
+    )
+    pairs = [
+        (wd.wehler_map, wd.FORWARD_AXES),
+        (wd.wehler_map_inverse, wd.INVERSE_AXES),
+    ]
+    for fn, axes in pairs:
+        assert outcome(fn, surface, p, tol) == outcome(_chain_ref(axes), surface, p, tol)
+    for axis in wd.Axis:
+        got = outcome(wd.sigma, surface, axis, p, tol)
+        assert got == outcome(_chain_ref((axis.value,)), surface, p, tol)
+
+
+def _start_points(name, count):
+    if name == "cayley":
+        surface = cayley_surface()
+        rng = np.random.default_rng(5)
+        pts = []
+        for _ in range(count):
+            a, b = np.exp(rng.normal(scale=0.4, size=2) + 1j * rng.normal(size=2))
+            pts.append(cayley_point(surface, a, b))
+        return surface, pts
+    surface = wd.random_surface(name)
+    rng = np.random.default_rng(name)
+    return surface, [wd.random_surface_point(surface, rng) for _ in range(count)]
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("name", [1, 7, 13, "cayley"])
+def test_scalar_wrappers_match_the_per_involution_chain(name):
+    surface, pts = _start_points(name, 12)
+    for p in pts:
+        _assert_same(surface, p)
+
+
+@pytest.mark.golden
+def test_long_orbit_matches_the_per_involution_chain():
+    surface, (p,) = _start_points(7, 1)
+    assert outcome(wd.orbit, surface, p, 1500) == outcome(reference_orbit, surface, p, 1500)
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("name", [1, 13])
+def test_unnormalised_rows_refresh_the_shared_quadratic(name):
+    """A start point whose rows P1Point.make would change: the x row has
+    u = 1 + 1e-17j, so the first rebuild moves x and the quadratic kept
+    for the start point no longer fits the rebuilt point."""
+    surface, pts = _start_points(name, 8)
+    for p in pts:
+        x = wd.P1Point(1.0 + 1e-17j, min(p.x.u, p.x.v, key=abs))
+        z = wd.solve_fiber(surface, wd.Axis.Z, x, p.y)[0]
+        q = wd.SurfacePoint(x, p.y, z, wd.surface_residual(surface, x, p.y, z))
+        assert wd.P1Point.make(x.u, x.v) != x
+        _assert_same(surface, q)
+
+
+class _Counter:
+    def __init__(self, monkeypatch, name):
+        self.calls = 0
+        inner = getattr(wd, name)
+
+        def spy(*args, **kwargs):
+            self.calls += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(wd, name, spy)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 50])
+def test_orbit_evaluates_4n_plus_2_fiber_quadratics(monkeypatch, n_steps):
+    """Four per step: sigma_2, sigma_1 and the residuals after each.  The
+    start point's quadratic serves sigma_3 of step one, but its rows move
+    under the first rebuild, so the residual after that sigma_3 needs its
+    own; from then on sigma_3 reuses the quadratic of the last residual."""
+    surface = wd.random_surface(1)
+    p = wd.random_surface_point(surface, np.random.default_rng(0))
+    count = _Counter(monkeypatch, "_fiber_coeffs")
+    wd.orbit(surface, p, n_steps)
+    assert count.calls == 4 * n_steps + 2
+
+
+# ---------------------------------------------------------------------------
+# the error contract
+
+
+@pytest.mark.parametrize("name", [1, 7])
+def test_tight_tolerance_fails_at_the_same_involution(monkeypatch, name):
+    """tol just below the residual after the first involution, or below the
+    median residual of three steps: the loop and the reference raise the
+    same OffSurfaceError after the same number of involutions."""
+    surface, pts = _start_points(name, 6)
+    carr = surface.array()
+    checked = 0
+    for p in pts:
+        first = reference_chain(carr, (2,), p, np.inf).residual
+        rows, _ = reference_orbit(surface, p, 3, np.inf)
+        median = np.median([q.residual for q in rows[1:]])
+        for level in (first, median):
+            if level <= p.residual:
+                continue
+            tol = np.nextafter(level, 0.0)
+            outcomes = []
+            for fn in (wd.orbit, reference_orbit):
+                swaps = _Counter(monkeypatch, "_swap_root")
+                outcomes.append((outcome(fn, surface, p, 3, tol), swaps.calls))
+                monkeypatch.undo()
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0][0] == "OffSurfaceError"
+            if level == first:
+                assert outcomes[0][1] == 1
+            got = outcome(wd.wehler_map, surface, p, tol)
+            assert got == outcome(_chain_ref(wd.FORWARD_AXES), surface, p, tol)
+            checked += 1
+    assert checked >= 6
+
+
+def _degenerate_fiber_point(axis):
+    """A surface whose fiber of the axis over the other two coordinates at
+    (1:0) vanishes identically, and a point on that fiber."""
+    arr = wd.random_surface(9).array()
+    corner = [2, 2, 2]
+    corner[axis] = slice(None)
+    arr[tuple(corner)] = 0.0
+    surface = wd.WehlerSurface.from_array(arr)
+    coords = [INF, INF, INF]
+    coords[axis] = wd.P1Point.make(1.0, 0.3 + 0.1j)
+    p = wd.make_surface_point(surface, *coords)
+    assert p.residual < 1e-14
+    return surface, p
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_degenerate_fiber_reports_its_involution(axis):
+    surface, p = _degenerate_fiber_point(axis)
+    expect = ("IndeterminatePointError", outcome(_chain_ref((axis,)), surface, p)[1], axis + 1)
+    assert outcome(wd.sigma, surface, wd.Axis(axis), p) == expect
+    # the involution applied first: sigma_3 in f and orbit, sigma_1 in f^-1
+    if axis == 2:
+        assert outcome(wd.wehler_map, surface, p) == expect
+        assert outcome(wd.orbit, surface, p, 5) == expect
+    if axis == 0:
+        assert outcome(wd.wehler_map_inverse, surface, p) == expect
+
+
+def test_off_surface_input_raises_before_any_involution(monkeypatch):
+    surface = wd.random_surface(1)
+    p = wd.random_surface_point(surface, np.random.default_rng(0))
+    bad = wd.SurfacePoint(p.x, p.y, wd.P1Point.make(1.0, p.z.v + 0.25), 0.5)
+    fibers = _Counter(monkeypatch, "_fiber_coeffs")
+    swaps = _Counter(monkeypatch, "_swap_root")
+    calls = [
+        lambda: wd.sigma(surface, wd.Axis.X, bad),
+        lambda: wd.wehler_map(surface, bad),
+        lambda: wd.wehler_map_inverse(surface, bad),
+        lambda: wd.orbit(surface, bad, 4),
+    ]
+    for call in calls:
+        with pytest.raises(OffSurfaceError, match="input point"):
+            call()
+    assert fibers.calls == swaps.calls == 0
+    # no pass, no check: a zero-step orbit returns its input as before
+    assert wd.orbit(surface, bad, 0) == ([bad], 0.5)

@@ -164,24 +164,21 @@ class TestLyapunovQrOrbit:
 
 
 def full_qr_loop(f, n_steps, warmup):
-    """The QR orbit with every step run, as before the fixed-point exit, and
-    the number of steps up to the first whose frame has the bytes of its
-    input (every step if there is none)."""
+    """The QR orbit with every step run, as before the fixed-point exits,
+    and the number of steps up to the first whose frame has the bytes of
+    its input or of the frame two steps back (every step if there is none)."""
     m = np.array(f.matrix.entries, dtype=float)
-    q = np.eye(2)
+    frames = [np.eye(2).tobytes()]
     steps = warmup + n_steps
-    for k in range(warmup):
-        q_in = q
-        q, _ = np.linalg.qr(m @ q)
-        if q.tobytes() == q_in.tobytes():
-            steps = min(steps, k + 1)
-    logs = np.empty((n_steps, 2))
-    for k in range(n_steps):
-        q_in = q
+    logs = np.empty((warmup + n_steps, 2))
+    q = np.eye(2)
+    for k in range(warmup + n_steps):
         q, r = np.linalg.qr(m @ q)
         logs[k] = np.log(np.abs(np.diagonal(r)))
-        if q.tobytes() == q_in.tobytes():
-            steps = min(steps, warmup + k + 1)
+        if q.tobytes() in frames[-2:]:
+            steps = min(steps, k + 1)
+        frames.append(q.tobytes())
+    logs = logs[warmup:]
     means = logs.mean(axis=0)
     lam_u, lam_s = float(means.max()), float(means.min())
     batch = np.array([b.mean(axis=0) for b in np.array_split(logs, 10)])
@@ -199,17 +196,24 @@ QR_CASES = {
     # sign of a zero, so the exit comes one step later
     "parabolic": PARABOLIC,
     "rotation": ROTATION,
+    # frames of period 2 whose two rows differ: by sign at order 4, and in
+    # the last bits for a hyperbolic map with det -1 (from step 24 on)
+    "order_4": TorusAutomorphism(IntMatrix.from_rows([[-1, -1], [2, 1]])),
+    "det_minus_one": TorusAutomorphism(IntMatrix.from_rows([[1, 1], [2, 1]])),
 }
 
 
 @pytest.mark.golden
-@pytest.mark.parametrize("warmup", [tk.QR_WARMUP, 3])
-@pytest.mark.parametrize("n_steps", [100, 10**4])
+@pytest.mark.parametrize("warmup", [tk.QR_WARMUP, 3, 2, 1])
+@pytest.mark.parametrize("n_steps", [100, 101, 10**4])
 @pytest.mark.parametrize("name", sorted(QR_CASES))
 def test_qr_orbit_exit_matches_full_loop(monkeypatch, name, n_steps, warmup):
     """Same report repr as every step run; the loop stops at the first frame
-    with its input's bytes (in the warmup or, with a 3-step warmup, in the
-    accumulation), and the rotation's period-2 frame runs every step."""
+    with the bytes of its input or of the frame two steps back (in the
+    warmup or, with a short warmup, in the accumulation).  The rotation's
+    frame has period 2 from its first step, so it stops at step 3: the last
+    warm-up step with a warm-up of 3, and accumulation rows 0 and 1 with
+    warm-ups 2 and 1."""
     f = QR_CASES[name]
     monkeypatch.setattr(tk, "QR_WARMUP", warmup)
     ref, steps = full_qr_loop(f, n_steps, warmup)
@@ -220,7 +224,7 @@ def test_qr_orbit_exit_matches_full_loop(monkeypatch, name, n_steps, warmup):
     assert repr(rep) == repr(ref)
     assert len(calls) == steps
     if name == "rotation":
-        assert steps == warmup + n_steps
+        assert steps == 3
     else:
         assert steps < 50
 
