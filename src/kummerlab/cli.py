@@ -153,9 +153,10 @@ def parse_poly(text: str) -> la.IntPolynomial:
 
 def parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError:
         raise ConfigError(f"bad complex literal: {text}") from None
+    return _pair([z.real, z.imag])
 
 
 def _pair(obj) -> complex:

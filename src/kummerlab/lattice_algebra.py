@@ -150,7 +150,15 @@ class IntMatrix:
         return v @ u
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
+        return float_array(self.entries)
+
+
+def float_array(values) -> np.ndarray:
+    """Exact integers as a float array; PreconditionError beyond the float range."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise PreconditionError("integer too large to convert to float") from None
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -347,7 +355,7 @@ class IntPolynomial:
 
     def roots(self) -> np.ndarray:
         """All complex roots, leading-coefficient first companion solve."""
-        return np.roots(np.array(self.coeffs[::-1], dtype=float))
+        return np.roots(float_array(self.coeffs[::-1]))
 
 
 @lru_cache(maxsize=None)
@@ -470,8 +478,8 @@ def dominant_root(p: IntPolynomial) -> tuple[float, complex, float]:
     """
     if p.degree == 0:
         raise PreconditionError("constant polynomial has no roots")
+    roots = p.roots()  # first: it refuses coefficients beyond the float range
     est = _dominant_by_power_iteration(p)
-    roots = p.roots()
     witness = roots[np.argmax(np.abs(roots))]
     if est is not None and abs(est.imag) <= 1e-8 * max(1.0, abs(est.real)):
         polished = _newton_polish(p, est.real)

@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     UnsupportedTauError,
 )
-from .lattice_algebra import IntMatrix, smith_normal_form
+from .lattice_algebra import IntMatrix, float_array, smith_normal_form
 
 TAU_I = complex(0.0, 1.0)
 TAU_ZETA3 = complex(-0.5, math.sqrt(3.0) / 2.0)
@@ -225,7 +225,7 @@ def half_log_h2_degree(f: TorusAutomorphism) -> float:
     if not f.is_hyperbolic:
         raise NotHyperbolicError("both eigenvalue moduli equal 1")
     t, d = f.matrix.trace(), f.matrix.det()
-    return math.log((abs(t) + math.sqrt(t * t - 4 * d)) / 2.0)
+    return math.log((abs(t) + math.sqrt(float_array(t * t - 4 * d))) / 2.0)
 
 
 def lyapunov_qr_orbit(
@@ -246,7 +246,7 @@ def lyapunov_qr_orbit(
     """
     if n_steps < 100:
         raise PreconditionError("need at least 100 accumulation steps")
-    m = np.array(f.matrix.entries, dtype=float)
+    m = f.matrix.to_numpy()
     q, r = np.eye(2), None
     back = [b"", q.tobytes()]  # the frames two steps and one step back
     logs = np.empty((n_steps, 2))
@@ -508,7 +508,8 @@ def torus_distance(
     Coordinates are wrapped to the centered cell and the quadratic form is
     minimized over the 3x3 grid of lattice translates.  That grid is
     exhaustive for tau in the standard fundamental domain |Re tau| <= 1/2,
-    |tau| >= 1; any other tau raises PreconditionError.
+    |tau| >= 1; any other tau, or |tau| > 1e150, where |tau|^2 would leave
+    the float range, raises PreconditionError.
 
     dist(samples, i, cutoff) may return inf for a point farther than cutoff
     from point i; every other entry has the bits of the uncut metric.  Only
@@ -532,8 +533,8 @@ def torus_distance(
     other translate's computed form exceeds 1/4 and q00 stays the minimum.
     """
     re = lattice.tau.real
-    if abs(re) > 0.5 + 1e-12 or abs(lattice.tau) < 1.0 - 1e-12:
-        raise PreconditionError("torus_distance needs |Re tau| <= 1/2, |tau| >= 1")
+    if abs(re) > 0.5 + 1e-12 or not 1.0 - 1e-12 <= abs(lattice.tau) <= 1e150:
+        raise PreconditionError("torus_distance needs |Re tau| <= 1/2, 1 <= |tau| <= 1e150")
     g00, g01, g10, g11 = 1.0, re, re, abs(lattice.tau) ** 2
     lam = float(np.linalg.eigvalsh([[g00, g01], [g10, g11]])[0])
     slack = 1e-9 * g11

@@ -202,11 +202,7 @@ def make_surface_point(
     z: P1Point,
     tol: float = MEMBERSHIP_TOL,
 ) -> SurfacePoint:
-    res = float(_residuals(surface.array(), _pack_points([(x, y, z)]))[0])
-    return _checked_point(x, y, z, res, tol)
-
-
-def _checked_point(x, y, z, res, tol) -> SurfacePoint:
+    res = surface_residual(surface, x, y, z)
     if res > tol:
         raise OffSurfaceError(f"residual {res:.3e} exceeds membership tolerance {tol:.1e}")
     return SurfacePoint(x, y, z, res)
@@ -453,11 +449,9 @@ def solve_fiber(
     surface: WehlerSurface, axis: Axis, p: P1Point, q: P1Point
 ) -> list[P1Point]:
     """The two points of the fiber of the double cover over (p, q)."""
-    P = np.zeros((1, 3, 2), dtype=complex)
-    others = [a for a in range(3) if a != axis.value]
-    P[0, others[0]] = (p.u, p.v)
-    P[0, others[1]] = (q.u, q.v)
-    P[0, axis.value] = (1.0, 0.0)
+    rows = [p, q]
+    rows.insert(axis.value, P1Point(1.0, 0.0))
+    P = _pack_points([rows])
     A, B, C = _fiber_coeffs(surface.array(), axis.value, P)
     scale = max(abs(A[0]), abs(B[0]), abs(C[0]))
     if scale <= DEGENERATE_FIBER_TOL:
@@ -499,39 +493,37 @@ def _sigma_chain(carr, axes, p, tol, steps):
     division rounds differently from numpy's, so renormalising in numpy
     instead would change the bits of an orbit within a few steps.
 
-    The z-fiber quadratic of the current point is kept with the bytes of
-    its x and y rows, and computed once per distinct rows: it gives the
-    point's residual, it is sigma_3's own quadratic (sigma_3 leaves x and y
-    alone), and after sigma_1 it is the next pass's sigma_3 quadratic.  The
-    rows are compared rather than assumed kept: P1Point.make moves the rows
+    zq is None or the z-fiber quadratic of P's current x and y rows: it
+    gives the point's residual, it is sigma_3's own quadratic (sigma_3
+    leaves x and y alone), and after sigma_1 it is the next pass's sigma_3
+    quadratic.  It is refreshed when a rebuild changes the bytes of those
+    rows, as sigma_1 and sigma_2 do, and as P1Point.make does to the rows
     of a point it did not build, such as the start point's.
     """
     if steps and p.residual > tol:
         raise OffSurfaceError("input point fails the membership tolerance")
     P = _pack_points([(p.x, p.y, p.z)])
-    key = zq = None
-
-    def z_fiber():
-        nonlocal key, zq
-        xy = P[0, :2].tobytes()
-        if xy != key:
-            key, zq = xy, _fiber_coeffs(carr, 2, P)
-        return zq
-
+    zq = None
     out = []
     for _ in range(steps):
         for axis in axes:
-            abc = z_fiber() if axis == 2 else _fiber_coeffs(carr, axis, P)
-            Q, _ = _swap_root(*abc, axis, P)
+            if axis == 2 and zq is None:
+                zq = _fiber_coeffs(carr, 2, P)
+            Q, _ = _swap_root(*(zq if axis == 2 else _fiber_coeffs(carr, axis, P)), axis, P)
             if not np.all(np.isfinite(Q)):
                 # sigma_1 moves x (axis 0), sigma_2 y, sigma_3 z
                 raise IndeterminatePointError(
                     "degenerate fiber under the involution", stage=axis + 1
                 )
             rows = [P1Point.make(*row) for row in Q[0]]
-            P = _pack_points([rows])
-            p = _checked_point(*rows, float(_z_residuals(*z_fiber(), P)[0]), tol)
-        out.append(p)
+            Q = _pack_points([rows])
+            if zq is None or Q[0, :2].tobytes() != P[0, :2].tobytes():
+                zq = _fiber_coeffs(carr, 2, Q)
+            P = Q
+            res = float(_z_residuals(*zq, P)[0])
+            if res > tol:
+                raise OffSurfaceError(f"residual {res:.3e} exceeds membership tolerance {tol:.1e}")
+        out.append(SurfacePoint(*rows, res))
     return out
 
 
@@ -658,24 +650,13 @@ def _frame_in_chart(Q, TQ, chart):
     return J
 
 
-def _chart_jacobian(carr, P, n, axes=FORWARD_AXES):
-    """Image of each lane under n passes of the axis chain, the 2x2
-    derivative of that map in the source chart at the lane, read on the
-    same branch at both ends, and that chart: (Q, J, chart)."""
+def _pushed_frame(carr, P, axes):
+    """The chart at each lane of P, the lanes' images Q under the axis
+    chain, and the chart's tangent frame pushed along with them: (chart,
+    Q, TQ).  _frame_in_chart reads TQ as a 2x2 derivative in the chart of
+    the caller's choice."""
     chart = _chart(carr, P)
-    Q, TQ = _apply_chain(carr, P, _seed_chart_tangents(P, chart), tuple(axes) * n)
-    return Q, _frame_in_chart(Q, TQ, chart), chart
-
-
-def _step_jacobian(carr, P, axes):
-    """Image of each lane under the axis chain and the 2x2 derivative from
-    the chart at the lane to the chart at the image.  Returns (Q, J,
-    (src_fail, dead, img_fail)): per-lane flags for no chart at the lane,
-    a degenerate fiber on the way, and no chart at the image."""
-    src = _chart(carr, P)
-    Q, TQ = _apply_chain(carr, P, _seed_chart_tangents(P, src), axes)
-    img = _chart(carr, Q)
-    return Q, _frame_in_chart(Q, TQ, img), (src.fail, ~_finite_lanes(Q), img.fail)
+    return (chart, *_apply_chain(carr, P, _seed_chart_tangents(P, chart), axes))
 
 
 def tangent_map(
@@ -685,16 +666,17 @@ def tangent_map(
 ) -> np.ndarray:
     """2x2 complex derivative of the axis chain from the chart at p to the
     chart at the image point, by dual-number propagation: a one-lane
-    _step_jacobian."""
-    P = _pack_points([(p.x, p.y, p.z)])
-    _, J, (src_fail, dead, img_fail) = _step_jacobian(surface.array(), P, axes)
-    if src_fail[0]:
+    _pushed_frame read in the image chart."""
+    carr = surface.array()
+    src, Q, TQ = _pushed_frame(carr, _pack_points([(p.x, p.y, p.z)]), axes)
+    if src.fail[0]:
         raise ChartFailureError("all three fiber gradients are below 1e-10")
-    if dead[0]:
+    if not _finite_lanes(Q)[0]:
         raise IndeterminatePointError("chain hit a degenerate fiber", stage=0)
-    if img_fail[0]:
+    img = _chart(carr, Q)
+    if img.fail[0]:
         raise ChartFailureError("image point admits no chart")
-    return J[0]
+    return _frame_in_chart(Q, TQ, img)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -702,19 +684,13 @@ def tangent_map(
 
 
 def _max_normalized(P):
-    nP = np.empty_like(P)
-    for ax in range(3):
-        nP[:, ax, 0], nP[:, ax, 1] = _normalize_pair_arrays(P[:, ax, 0], P[:, ax, 1])
-    return nP
+    return np.stack(_normalize_pair_arrays(P[..., 0], P[..., 1]), axis=-1)
 
 
 def _normalized_cross(nP, nQ):
     """Max over axes of |u1 v2 - u2 v1| for max-normalized (n, 3, 2) rows;
     either side may be a single broadcast row."""
-    cross = np.abs(
-        nP[..., 0] * nQ[..., 1] - nQ[..., 0] * nP[..., 1]
-    )
-    return cross.max(axis=-1)
+    return np.abs(nP[..., 0] * nQ[..., 1] - nQ[..., 0] * nP[..., 1]).max(axis=-1)
 
 
 def _chordal_displacement(P, Q):
@@ -739,8 +715,7 @@ def _seed_points(carr, rng, count):
     """Random on-surface start points for one search chunk."""
     vals = rng.normal(size=(count, 8)) + 1j * rng.normal(size=(count, 8))
     P = np.empty((count, 3, 2), dtype=complex)
-    P[:, 0, 0], P[:, 0, 1] = _normalize_pair_arrays(vals[:, 0], vals[:, 1])
-    P[:, 1, 0], P[:, 1, 1] = _normalize_pair_arrays(vals[:, 2], vals[:, 3])
+    P[:, :2, 0], P[:, :2, 1] = _normalize_pair_arrays(vals[:, 0:4:2], vals[:, 1:4:2])
     P[:, 2] = (1.0, 0.0)
     r1, r2 = _solve_quadratic(*_fiber_coeffs(carr, 2, P))
     take_second = rng.random(count) < 0.5
@@ -752,25 +727,23 @@ def _seed_points(carr, rng, count):
 
 def _rebuild_solved(carr, P, solved, prev):
     """Re-solve the fiber quadratic on each lane's solved axis and take the
-    root chordally closest to that coordinate in prev (on-surface return)."""
+    root chordally closest to that coordinate in prev (on-surface return);
+    a tie keeps the first root."""
     n = P.shape[0]
     lanes = np.arange(n)
-    r1u, r1v, r2u, r2v = (np.empty(n, dtype=complex) for _ in range(4))
+    # rows: the first root, the second root, prev's coordinate
+    ru, rv = np.empty((3, n), dtype=complex), np.empty((3, n), dtype=complex)
     for axis in range(3):
         sel = solved == axis
         A, B, C = _fiber_coeffs(carr, axis, P[sel])
-        (r1u[sel], r1v[sel]), (r2u[sel], r2v[sel]) = _solve_quadratic(A, B, C)
-    n1u, n1v = _normalize_pair_arrays(r1u, r1v)
-    n2u, n2v = _normalize_pair_arrays(r2u, r2v)
-    pu, pv = _normalize_pair_arrays(prev[lanes, solved, 0], prev[lanes, solved, 1])
-    d1 = np.abs(n1u * pv - pu * n1v)
-    d2 = np.abs(n2u * pv - pu * n2v)
-    first = d1 <= d2
-    su = np.where(first, n1u, n2u)
-    sv = np.where(first, n1v, n2v)
+        (ru[0, sel], rv[0, sel]), (ru[1, sel], rv[1, sel]) = _solve_quadratic(A, B, C)
+    ru[2], rv[2] = prev[lanes, solved, 0], prev[lanes, solved, 1]
+    nu, nv = _normalize_pair_arrays(ru, rv)
+    d = np.abs(nu[:2] * nv[2] - nu[2] * nv[:2])
+    pick = np.where(d[0] <= d[1], 0, 1)
     P2 = P.copy()
-    P2[lanes, solved, 0] = su
-    P2[lanes, solved, 1] = sv
+    P2[lanes, solved, 0] = nu[pick, lanes]
+    P2[lanes, solved, 1] = nv[pick, lanes]
     return P2
 
 
@@ -807,15 +780,14 @@ def _newton_step(carr, n, stab, P):
     count = P.shape[0]
     lanes = np.arange(count)
     # displacement and Jacobian in the source chart, same branch
-    Q, J, chart = _chart_jacobian(carr, P, n)
+    chart, Q, TQ = _pushed_frame(carr, P, FORWARD_AXES * n)
+    J = _frame_in_chart(Q, TQ, chart)
     finite = _finite_lanes(Q)
     G = np.empty((count, 2), dtype=complex)
     W = np.empty((count, 2), dtype=complex)
     for i, (ax, pick) in enumerate(zip(chart.free, chart.pick_rows)):
-        pu = P[lanes, ax, 0]
-        pv = P[lanes, ax, 1]
-        qu = Q[lanes, ax, 0]
-        qv = Q[lanes, ax, 1]
+        pu, pv = P[lanes, ax, 0], P[lanes, ax, 1]
+        qu, qv = Q[lanes, ax, 0], Q[lanes, ax, 1]
         W[:, i] = np.where(pick, pv / pu, pu / pv)
         G[:, i] = np.where(pick, qv / qu, qu / qv) - W[:, i]
     gnorm = np.sqrt(np.abs(G[:, 0]) ** 2 + np.abs(G[:, 1]) ** 2)
@@ -928,7 +900,8 @@ def _eigenpair(t, d):
 def _multipliers_at(carr, P, n, axes=FORWARD_AXES):
     """Eigenvalues of the chart derivative of f^n at each (periodic) lane:
     (big, small, no-chart flags)."""
-    _, J, chart = _chart_jacobian(carr, P, n, axes)
+    chart, Q, TQ = _pushed_frame(carr, P, tuple(axes) * n)
+    J = _frame_in_chart(Q, TQ, chart)
     t = J[:, 0, 0] + J[:, 1, 1]
     d = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     return (*_eigenpair(t, d), chart.fail)
@@ -1197,9 +1170,7 @@ def surface_cloud_distance(
     computed, so it is ignored."""
     x = np.asarray(samples)
     p = x[i]
-    cross = np.abs(
-        x[:, :, 0] * p[None, :, 1] - p[None, :, 0] * x[:, :, 1]
-    )
+    cross = np.abs(x[:, :, 0] * p[None, :, 1] - p[None, :, 0] * x[:, :, 1])
     norms_x = np.sqrt(np.abs(x[:, :, 0]) ** 2 + np.abs(x[:, :, 1]) ** 2)
     norms_p = np.sqrt(np.abs(p[:, 0]) ** 2 + np.abs(p[:, 1]) ** 2)
     cross = cross / (norms_x * norms_p[None, :])
@@ -1272,10 +1243,7 @@ def torus_control_report(f: TorusAutomorphism, rng_seed: int = 0) -> RigidityRep
 def _suspect_system(carr, wx, wy, wz):
     """Residual 4-vector (F, dF/dwx, dF/dwy, dF/dwz) at affine (wx, wy, wz)
     in the charts u = 1 per axis."""
-    P = np.empty((1, 3, 2), dtype=complex)
-    P[0, 0] = (1.0, wx)
-    P[0, 1] = (1.0, wy)
-    P[0, 2] = (1.0, wz)
+    P = _pack_points([[P1Point(1.0, w) for w in (wx, wy, wz)]])
     out = np.empty(4, dtype=complex)
     for axis, w in enumerate((wx, wy, wz)):
         A, B, C = _fiber_coeffs(carr, axis, P)

@@ -212,6 +212,47 @@ def test_torus_automorphism_file_tau_must_be_numbers(tmp_path, capsys, tau):
     assert not (tmp_path / "out.json").exists()
 
 
+def _exits_2_with_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    rc = cli.main([*argv, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "dimension", "--tau", "0.2+1e308j", "--samples", "2000", "--probes", "4"],
+    ["torus", "rigidity", "--tau", "0.2+1e200j"],
+    ["torus", "fix-count", "--n", "2", "--tau", "infj"],
+    ["torus", "fix-count", "--n", "2", "--tau", "nan+1j"],
+], ids=["dimension-1e308", "rigidity-1e200", "infj", "nan"])
+def test_non_finite_or_overflowing_tau_exits_2(tmp_path, capsys, argv):
+    _exits_2_with_one_error_line(tmp_path, capsys, argv)
+
+
+def test_overflowing_file_tau_exits_2(tmp_path, capsys):
+    path = tmp_path / "auto.json"
+    path.write_text(json.dumps({"matrix": [[2, 1], [1, 1]],
+                                "tau": {"re": 0.2, "im": 1e200}}))
+    _exits_2_with_one_error_line(tmp_path, capsys, [
+        "torus", "dimension", "--file", str(path), "--samples", "2000", "--probes", "4"])
+
+
+HUGE = str(10**400)  # an exact JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "salem", "--poly", f"[1, 3, {HUGE}]"],
+    ["lattice", "degree", "--matrix", f"[[{HUGE},1],[1,0]]"],
+    ["torus", "lyapunov", "--matrix", f"[[{HUGE},1],[-1,0]]"],
+    ["torus", "lyapunov", "--method", "qr", "--matrix", f"[[{HUGE},1],[-1,0]]"],
+    ["torus", "rigidity", "--matrix", f"[[{HUGE},1],[-1,0]]"],
+], ids=["salem", "degree", "lyapunov", "lyapunov-qr", "rigidity"])
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv):
+    _exits_2_with_one_error_line(tmp_path, capsys, argv)
+
+
 def test_torus_automorphism_file_integer_tau_matches_float(tmp_path):
     outs = []
     for name, tau in (("int", {"re": 0, "im": 1}), ("float", {"re": 0.0, "im": 1.0})):

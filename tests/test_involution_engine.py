@@ -3,7 +3,7 @@
 _sigma_jets and _apply_chain carry no tangents when T is None; the values
 they return then must be the bits that the jet path carries in .val,
 because the census replays points on value lanes that Newton found on jet
-lanes.  _step_jacobian is the batched step derivative behind tangent_map.
+lanes.  _pushed_frame is the batched step derivative behind tangent_map.
 """
 
 import numpy as np
@@ -134,7 +134,10 @@ def test_step_jacobian_equals_per_lane_tangent_map_bitwise(axes):
     p = wd.random_surface_point(surface, np.random.default_rng(4))
     pts, _ = wd.orbit(surface, p, 255)
     P = wd._pack_points([(q.x, q.y, q.z) for q in pts])
-    Q, J, (src_fail, dead, img_fail) = wd._step_jacobian(surface.array(), P, axes)
+    src, Q, TQ = wd._pushed_frame(surface.array(), P, axes)
+    img = wd._chart(surface.array(), Q)
+    J = wd._frame_in_chart(Q, TQ, img)
+    src_fail, dead, img_fail = src.fail, ~wd._finite_lanes(Q), img.fail
     assert J.shape == (256, 2, 2)
     assert not (src_fail.any() or dead.any() or img_fail.any())
     for i, q in enumerate(pts):
@@ -156,5 +159,7 @@ def test_tangent_map_errors_are_unchanged():
         assert info.value.stage == 0
     # the batched flags say the same per lane
     P = wd._pack_points([(p.x, p.y, p.z), (inf, inf, inf)])
-    _, _, (src_fail, dead, img_fail) = wd._step_jacobian(surface.array(), P, (2,))
+    src, Q, _ = wd._pushed_frame(surface.array(), P, (2,))
+    img = wd._chart(surface.array(), Q)
+    src_fail, dead, img_fail = src.fail, ~wd._finite_lanes(Q), img.fail
     assert dead.tolist() == [True, True] and not img_fail.any()
