@@ -29,6 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     DimensionMismatchError,
     InternalInvariantError,
     NonInvertibleError,
@@ -61,6 +62,12 @@ PELL_BOUND = 1_000_000
 
 # Largest |x| searched for a vector of square -2 in a rank-2 lattice.
 RANK2_SEARCH_BOUND = 10_000
+
+# Longest range a factor search walks: trial division up to isqrt(|c|) for a
+# coefficient c, or the 2 bmax + 1 middle coefficients of a quadratic factor.
+# 10**6 trial divisions take about 0.07 s; the lattices in scope stay below
+# 100.  A longer range is refused before its first step.
+FACTOR_SEARCH_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +422,14 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 
 
 def _relative_residual(p: IntPolynomial, x: complex) -> float:
-    num = abs(complex(p(complex(x))))
-    den = sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
+    try:
+        num = abs(complex(p(complex(x))))
+        den = sum(abs(c) * abs(x) ** k for k, c in enumerate(p.coeffs))
+    except OverflowError:
+        # x^degree leaves the float range: divide every term by it
+        y, d = 1 / complex(x), p.degree
+        num = abs(sum(c * y ** (d - k) for k, c in enumerate(p.coeffs)))
+        den = sum(abs(c) * abs(y) ** (d - k) for k, c in enumerate(p.coeffs))
     return num / den if den else num
 
 
@@ -442,7 +455,8 @@ def _dominant_by_power_iteration(p: IntPolynomial):
     est = None
     for _ in range(POWER_ITERATIONS):
         img = _companion_apply(p.coeffs, vec)
-        nrm = np.linalg.norm(img)
+        with np.errstate(over="ignore"):  # an overflowing norm ends the iteration
+            nrm = np.linalg.norm(img)
         if nrm == 0 or not np.isfinite(nrm):
             return None
         ratio = complex(np.vdot(vec, img))  # Rayleigh quotient, |vec| = 1
@@ -539,10 +553,9 @@ def _strip_factor(p: IntPolynomial, f: IntPolynomial) -> tuple[IntPolynomial, in
 
 def _rational_root_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
     # candidate linear factors a*t - b with b | constant, a | leading
-    const = abs(p.coeffs[0])
-    lead = abs(p.leading)
-    for a in _divisors(lead):
-        for b in _divisors(const):
+    leads, consts = _divisors(p.leading), _divisors(p.coeffs[0])
+    for a in leads:
+        for b in consts:
             for sb in (b, -b):
                 cand = IntPolynomial.from_coeffs([-sb, a]).primitive()
                 if cand.divides_into(p) is not None:
@@ -551,6 +564,9 @@ def _rational_root_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
+    if math.isqrt(n) > FACTOR_SEARCH_CAP:
+        raise CapExceededError(
+            f"a {n.bit_length()}-bit coefficient needs over {FACTOR_SEARCH_CAP} trial divisions")
     out = []
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
@@ -562,9 +578,14 @@ def _divisors(n: int) -> list[int]:
 
 def _quadratic_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
     root_bound = 1.0 + max(abs(c) for c in p.coeffs) / abs(p.leading)
-    for a in _divisors(p.leading):
+    # the widest b range, 2 bmax + 1 at the largest a = |leading|
+    if 4 * root_bound * abs(p.leading) + 3 > FACTOR_SEARCH_CAP:
+        raise CapExceededError(
+            f"a quadratic factor search needs over {FACTOR_SEARCH_CAP} middle coefficients")
+    leads, consts = _divisors(p.leading), _divisors(p.coeffs[0])
+    for a in leads:
         bmax = int(math.ceil(2 * root_bound * a)) + 1
-        for c in _divisors(p.coeffs[0]):
+        for c in consts:
             for sc in (c, -c):
                 for b in range(-bmax, bmax + 1):
                     cand = IntPolynomial.from_coeffs([sc, b, a]).primitive()

@@ -265,6 +265,8 @@ def lyapunov_qr_orbit(
                 logs[t::period] = last[-1 - (k - t) % period]
             break
         back = [back[1], q_bytes]
+    if not np.isfinite(logs).all():
+        raise PreconditionError("QR orbit left the float range")
     means = logs.mean(axis=0)
     lam_u, lam_s = float(means.max()), float(means.min())
     batch = np.array([b.mean(axis=0) for b in np.array_split(logs, 10)])

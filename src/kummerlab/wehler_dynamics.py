@@ -4,16 +4,19 @@ Each coordinate projection forgetting one factor is a double cover, so each
 axis carries an involution that swaps the two sheets; their composition
 f = sigma_1 o sigma_2 o sigma_3 (sigma_3 applied first) is an automorphism
 of positive entropy.  The engine below works on batches of points in
-homogeneous coordinates with forward-mode dual numbers, so derivatives flow
-through the exact root-swap formulas rather than finite differences.
+homogeneous coordinates with their tangents stacked on the values, so
+derivatives flow through the exact root-swap formulas rather than finite
+differences.
 
-State layout: values P with shape (n, 3, 2) over complex128 (lane, axis,
-homogeneous component).  One kernel serves two kinds of lane: value lanes
-(T is None) carry points only, and jet lanes also carry tangents T with
-shape (ndir, n, 3, 2), one directional derivative per chart direction.  On
-value lanes every quotient is taken as a * (1 / b), the way a jet rounds
-its value, so both kinds give the same point bits.  The scalar functions
-are one-lane calls of the same kernel.  Dead lanes are marked with NaN and
+State layout: one lane stack S with shape (1 + d, n, 3, 2) over complex128
+(row, lane, axis, homogeneous component).  S[0] holds the points and S[1:]
+d directional derivatives, one per chart direction: d = 0 for value lanes,
+d = 2 for the Newton frame.  One kernel serves every d: a product or a
+quotient of stacks takes values and tangents together by the product and
+quotient rules, and a lane mask or a plain coefficient covers all rows in
+one call, so a value row has the same bits whatever d is.  Points alone
+travel as P = S[0] with shape (n, 3, 2).  The scalar functions are
+one-lane calls of the same kernel.  Dead lanes are marked with NaN and
 dropped at collection time.
 
 The periodic-point search draws its seed lanes chunk by chunk, each chunk
@@ -209,90 +212,54 @@ def make_surface_point(
 
 
 # ---------------------------------------------------------------------------
-# forward-mode dual numbers over numpy arrays
+# stacked lanes and the fiber algebra
 
 
-class _Jet:
-    """Value with a stack of directional derivatives on a leading axis."""
-
-    __slots__ = ("val", "tan")
-
-    def __init__(self, val, tan):
-        self.val = val
-        self.tan = tan
-
-    def __add__(self, o):
-        return _Jet(self.val + o.val, self.tan + o.tan)
-
-    def __sub__(self, o):
-        return _Jet(self.val - o.val, self.tan - o.tan)
-
-    def __mul__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.val * o.val, self.tan * o.val + self.val * o.tan)
-        return _Jet(self.val * o, self.tan * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        inv = 1.0 / o.val
-        v = self.val * inv
-        return _Jet(v, (self.tan - v * o.tan) * inv)
-
-    def __neg__(self):
-        return _Jet(-self.val, -self.tan)
+def _mul(S, O):
+    """The product of two lane stacks: values S[0] O[0], tangents by the
+    product rule as S' O[0] + S[0] O'.  The operand order fixes the bits
+    (numpy's complex multiply may use FMA, so O * S can round differently),
+    and so do the ranks: O[:1], not O[0], since numpy rounds a (1, 1) by
+    (1,) product without FMA."""
+    if len(O) == 1:
+        return S * O
+    out = S * O[:1]
+    out[1:] += S[:1] * O[1:]
+    return out
 
 
-def _val(a):
-    return a.val if isinstance(a, _Jet) else a
+def _div(S, O):
+    """The quotient of two lane stacks through inv = 1 / O[0] (S[0] / O[0]
+    would round differently): value S[0] inv, tangents (S' - value O') inv."""
+    inv = 1.0 / O[:1]
+    out = S * inv
+    if len(O) > 1:
+        out[1:] = (S[1:] - out[:1] * O[1:]) * inv
+    return out
 
 
-def _where(mask, a, b):
-    if isinstance(a, _Jet):
-        return _Jet(np.where(mask, a.val, b.val), np.where(mask[None], a.tan, b.tan))
-    return np.where(mask, a, b)
+def _fiber_coeffs(carr, axis, S, mono=None):
+    """Quadratic F = A u^2 + B uv + C v^2 in the chosen axis at the lanes of
+    S, as one (3, 1 + d, n) stack A, B, C with the tangents of S.
 
-
-def _quot(a, b):
-    """a / b for jets; a * (1 / b) for arrays, which is how a jet quotient
-    rounds its value (a plain a / b would change the output bits)."""
-    return a / b if isinstance(b, _Jet) else a * (1.0 / b)
-
-
-def _comp(P, T, axis, c):
-    """One homogeneous component of every lane: values if T is None, else a jet."""
-    if T is None:
-        return P[:, axis, c]
-    return _Jet(P[:, axis, c], T[:, :, axis, c])
-
-
-# ---------------------------------------------------------------------------
-# fiber algebra
-
-
-def _fiber_coeffs(carr, axis, P, T=None):
-    """Quadratic F = A u^2 + B uv + C v^2 in the chosen axis; A, B, C are
-    jets in the other two coordinates, or plain arrays when T is None.
-
-    A, B, C are one stack over the solved exponent (2, 1, 0): per monomial
-    pair (a, b), one multiply by cm[a, b] and one add.  The sum keeps (a, b)
-    order and each term is prod * c, which fixes the bits (numpy's complex
-    multiply may use FMA, so c * prod can round differently)."""
-    cm = carr.transpose(_SOLVED_LAST[axis])[:, :, ::-1, None]
-    mono = []
-    for ax in (a for a in range(3) if a != axis):
-        u, v = _comp(P, T, ax, 0), _comp(P, T, ax, 1)
-        mono.append((v * v, u * v, u * u))
-    acc = None
+    The stack runs over the solved exponent (2, 1, 0): per monomial pair
+    (a, b), one multiply by cm[a, b] and one add.  The sum keeps (a, b)
+    order and each term is prod * c, which fixes the bits.  mono maps an
+    axis to its monomials (v^2, uv, u^2) at S; the call adds those of the
+    two axes it uses, so a chain can keep the ones its next step needs."""
+    cm = carr.transpose(_SOLVED_LAST[axis])[:, :, ::-1, None, None]
+    mono = {} if mono is None else mono
+    for ax in _SOLVED_LAST[axis][:2]:
+        if ax not in mono:
+            u, v = S[:, :, ax, 0], S[:, :, ax, 1]
+            mono[ax] = (_mul(v, v), _mul(u, v), _mul(u, u))
+    m0, m1 = mono[_SOLVED_LAST[axis][0]], mono[_SOLVED_LAST[axis][1]]
+    acc = _mul(m0[0], m1[0]) * cm[0, 0]
     for a in range(3):
         for b in range(3):
-            prod = mono[0][a] * mono[1][b]
-            c = cm[a, b]
-            term = prod * c if T is None else _Jet(prod.val * c, prod.tan * c[:, None])
-            acc = term if acc is None else acc + term
-    if T is None:
-        return acc[0], acc[1], acc[2]
-    return tuple(_Jet(acc.val[k], acc.tan[k]) for k in range(3))
+            if a or b:
+                acc += _mul(m0[a], m1[b]) * cm[a, b]
+    return acc
 
 
 def _pack_points(points) -> np.ndarray:
@@ -310,7 +277,7 @@ def _finite_lanes(P) -> np.ndarray:
 
 
 def _residuals(carr, P) -> np.ndarray:
-    return _z_residuals(*_fiber_coeffs(carr, 2, P), P)
+    return _z_residuals(*_fiber_coeffs(carr, 2, P[None])[:, 0], P)
 
 
 def _z_residuals(A, B, C, P) -> np.ndarray:
@@ -368,16 +335,10 @@ def _normalize_pair_arrays(u, v):
 # the involutions
 
 
-def _sigma_jets(carr, axis, P, T=None):
-    """The involution of the axis on copies of the lanes: returns (P', T'),
-    with T' None for value lanes (T None)."""
-    return _swap_root(*_fiber_coeffs(carr, axis, P, T), axis, P, T)
-
-
-def _swap_root(A, B, C, axis, P, T=None):
+def _swap_root(A, B, C, axis, S):
     """Swap the axis coordinate to the other root of its fiber quadratic
-    A u^2 + B uv + C v^2 (the axis's _fiber_coeffs at P, T), on copies of
-    the lanes: returns (P', T'), with T' None for value lanes (T None).
+    A u^2 + B uv + C v^2 (the axis's _fiber_coeffs at S), on a copy of the
+    lane stack S.
 
     Branch formulas (sum and product forms of Vieta plus the A ~ 0
     fallback) are all computed; their values pick, lane-wise, the candidate
@@ -385,60 +346,55 @@ def _swap_root(A, B, C, axis, P, T=None):
     with its tangents.  A single guarded Newton step on the smaller affine
     coordinate arrests drift.  Lanes with a degenerate fiber become NaN.
     """
-    u, v = _comp(P, T, axis, 0), _comp(P, T, axis, 1)
-    Av, Bv, Cv = _val(A), _val(B), _val(C)
-    cscale = np.maximum(np.maximum(np.abs(Av), np.abs(Bv)), np.abs(Cv))
+    u, v = S[:, :, axis, 0], S[:, :, axis, 1]
+    cscale = np.maximum(np.maximum(np.abs(A[0]), np.abs(B[0])), np.abs(C[0]))
     scale = np.maximum(cscale, 1e-300)
     with np.errstate(all="ignore"):
-        Au = A * u
-        cands = [(-(B * v) - Au, A * v), (C * v, Au), (-C, B)]
-        cu, cv = (np.array([_val(c[i]) for c in cands]) for i in (0, 1))
+        Au = _mul(A, u)
+        cands = [(-_mul(B, v) - Au, _mul(A, v)), (_mul(C, v), Au), (-C, B)]
+        cu, cv = (np.array([c[i][0] for c in cands]) for i in (0, 1))
         au, av = np.abs(cu), np.abs(cv)
         inv = 1.0 / np.where(au >= av, cu, cv)
         nu, nv = cu * inv, cv * inv
-        r = np.abs(Av * nu * nu + Bv * nu * nv + Cv * nv * nv)
+        r = np.abs(A[0] * nu * nu + B[0] * nu * nv + C[0] * nv * nv)
         tiny = np.maximum(au, av) <= 1e-13 * scale
         choice = np.argmin(np.where(tiny, np.inf, r), axis=0)
         cu, cv = cands[0]
         for k in (1, 2):
             sel = choice == k
-            cu, cv = _where(sel, cands[k][0], cu), _where(sel, cands[k][1], cv)
-        denom = _where(np.abs(_val(cu)) >= np.abs(_val(cv)), cu, cv)
-        nu, nv = _quot(cu, denom), _quot(cv, denom)
+            cu, cv = np.where(sel, cands[k][0], cu), np.where(sel, cands[k][1], cv)
+        denom = np.where(np.abs(cu[0]) >= np.abs(cv[0]), cu, cv)
+        nu, nv = _div(cu, denom), _div(cv, denom)
         # one Newton step on the affine fiber equation in the smaller
         # coordinate x, skipped where the derivative is tiny (double roots
         # are already exact); the sums keep their association per chart,
         # (A + B x) + C x^2 for x = v/u and (A x^2 + B x) + C for x = u/v
-        pick_u = np.abs(_val(nu)) >= np.abs(_val(nv))
-        x = _where(pick_u, nv, nu)
-        xx = x * x
-        g = (B * x + _where(pick_u, A, A * xx)) + _where(pick_u, C * xx, C)
-        gp = 2.0 * (_where(pick_u, C, A) * x) + B
-        x = _where(np.abs(_val(gp)) > 1e-8 * scale, x - _quot(g, gp), x)
-        nu, nv = _where(pick_u, nu, x), _where(pick_u, x, nv)
-        dead = cscale <= DEGENERATE_FIBER_TOL
-        uval = np.where(dead, np.nan, _val(nu))
-        vval = np.where(dead, np.nan, _val(nv))
-    P2 = P.copy()
-    P2[:, axis, 0] = uval
-    P2[:, axis, 1] = vval
-    if T is None:
-        return P2, None
-    T2 = T.copy()
-    T2[:, :, axis, 0] = np.where(dead[None], np.nan, nu.tan)
-    T2[:, :, axis, 1] = np.where(dead[None], np.nan, nv.tan)
-    return P2, T2
+        pick_u = np.abs(nu[0]) >= np.abs(nv[0])
+        x = np.where(pick_u, nv, nu)
+        lead = np.where(pick_u, C, A)  # the x^2 coefficient
+        lead_xx = _mul(lead, _mul(x, x))
+        g = (_mul(B, x) + np.where(pick_u, A, lead_xx)) + np.where(pick_u, lead_xx, C)
+        gp = 2.0 * _mul(lead, x) + B
+        x = np.where(np.abs(gp[0]) > 1e-8 * scale, x - _div(g, gp), x)
+        S2 = S.copy()
+        S2[:, :, axis, 0] = np.where(pick_u, nu, x)
+        S2[:, :, axis, 1] = np.where(pick_u, x, nv)
+        S2[:, cscale <= DEGENERATE_FIBER_TOL, axis] = np.nan
+    return S2
 
 
 FORWARD_AXES = (2, 1, 0)
 INVERSE_AXES = (0, 1, 2)
 
 
-def _apply_chain(carr, P, T, axes):
-    """The involutions of axes in order; T None gives value lanes."""
+def _apply_chain(carr, S, axes):
+    """The involutions of axes in order on the lane stack S; the monomials
+    of the axes an involution leaves alone serve the next fiber."""
+    mono = {}
     for axis in axes:
-        P, T = _sigma_jets(carr, axis, P, T)
-    return P, T
+        S = _swap_root(*_fiber_coeffs(carr, axis, S, mono), axis, S)
+        mono.pop(axis, None)
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +408,7 @@ def solve_fiber(
     rows = [p, q]
     rows.insert(axis.value, P1Point(1.0, 0.0))
     P = _pack_points([rows])
-    A, B, C = _fiber_coeffs(surface.array(), axis.value, P)
+    A, B, C = _fiber_coeffs(surface.array(), axis.value, P[None])[:, 0]
     scale = max(abs(A[0]), abs(B[0]), abs(C[0]))
     if scale <= DEGENERATE_FIBER_TOL:
         raise DegenerateFiberError("fiber quadratic vanishes identically")
@@ -493,7 +449,7 @@ def _sigma_chain(carr, axes, p, tol, steps):
     division rounds differently from numpy's, so renormalising in numpy
     instead would change the bits of an orbit within a few steps.
 
-    zq is None or the z-fiber quadratic of P's current x and y rows: it
+    zq is None or the z-fiber quadratic of S's current x and y rows: it
     gives the point's residual, it is sigma_3's own quadratic (sigma_3
     leaves x and y alone), and after sigma_1 it is the next pass's sigma_3
     quadratic.  It is refreshed when a rebuild changes the bytes of those
@@ -502,25 +458,25 @@ def _sigma_chain(carr, axes, p, tol, steps):
     """
     if steps and p.residual > tol:
         raise OffSurfaceError("input point fails the membership tolerance")
-    P = _pack_points([(p.x, p.y, p.z)])
+    S = _pack_points([(p.x, p.y, p.z)])[None]
     zq = None
     out = []
     for _ in range(steps):
         for axis in axes:
             if axis == 2 and zq is None:
-                zq = _fiber_coeffs(carr, 2, P)
-            Q, _ = _swap_root(*(zq if axis == 2 else _fiber_coeffs(carr, axis, P)), axis, P)
-            if not np.all(np.isfinite(Q)):
+                zq = _fiber_coeffs(carr, 2, S)
+            Q = _swap_root(*(zq if axis == 2 else _fiber_coeffs(carr, axis, S)), axis, S)
+            if not np.isfinite(Q).all():
                 # sigma_1 moves x (axis 0), sigma_2 y, sigma_3 z
                 raise IndeterminatePointError(
                     "degenerate fiber under the involution", stage=axis + 1
                 )
-            rows = [P1Point.make(*row) for row in Q[0]]
-            Q = _pack_points([rows])
-            if zq is None or Q[0, :2].tobytes() != P[0, :2].tobytes():
+            rows = [P1Point.make(*row) for row in Q[0, 0]]
+            Q = _pack_points([rows])[None]
+            if zq is None or Q[0, 0, :2].tobytes() != S[0, 0, :2].tobytes():
                 zq = _fiber_coeffs(carr, 2, Q)
-            P = Q
-            res = float(_z_residuals(*zq, P)[0])
+            S = Q
+            res = float(_z_residuals(*zq[:, 0], S[0])[0])
             if res > tol:
                 raise OffSurfaceError(f"residual {res:.3e} exceeds membership tolerance {tol:.1e}")
         out.append(SurfacePoint(*rows, res))
@@ -590,7 +546,7 @@ def _chart(carr, P) -> _Chart:
     partials = np.empty((3, n), dtype=complex)
     pick_u = np.empty((3, n), dtype=bool)
     for axis in range(3):
-        A, B, C = _fiber_coeffs(carr, axis, P)
+        A, B, C = _fiber_coeffs(carr, axis, P[None])[:, 0]
         u, v = P[:, axis, 0], P[:, axis, 1]
         pick_u[axis] = np.abs(u) >= np.abs(v)
         partials[axis] = np.where(
@@ -613,35 +569,36 @@ def _chart(carr, P) -> _Chart:
 
 
 def _seed_chart_tangents(P, chart):
-    """Tangent frame (2, n, 3, 2) for the chart at each lane: two directions
-    moving one free-axis affine coordinate each, with the solved axis
-    responding per the implicit function theorem."""
+    """The lane stack (3, n, 3, 2) of P and its chart's tangent frame: two
+    directions moving one free-axis affine coordinate each, with the solved
+    axis responding per the implicit function theorem."""
     n = P.shape[0]
     lanes = np.arange(n)
     solved = chart.solved
     spick = chart.pick_u[solved, lanes]
-    T = np.zeros((2, n, 3, 2), dtype=complex)
+    S = np.zeros((3, n, 3, 2), dtype=complex)
+    S[0] = P
     with np.errstate(all="ignore"):
-        for d, (free, pick) in enumerate(zip(chart.free, chart.pick_rows)):
+        for d, (free, pick) in enumerate(zip(chart.free, chart.pick_rows), 1):
             # unit affine velocity on the free axis
-            T[d, lanes, free, 1] = np.where(pick, P[lanes, free, 0], 0)
-            T[d, lanes, free, 0] = np.where(pick, 0, P[lanes, free, 1])
+            S[d, lanes, free, 1] = np.where(pick, P[lanes, free, 0], 0)
+            S[d, lanes, free, 0] = np.where(pick, 0, P[lanes, free, 1])
             # implicit response of the solved axis
             dws = -chart.partials[free, lanes] / chart.partials[solved, lanes]
-            T[d, lanes, solved, 1] += np.where(spick, P[lanes, solved, 0] * dws, 0)
-            T[d, lanes, solved, 0] += np.where(spick, 0, P[lanes, solved, 1] * dws)
-    return T
+            S[d, lanes, solved, 1] += np.where(spick, P[lanes, solved, 0] * dws, 0)
+            S[d, lanes, solved, 0] += np.where(spick, 0, P[lanes, solved, 1] * dws)
+    return S
 
 
-def _frame_in_chart(Q, TQ, chart):
-    """A pushed frame as affine velocities of the chart's two free axes on
-    their branches: a (n, 2, 2) Jacobian J[lane, out, dir]."""
-    lanes = np.arange(Q.shape[0])
-    J = np.empty((Q.shape[0], 2, 2), dtype=complex)
+def _frame_in_chart(S, chart):
+    """A pushed frame S[1:] as affine velocities of the chart's two free
+    axes on their branches: a (n, 2, 2) Jacobian J[lane, out, dir]."""
+    lanes = np.arange(S.shape[1])
+    J = np.empty((S.shape[1], 2, 2), dtype=complex)
     with np.errstate(all="ignore"):
         for out_i, (ax, pick) in enumerate(zip(chart.free, chart.pick_rows)):
-            u, v = Q[lanes, ax, 0], Q[lanes, ax, 1]
-            du, dv = TQ[:, lanes, ax, 0], TQ[:, lanes, ax, 1]
+            u, v = S[0, lanes, ax, 0], S[0, lanes, ax, 1]
+            du, dv = S[1:, lanes, ax, 0], S[1:, lanes, ax, 1]
             J[:, out_i, :] = np.where(
                 pick[None],
                 (dv * u - v * du) / (u * u),
@@ -651,12 +608,12 @@ def _frame_in_chart(Q, TQ, chart):
 
 
 def _pushed_frame(carr, P, axes):
-    """The chart at each lane of P, the lanes' images Q under the axis
-    chain, and the chart's tangent frame pushed along with them: (chart,
-    Q, TQ).  _frame_in_chart reads TQ as a 2x2 derivative in the chart of
-    the caller's choice."""
+    """The chart at each lane of P and the lane stack of its tangent frame
+    pushed along the axis chain: (chart, S) with the images in S[0].
+    _frame_in_chart reads S as a 2x2 derivative in the chart of the
+    caller's choice."""
     chart = _chart(carr, P)
-    return (chart, *_apply_chain(carr, P, _seed_chart_tangents(P, chart), axes))
+    return chart, _apply_chain(carr, _seed_chart_tangents(P, chart), axes)
 
 
 def tangent_map(
@@ -665,18 +622,18 @@ def tangent_map(
     axes: tuple[int, ...] = FORWARD_AXES,
 ) -> np.ndarray:
     """2x2 complex derivative of the axis chain from the chart at p to the
-    chart at the image point, by dual-number propagation: a one-lane
+    chart at the image point, by tangent propagation: a one-lane
     _pushed_frame read in the image chart."""
     carr = surface.array()
-    src, Q, TQ = _pushed_frame(carr, _pack_points([(p.x, p.y, p.z)]), axes)
+    src, S = _pushed_frame(carr, _pack_points([(p.x, p.y, p.z)]), axes)
     if src.fail[0]:
         raise ChartFailureError("all three fiber gradients are below 1e-10")
-    if not _finite_lanes(Q)[0]:
+    if not _finite_lanes(S[0])[0]:
         raise IndeterminatePointError("chain hit a degenerate fiber", stage=0)
-    img = _chart(carr, Q)
+    img = _chart(carr, S[0])
     if img.fail[0]:
         raise ChartFailureError("image point admits no chart")
-    return _frame_in_chart(Q, TQ, img)[0]
+    return _frame_in_chart(S, img)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +656,8 @@ def _chordal_displacement(P, Q):
 
 
 def _plain_chain(carr, P, axes, repeats=1):
-    return _apply_chain(carr, P, None, tuple(axes) * repeats)[0]
+    """The images of the points P under the axis chain, on value lanes."""
+    return _apply_chain(carr, P[None], tuple(axes) * repeats)[0]
 
 
 def _return_displacement(carr, P, m):
@@ -717,7 +675,7 @@ def _seed_points(carr, rng, count):
     P = np.empty((count, 3, 2), dtype=complex)
     P[:, :2, 0], P[:, :2, 1] = _normalize_pair_arrays(vals[:, 0:4:2], vals[:, 1:4:2])
     P[:, 2] = (1.0, 0.0)
-    r1, r2 = _solve_quadratic(*_fiber_coeffs(carr, 2, P))
+    r1, r2 = _solve_quadratic(*_fiber_coeffs(carr, 2, P[None])[:, 0])
     take_second = rng.random(count) < 0.5
     zu = np.where(take_second, r2[0], r1[0])
     zv = np.where(take_second, r2[1], r1[1])
@@ -735,7 +693,7 @@ def _rebuild_solved(carr, P, solved, prev):
     ru, rv = np.empty((3, n), dtype=complex), np.empty((3, n), dtype=complex)
     for axis in range(3):
         sel = solved == axis
-        A, B, C = _fiber_coeffs(carr, axis, P[sel])
+        A, B, C = _fiber_coeffs(carr, axis, P[sel][None])[:, 0]
         (ru[0, sel], rv[0, sel]), (ru[1, sel], rv[1, sel]) = _solve_quadratic(A, B, C)
     ru[2], rv[2] = prev[lanes, solved, 0], prev[lanes, solved, 1]
     nu, nv = _normalize_pair_arrays(ru, rv)
@@ -780,8 +738,9 @@ def _newton_step(carr, n, stab, P):
     count = P.shape[0]
     lanes = np.arange(count)
     # displacement and Jacobian in the source chart, same branch
-    chart, Q, TQ = _pushed_frame(carr, P, FORWARD_AXES * n)
-    J = _frame_in_chart(Q, TQ, chart)
+    chart, S = _pushed_frame(carr, P, FORWARD_AXES * n)
+    J = _frame_in_chart(S, chart)
+    Q = S[0]
     finite = _finite_lanes(Q)
     G = np.empty((count, 2), dtype=complex)
     W = np.empty((count, 2), dtype=complex)
@@ -900,8 +859,8 @@ def _eigenpair(t, d):
 def _multipliers_at(carr, P, n, axes=FORWARD_AXES):
     """Eigenvalues of the chart derivative of f^n at each (periodic) lane:
     (big, small, no-chart flags)."""
-    chart, Q, TQ = _pushed_frame(carr, P, tuple(axes) * n)
-    J = _frame_in_chart(Q, TQ, chart)
+    chart, S = _pushed_frame(carr, P, tuple(axes) * n)
+    J = _frame_in_chart(S, chart)
     t = J[:, 0, 0] + J[:, 1, 1]
     d = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     return (*_eigenpair(t, d), chart.fail)
@@ -1246,7 +1205,7 @@ def _suspect_system(carr, wx, wy, wz):
     P = _pack_points([[P1Point(1.0, w) for w in (wx, wy, wz)]])
     out = np.empty(4, dtype=complex)
     for axis, w in enumerate((wx, wy, wz)):
-        A, B, C = _fiber_coeffs(carr, axis, P)
+        A, B, C = _fiber_coeffs(carr, axis, P[None])[:, 0]
         out[1 + axis] = B[0] + 2 * C[0] * w
     # A, B, C of the last pass are those of the z fiber
     out[0] = A[0] + B[0] * wz + C[0] * wz * wz

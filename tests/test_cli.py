@@ -9,6 +9,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,19 @@ HUGE = str(10**400)  # an exact JSON integer beyond the float range
 ], ids=["salem", "degree", "lyapunov", "lyapunov-qr", "rigidity"])
 def test_integer_beyond_float_range_exits_2(tmp_path, capsys, argv):
     _exits_2_with_one_error_line(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "lyapunov", "--method", "qr", "--matrix", f"[[{10**308},1],[-1,0]]"],
+    ["lattice", "degree", "--matrix", f"[[{10**200},1],[1,0]]"],
+    ["lattice", "salem", "--poly", f"[1, 3, {10**30}]"],
+], ids=["lyapunov-qr-nan", "degree-residual", "salem-divisors"])
+def test_float_overflow_or_long_factor_search_exits_2_fast(tmp_path, capsys, argv):
+    """Integers inside the float range whose QR logs, residual powers or
+    factor searches leave it: one error line, well within a second."""
+    start = time.perf_counter()
+    _exits_2_with_one_error_line(tmp_path, capsys, argv)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_torus_automorphism_file_integer_tau_matches_float(tmp_path):

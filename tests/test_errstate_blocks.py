@@ -50,7 +50,7 @@ def test_normalize_pair_arrays_zero_pair():
 
 def test_swap_root_vanishing_fiber():
     P = _point_at_infinity(wd.random_surface(1))
-    P2, _ = wd._swap_root(ZERO, ZERO, ZERO, 2, P)  # 1 / 0 on every candidate
+    P2 = wd._swap_root(ZERO[None], ZERO[None], ZERO[None], 2, P[None])[0]  # 1 / 0 on every candidate
     assert np.isnan(P2[0, 2]).all()
 
 
@@ -59,7 +59,7 @@ def test_seed_chart_tangents_at_a_node():
     P = wd._pack_points([(INF, INF, INF)])
     chart = wd._chart(surface.array(), P)
     assert chart.fail[0]
-    T = wd._seed_chart_tangents(P, chart)  # -0 / 0 for the solved axis
+    T = wd._seed_chart_tangents(P, chart)[1:]  # -0 / 0 for the solved axis
     assert np.isnan(T).any()
 
 
@@ -68,7 +68,8 @@ def test_frame_in_chart_zero_image_row():
     P = _point_at_infinity(surface)
     chart = wd._chart(surface.array(), P)
     Q = np.zeros_like(P)
-    J = wd._frame_in_chart(Q, np.ones((2, *Q.shape), dtype=complex), chart)  # 0 / 0
+    S = np.concatenate([Q[None], np.ones((2, *Q.shape), dtype=complex)])
+    J = wd._frame_in_chart(S, chart)  # 0 / 0
     assert np.isnan(J).all()
 
 

@@ -1,9 +1,10 @@
 """One involution kernel for value lanes and jet lanes.
 
-_sigma_jets and _apply_chain carry no tangents when T is None; the values
-they return then must be the bits that the jet path carries in .val,
-because the census replays points on value lanes that Newton found on jet
-lanes.  _pushed_frame is the batched step derivative behind tangent_map.
+_apply_chain carries no tangents on a value stack P[None]; the values it
+returns then must be the bits that a stack with tangent rows carries in
+S[0], because the census replays points on value lanes that Newton found
+on jet lanes.  _pushed_frame is the batched step derivative behind
+tangent_map.
 """
 
 import numpy as np
@@ -41,10 +42,10 @@ def _tangents(P):
 
 def _vieta_choice(carr, axis, P):
     """Which root formula the kernel takes on each lane: 0 and 1 for the sum
-    and product forms of Vieta, 2 for (-C:B).  The same rule as _sigma_jets
+    and product forms of Vieta, 2 for (-C:B).  The same rule as _swap_root
     (smallest fiber residual of the max-normalized candidate), written with
     plain division."""
-    A, B, C = wd._fiber_coeffs(carr, axis, P)
+    A, B, C = wd._fiber_coeffs(carr, axis, P[None])[:, 0]
     u, v = P[:, axis, 0], P[:, axis, 1]
     scale = np.maximum(np.maximum(np.maximum(abs(A), abs(B)), abs(C)), 1e-300)
     res = []
@@ -64,19 +65,19 @@ def test_branch_lanes_reach_every_branch_of_the_involution():
     corner, double = len(P) - 2, len(P) - 1
     assert wd._residuals(carr, P[-2:]).max() == 0.0
     for axis in range(3):
-        A, B, C = wd._fiber_coeffs(carr, axis, P)
+        A, B, C = wd._fiber_coeffs(carr, axis, P[None])[:, 0]
         # A = 0 at (1:0), so both Vieta candidates vanish and (-C:B) wins
         assert A[corner] == 0 and abs(B[corner]) > 0.1
-        Q, _ = wd._sigma_jets(carr, axis, P)
+        Q = wd._plain_chain(carr, P, (axis,))
         assert abs(Q[corner, axis, 1]) > 0.01
         # the polish ran in the v-chart on some lanes and in the u-chart on others
         pick_u = np.abs(Q[1:-2, axis, 0]) >= np.abs(Q[1:-2, axis, 1])
         assert pick_u.any() and not pick_u.all()
     # z-fiber A u^2 over (0:1)^2: the double root (0:1) comes back, with the
     # u-chart polish skipped (it would divide 0 by 0 there)
-    A, B, C = wd._fiber_coeffs(carr, 2, P)
+    A, B, C = wd._fiber_coeffs(carr, 2, P[None])[:, 0]
     assert B[double] == C[double] == 0 and A[double] != 0
-    z = wd._sigma_jets(carr, 2, P)[0][double, 2]
+    z = wd._plain_chain(carr, P, (2,))[double, 2]
     assert z[0] == 0 and abs(z[1] - 1) < 1e-15
     # jet lanes, with 64 off-surface lanes more: on every root formula and
     # in both charts of the polish the tangent is the derivative of the
@@ -89,11 +90,12 @@ def test_branch_lanes_reach_every_branch_of_the_involution():
     for axis in range(3):
         choice = _vieta_choice(carr, axis, P)
         assert choice[corner] == 2
-        Q, TQ = wd._sigma_jets(carr, axis, P, T)
+        S = wd._apply_chain(carr, np.concatenate([P[None], T]), (axis,))
+        Q, TQ = S[0], S[1:]
         pick_u = np.abs(Q[:, axis, 0]) >= np.abs(Q[:, axis, 1])
         with np.errstate(all="ignore"):
             plus, minus = P + h * T[0], P - h * T[0]
-            Qp, Qm = wd._sigma_jets(carr, axis, plus)[0], wd._sigma_jets(carr, axis, minus)[0]
+            Qp, Qm = wd._plain_chain(carr, plus, (axis,)), wd._plain_chain(carr, minus, (axis,))
             stable = wd._finite_lanes(Qp) & wd._finite_lanes(Qm) & wd._finite_lanes(Q)
             for X, Y in ((plus, Qp), (minus, Qm)):
                 stable &= _vieta_choice(carr, axis, X) == choice
@@ -106,7 +108,7 @@ def test_branch_lanes_reach_every_branch_of_the_involution():
         assert set(choice[stable]) == {0, 1, 2}
         assert pick_u[stable].any() and not pick_u[stable].all()
         assert np.isfinite(TQ[:, corner]).all()
-    z = wd._sigma_jets(carr, 2, P, T)[0][double, 2]
+    z = wd._apply_chain(carr, np.concatenate([P[None], T]), (2,))[0][double, 2]
     assert z[0] == 0 and abs(z[1] - 1) < 1e-15
 
 
@@ -115,15 +117,12 @@ def test_value_lanes_match_jet_values_bitwise(count):
     surface = _branch_surface()
     carr = surface.array()
     P = _branch_lanes(surface, count)
-    for T in (np.zeros((0,) + P.shape, dtype=complex), _tangents(P)):
-        for axis in range(3):
-            values, none = wd._sigma_jets(carr, axis, P)
-            jets, _ = wd._sigma_jets(carr, axis, P, T)
-            assert none is None and values.tobytes() == jets.tobytes()
-        for axes in (wd.FORWARD_AXES, wd.INVERSE_AXES, wd.FORWARD_AXES * 3):
-            values, none = wd._apply_chain(carr, P, None, axes)
-            jets, _ = wd._apply_chain(carr, P, T, axes)
-            assert none is None and values.tobytes() == jets.tobytes()
+    for T in (np.zeros((1,) + P.shape, dtype=complex), _tangents(P)):
+        S = np.concatenate([P[None], T])
+        for axes in ((0,), (1,), (2,), wd.FORWARD_AXES, wd.INVERSE_AXES, wd.FORWARD_AXES * 3):
+            values = wd._apply_chain(carr, P[None], axes)[0]
+            jets = wd._apply_chain(carr, S, axes)[0]
+            assert values.tobytes() == jets.tobytes()
             assert wd._plain_chain(carr, P, axes).tobytes() == values.tobytes()
     assert np.isnan(P).any() and np.isnan(values).any()
 
@@ -134,9 +133,10 @@ def test_step_jacobian_equals_per_lane_tangent_map_bitwise(axes):
     p = wd.random_surface_point(surface, np.random.default_rng(4))
     pts, _ = wd.orbit(surface, p, 255)
     P = wd._pack_points([(q.x, q.y, q.z) for q in pts])
-    src, Q, TQ = wd._pushed_frame(surface.array(), P, axes)
+    src, S = wd._pushed_frame(surface.array(), P, axes)
+    Q = S[0]
     img = wd._chart(surface.array(), Q)
-    J = wd._frame_in_chart(Q, TQ, img)
+    J = wd._frame_in_chart(S, img)
     src_fail, dead, img_fail = src.fail, ~wd._finite_lanes(Q), img.fail
     assert J.shape == (256, 2, 2)
     assert not (src_fail.any() or dead.any() or img_fail.any())
@@ -159,7 +159,8 @@ def test_tangent_map_errors_are_unchanged():
         assert info.value.stage == 0
     # the batched flags say the same per lane
     P = wd._pack_points([(p.x, p.y, p.z), (inf, inf, inf)])
-    src, Q, _ = wd._pushed_frame(surface.array(), P, (2,))
+    src, S = wd._pushed_frame(surface.array(), P, (2,))
+    Q = S[0]
     img = wd._chart(surface.array(), Q)
     src_fail, dead, img_fail = src.fail, ~wd._finite_lanes(Q), img.fail
     assert dead.tolist() == [True, True] and not img_fail.any()

@@ -3,11 +3,12 @@
 The CLI goldens run the kernel on one on-surface lane at a time and never
 reach its ramification branches.  These digests pin the bytes of
 _fiber_coeffs and of two turns of f through _apply_chain, on value lanes
-and on jet lanes, for three lane sets: random off-surface lanes with NaN
-lanes, the branch lanes (A = 0 corners and a double root) and seeded lanes
-on the Cayley cubic; 200 blanc_compose steps of the map of the orbit
-benchmark; and the scalar surface wrappers, whose inverse chain and single
-involutions no CLI golden runs.  A same-bytes change keeps every digest.
+and on lanes with two tangent rows, for three lane sets: random
+off-surface lanes with NaN lanes, the branch lanes (A = 0 corners and a
+double root) and seeded lanes on the Cayley cubic; 200 blanc_compose
+steps of the map of the orbit benchmark; and the scalar surface wrappers,
+whose inverse chain and single involutions no CLI golden runs.  A
+same-bytes change keeps every digest.
 """
 
 import hashlib
@@ -54,17 +55,46 @@ def _kernel_bytes(name, kind):
     carr, P = _lane_set(name)
     rng = np.random.default_rng(9)
     T = rng.normal(size=(2,) + P.shape) + 1j * rng.normal(size=(2,) + P.shape)
+    S = np.concatenate([P[None], T])
     with np.errstate(all="ignore"):
         if kind == "fiber_values":
-            return [c for axis in range(3) for c in wd._fiber_coeffs(carr, axis, P)]
+            return [c for axis in range(3) for c in wd._fiber_coeffs(carr, axis, P[None])]
         if kind == "fiber_jets":
-            return [part for axis in range(3) for c in wd._fiber_coeffs(carr, axis, P, T)
-                    for part in (c.val, c.tan)]
+            return [part for axis in range(3) for c in wd._fiber_coeffs(carr, axis, S)
+                    for part in (c[0], c[1:])]
         if kind == "chain_values":
-            Q, none = wd._apply_chain(carr, P, None, wd.FORWARD_AXES * 2)
-            assert none is None
-            return [Q]
-        return list(wd._apply_chain(carr, P, T, wd.FORWARD_AXES * 2))
+            return [wd._apply_chain(carr, P[None], wd.FORWARD_AXES * 2)[0]]
+        S = wd._apply_chain(carr, S, wd.FORWARD_AXES * 2)
+        return [S[0], S[1:]]
+
+
+def _same_bits(a, b):
+    """Equal bytes once every NaN is the same NaN: numpy's complex loops over
+    fewer than four elements give some NaNs of a dead lane another sign."""
+    a, b = np.array(a), np.array(b)
+    a[np.isnan(a)] = b[np.isnan(b)] = np.nan
+    return a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["random", "branch", "cayley"])
+@pytest.mark.parametrize("tangents", [0, 2])
+def test_lane_bits_do_not_depend_on_the_lanes_beside_them(name, tangents):
+    """Each lane alone and each run of 2 or 3 lanes gives the bits of the
+    whole set, in _fiber_coeffs and in two turns of f: numpy may round a
+    product of one-element arrays without FMA, which this would catch."""
+    carr, P = _lane_set(name)
+    rng = np.random.default_rng(9)
+    T = rng.normal(size=(tangents,) + P.shape) + 1j * rng.normal(size=(tangents,) + P.shape)
+    S = np.concatenate([P[None], T])
+    with np.errstate(all="ignore"):
+        fibers = [wd._fiber_coeffs(carr, axis, S) for axis in range(3)]
+        images = wd._apply_chain(carr, S, wd.FORWARD_AXES * 2)
+        for width in (1, 2, 3):
+            for start in range(0, len(P) - width + 1, width):
+                part = slice(start, start + width)
+                for axis in range(3):
+                    assert _same_bits(wd._fiber_coeffs(carr, axis, S[:, part]), fibers[axis][..., part])
+                assert _same_bits(wd._apply_chain(carr, S[:, part], wd.FORWARD_AXES * 2), images[:, part])
 
 
 KERNEL_PINS = {

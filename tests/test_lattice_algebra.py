@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kummerlab.errors import (
+    CapExceededError,
     NonInvertibleError,
     NotIsometryError,
     PreconditionError,
@@ -14,6 +15,7 @@ from kummerlab.errors import (
     WrongSignatureError,
 )
 from kummerlab.lattice_algebra import (
+    FACTOR_SEARCH_CAP,
     IntMatrix,
     IntPolynomial,
     LEHMER_POLY,
@@ -36,6 +38,7 @@ from kummerlab.lattice_algebra import (
     spectral_report,
     wehler_cohomology_action,
 )
+from kummerlab.lattice_algebra import _divisors, _quadratic_factors
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2  # dominant root of t^2 - 3t + 1
 WEHLER_LAMBDA = 9 + 4 * math.sqrt(5)
@@ -507,3 +510,20 @@ class TestRepresentsValue:
             represents_value(lat, -2, -1)
         with pytest.raises(PreconditionError):
             rank2_analysis(lat, search_bound=-1)
+
+
+class TestFloatRangeGuards:
+    def test_residual_of_a_root_whose_powers_overflow(self):
+        # t^2 - 10^200 t - 1: x^2 ~ 1e400 leaves the float range
+        p = IntPolynomial.from_coeffs([-1, -(10**200), 1])
+        lam, witness, residual = dominant_root(p)
+        assert lam == pytest.approx(1e200, rel=1e-12)
+        assert 0.0 <= residual < 1e-15
+
+    def test_factor_searches_refuse_long_ranges_before_starting(self):
+        # a range of exactly the cap still runs
+        assert _divisors(FACTOR_SEARCH_CAP**2)[-1] == FACTOR_SEARCH_CAP**2
+        with pytest.raises(CapExceededError):
+            _divisors((FACTOR_SEARCH_CAP + 1) ** 2)
+        with pytest.raises(CapExceededError):
+            next(_quadratic_factors(IntPolynomial.from_coeffs([1, FACTOR_SEARCH_CAP, 0, 1])))

@@ -26,7 +26,7 @@ def reference_chain(carr, axes, p, tol):
     if p.residual > tol:
         raise OffSurfaceError("input point fails the membership tolerance")
     for axis in axes:
-        Q, _ = wd._sigma_jets(carr, axis, wd._pack_points([(p.x, p.y, p.z)]))
+        Q = wd._plain_chain(carr, wd._pack_points([(p.x, p.y, p.z)]), (axis,))
         if not np.all(np.isfinite(Q)):
             raise IndeterminatePointError(
                 "degenerate fiber under the involution", stage=axis + 1

@@ -85,8 +85,8 @@ def _fiber_quadratic(surface, axis, p, q):
     P[0, others[0]] = (p.u, p.v)
     P[0, others[1]] = (q.u, q.v)
     P[0, axis.value] = (1.0, 0.0)
-    A, B, C = wd._fiber_coeffs(surface.array(), axis.value, P, np.zeros((0,) + P.shape, dtype=complex))
-    return A.val[0], B.val[0], C.val[0]
+    A, B, C = wd._fiber_coeffs(surface.array(), axis.value, P[None])
+    return A[0, 0], B[0, 0], C[0, 0]
 
 
 def test_solve_fiber_returns_roots_of_the_restriction():
@@ -214,8 +214,8 @@ def _sigma_z_fixed_points(surface, x, count=4):
         P[0, 0] = (x.u, x.v)
         P[0, 1] = (1.0, w)
         P[0, 2] = (1.0, 0.0)
-        A, B, C = wd._fiber_coeffs(carr, 2, P, np.zeros((0,) + P.shape, dtype=complex))
-        return A.val[0], B.val[0], C.val[0]
+        A, B, C = wd._fiber_coeffs(carr, 2, P[None])
+        return A[0, 0], B[0, 0], C[0, 0]
 
     def disc(w):
         A, B, C = abc(w)
@@ -511,11 +511,10 @@ def test_multiplier_product_matches_jacobian_determinant():
         p = orb.point
         P = wd._pack_points([(p.x, p.y, p.z)])
         chart = wd._chart(carr, P)
-        T = wd._seed_chart_tangents(P, chart)
-        Q, TQ = P, T
+        S = wd._seed_chart_tangents(P, chart)
         for _ in range(orb.period):
-            Q, TQ = wd._apply_chain(carr, Q, TQ, wd.FORWARD_AXES)
-        jac = wd._frame_in_chart(Q, TQ, chart)[0]
+            S = wd._apply_chain(carr, S, wd.FORWARD_AXES)
+        jac = wd._frame_in_chart(S, chart)[0]
         assert abs(abs(m1 * m2) - abs(np.linalg.det(jac))) < 1e-6
         # reading the orbit through the inverse map inverts the multipliers
         big, small, failed = wd._multipliers_at(carr, P, orb.period, axes=wd.INVERSE_AXES)
