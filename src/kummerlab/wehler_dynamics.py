@@ -289,8 +289,12 @@ def _z_residuals(A, B, C, P) -> np.ndarray:
 def _solve_quadratic(A, B, C):
     """Both homogeneous roots of A u^2 + B uv + C v^2, numerically stable.
 
-    Returns ((u1, v1), (u2, v2)) arrays; lanes with A ~ B ~ C ~ 0 come back
-    as NaN.  Double roots are returned twice.
+    The Vieta pair (qq : A), (C : qq), with qq = -(B +- sqrt(B^2 - 4AC))/2
+    taking the sign that avoids cancellation, needs no special cases: it
+    tends to (1:0) and (-C:B) as A -> 0 and to (0:1) as B, C -> 0, and is
+    then more accurate than those limits.  A root that vanishes (a double
+    root, A = B = 0 or B = C = 0) takes the other.  Returns ((u1, v1),
+    (u2, v2)) arrays; lanes with A ~ B ~ C ~ 0 come back as NaN.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -301,24 +305,11 @@ def _solve_quadratic(A, B, C):
         sq = np.sqrt(B * B - 4 * A * C)
         plus = B + sq
         minus = B - sq
-        big = np.where(np.abs(plus) >= np.abs(minus), plus, minus)
-        qq = -big / 2
-        # generic pair via Vieta: u/v = qq/A and C/qq
-        r1u, r1v = qq, A.copy()
-        r2u, r2v = C.copy(), qq.copy()
-        # A ~ 0 against the overall scale: roots (1:0) and (-C:B)
-        small_a = np.abs(A) <= 1e-14 * scale
-        r1u = np.where(small_a, 1.0, r1u)
-        r1v = np.where(small_a, 0.0, r1v)
-        r2u = np.where(small_a, -C, r2u)
-        r2v = np.where(small_a, B, r2v)
-        # B ~ C ~ 0 double root at (0:1)
-        only_a = (np.abs(B) <= 1e-14 * scale) & (np.abs(C) <= 1e-14 * scale)
-        r1u = np.where(only_a & ~small_a, 0.0, r1u)
-        r1v = np.where(only_a & ~small_a, 1.0, r1v)
-        bad2 = np.maximum(np.abs(r2u), np.abs(r2v)) <= 1e-14 * scale
-        r2u = np.where(bad2, r1u, r2u)
-        r2v = np.where(bad2, r1v, r2v)
+        qq = -np.where(np.abs(plus) >= np.abs(minus), plus, minus) / 2
+        bad1 = np.maximum(np.abs(qq), np.abs(A)) <= 1e-14 * scale
+        bad2 = np.maximum(np.abs(C), np.abs(qq)) <= 1e-14 * scale
+        r1u, r1v = np.where(bad1, C, qq), np.where(bad1, qq, A)
+        r2u, r2v = np.where(bad2, qq, C), np.where(bad2, A, qq)
     for arr in (r1u, r1v, r2u, r2v):
         arr[degenerate] = np.nan
     return (r1u, r1v), (r2u, r2v)
@@ -340,29 +331,35 @@ def _swap_root(A, B, C, axis, S):
     A u^2 + B uv + C v^2 (the axis's _fiber_coeffs at S), on a copy of the
     lane stack S.
 
-    Branch formulas (sum and product forms of Vieta plus the A ~ 0
-    fallback) are all computed; their values pick, lane-wise, the candidate
-    with the smallest fiber residual, and only that candidate is normalized
-    with its tangents.  A single guarded Newton step on the smaller affine
-    coordinate arrests drift.  Lanes with a degenerate fiber become NaN.
+    The other root of an input (u:v) comes from Vieta: the sum form
+    (-Bv - Au : Av) or the product form (Cv : Au), whichever has the smaller
+    fiber residual once max-normalized (a form that vanishes against the
+    scale is out).  Neither can return the input root.  The one exception
+    is an input near (1:0): with e = |v/u|, A ~ -Be on the fiber, so the sum
+    form is e^2 (C : -B) under rounding of size ulp * scale and the product
+    form's A carries a relative error ulp / e, while (-C:B), the other root
+    at (1:0) itself, is off by O(e).  So (-C:B) is the most accurate exactly
+    when e <= sqrt(ulp), and it is taken there; elsewhere it is often the
+    input root.  Only the chosen candidate is normalized with its tangents.
+    A single guarded Newton step on the smaller affine coordinate squares
+    the remaining error.  Lanes with a degenerate fiber become NaN.
     """
     u, v = S[:, :, axis, 0], S[:, :, axis, 1]
     cscale = np.maximum(np.maximum(np.abs(A[0]), np.abs(B[0])), np.abs(C[0]))
     scale = np.maximum(cscale, 1e-300)
     with np.errstate(all="ignore"):
         Au = _mul(A, u)
-        cands = [(-_mul(B, v) - Au, _mul(A, v)), (_mul(C, v), Au), (-C, B)]
-        cu, cv = (np.array([c[i][0] for c in cands]) for i in (0, 1))
+        (su, sv), (pu, pv) = (-_mul(B, v) - Au, _mul(A, v)), (_mul(C, v), Au)
+        cu, cv = np.array([su[0], pu[0]]), np.array([sv[0], pv[0]])
         au, av = np.abs(cu), np.abs(cv)
         inv = 1.0 / np.where(au >= av, cu, cv)
         nu, nv = cu * inv, cv * inv
         r = np.abs(A[0] * nu * nu + B[0] * nu * nv + C[0] * nv * nv)
-        tiny = np.maximum(au, av) <= 1e-13 * scale
-        choice = np.argmin(np.where(tiny, np.inf, r), axis=0)
-        cu, cv = cands[0]
-        for k in (1, 2):
-            sel = choice == k
-            cu, cv = np.where(sel, cands[k][0], cu), np.where(sel, cands[k][1], cv)
+        r = np.where(np.maximum(au, av) <= 1e-13 * scale, np.inf, r)
+        prod = r[1] < r[0]
+        at_inf = np.abs(v[0]) <= np.sqrt(np.finfo(float).eps) * np.abs(u[0])
+        cu = np.where(at_inf, -C, np.where(prod, pu, su))
+        cv = np.where(at_inf, B, np.where(prod, pv, sv))
         denom = np.where(np.abs(cu[0]) >= np.abs(cv[0]), cu, cv)
         nu, nv = _div(cu, denom), _div(cv, denom)
         # one Newton step on the affine fiber equation in the smaller

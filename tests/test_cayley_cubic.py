@@ -74,27 +74,17 @@ def test_smooth_fixed_counts():
     assert [_smooth_fixed_count(n) for n in (1, 2, 3, 4)] == [0, 14, 72, 318]
 
 
-def _census_defects(n):
-    rows = wd.newton_periodic(cayley_surface(), n, 512, 0)
+def assert_exact_saddles(surface, n, count):
+    """The census of period n at 512 seeds finds 1..count rows, each with
+    lambda_u = log(2 + sqrt 5) and m_u m_s = (-1)^n."""
+    rows = wd.newton_periodic(surface, n, 512, 0)
+    assert 0 < len(rows) <= count
     lam = np.array([math.log(abs(o.multipliers[0])) / n for o in rows])
-    det = np.array([abs(o.multipliers[0] * o.multipliers[1] - (-1) ** n) for o in rows])
-    return rows, np.abs(lam - LAMBDA_U), det
+    det = np.array([o.multipliers[0] * o.multipliers[1] for o in rows])
+    assert np.abs(lam - LAMBDA_U).max() <= 1e-10
+    assert np.abs(det - (-1) ** n).max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_saddles_carry_the_exact_exponent(n):
-    rows, lam_err, det_err = _census_defects(n)
-    assert 0 < len(rows) <= _smooth_fixed_count(n)
-    assert lam_err.max() <= 1e-10
-    assert det_err.max() <= 1e-9
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="at n = 2 rows cluster where two fiber projections ramify at "
-    "once, near (0,0,+-2), (0,+-2,0) and (+-2,0,0), and report multipliers "
-    "near 1; the involution kernel is not yet right at a double root",
-)
-def test_period_two_rows_satisfy_the_two_form_identity():
-    _, _, det_err = _census_defects(2)
-    assert det_err.max() <= 1e-9
+    assert_exact_saddles(cayley_surface(), n, _smooth_fixed_count(n))

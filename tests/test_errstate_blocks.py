@@ -74,14 +74,16 @@ def test_frame_in_chart_zero_image_row():
 
 
 def test_return_displacement_of_a_subnormal_representative():
-    """A surface point whose z row is scaled into the subnormal range: the
-    chain renormalises it without a warning, but the displacement's own
-    normalisation of P overflows 1 / |w| to inf, and the cross product with
-    the image's row then multiplies inf by 0."""
+    """A lane whose z row is a subnormal representative of a point within
+    sqrt(eps) of (1:0): sigma_3 takes (-C:B) there, which does not read the
+    row, so the image is finite without a warning; but the displacement's
+    own normalisation of P overflows the row to inf, and the cross product
+    with the image's row then meets inf - inf."""
     surface = wd.random_surface(1)
     p = wd.random_surface_point(surface, np.random.default_rng(0))
     P = wd._pack_points([(p.x, p.y, p.z)])
-    P[0, 2] *= 1e-309
+    P[0, 2] = (1e-309, 3e-318 + 2e-318j)
+    assert wd._finite_lanes(wd._plain_chain(surface.array(), P, wd.FORWARD_AXES)).all()
     d = wd._return_displacement(surface.array(), P, 1)
     assert np.isnan(d).all()
 

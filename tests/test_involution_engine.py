@@ -42,20 +42,21 @@ def _tangents(P):
 
 def _vieta_choice(carr, axis, P):
     """Which root formula the kernel takes on each lane: 0 and 1 for the sum
-    and product forms of Vieta, 2 for (-C:B).  The same rule as _swap_root
-    (smallest fiber residual of the max-normalized candidate), written with
-    plain division."""
+    and product forms of Vieta, whichever has the smaller fiber residual
+    once max-normalized, and 2 for (-C:B) on inputs within sqrt(eps) of
+    (1:0).  The same rule as _swap_root, written with plain division."""
     A, B, C = wd._fiber_coeffs(carr, axis, P[None])[:, 0]
     u, v = P[:, axis, 0], P[:, axis, 1]
     scale = np.maximum(np.maximum(np.maximum(abs(A), abs(B)), abs(C)), 1e-300)
     res = []
     with np.errstate(all="ignore"):
-        for cu, cv in ((-(B * v) - A * u, A * v), (C * v, A * u), (-C, B)):
+        for cu, cv in ((-(B * v) - A * u, A * v), (C * v, A * u)):
             d = np.where(abs(cu) >= abs(cv), cu, cv)
             nu, nv = cu / d, cv / d
             r = abs(A * nu * nu + B * nu * nv + C * nv * nv)
             res.append(np.where(np.maximum(abs(cu), abs(cv)) <= 1e-13 * scale, np.inf, r))
-    return np.argmin(np.stack(res), axis=0)
+    at_inf = abs(v) <= np.sqrt(np.finfo(float).eps) * abs(u)
+    return np.where(at_inf, 2, (res[1] < res[0]).astype(int))
 
 
 def test_branch_lanes_reach_every_branch_of_the_involution():
@@ -66,7 +67,7 @@ def test_branch_lanes_reach_every_branch_of_the_involution():
     assert wd._residuals(carr, P[-2:]).max() == 0.0
     for axis in range(3):
         A, B, C = wd._fiber_coeffs(carr, axis, P[None])[:, 0]
-        # A = 0 at (1:0), so both Vieta candidates vanish and (-C:B) wins
+        # A = 0 at (1:0), so both Vieta forms vanish and (-C:B) is taken
         assert A[corner] == 0 and abs(B[corner]) > 0.1
         Q = wd._plain_chain(carr, P, (axis,))
         assert abs(Q[corner, axis, 1]) > 0.01
@@ -82,12 +83,16 @@ def test_branch_lanes_reach_every_branch_of_the_involution():
     # jet lanes, with 64 off-surface lanes more: on every root formula and
     # in both charts of the polish the tangent is the derivative of the
     # value map, by central differences on the lanes whose formula and
-    # chart do not change within +-h
-    P = _branch_lanes(surface, 64)
-    T = _tangents(P)
-    corner, double = len(P) - 2, len(P) - 1
+    # chart do not change within +-h.  (-C:B) is taken only at (1:0), so
+    # on each axis the first 8 off-surface lanes are moved there too, and
+    # every lane at (1:0) gets tangents with no v-component on the axis.
     h = 1e-6
     for axis in range(3):
+        P = _branch_lanes(surface, 64)
+        T = _tangents(P)
+        corner, double = len(P) - 2, len(P) - 1
+        P[:8, axis] = (1.0, 0.0)
+        T[:, P[:, axis, 1] == 0, axis, 1] = 0.0
         choice = _vieta_choice(carr, axis, P)
         assert choice[corner] == 2
         S = wd._apply_chain(carr, np.concatenate([P[None], T]), (axis,))
@@ -106,10 +111,33 @@ def test_branch_lanes_reach_every_branch_of_the_involution():
         err = np.abs(fd - jet).max(axis=1) / (1 + np.abs(jet).max(axis=1))
         assert err[stable].max() < 1e-5
         assert set(choice[stable]) == {0, 1, 2}
+        assert stable[corner] and (choice[stable] == 2).sum() > 4
         assert pick_u[stable].any() and not pick_u[stable].all()
         assert np.isfinite(TQ[:, corner]).all()
     z = wd._apply_chain(carr, np.concatenate([P[None], T]), (2,))[0][double, 2]
     assert z[0] == 0 and abs(z[1] - 1) < 1e-15
+
+
+def test_sigma_at_infinity_with_a_small_leading_coefficient():
+    """An input exactly (1:0) on a z-fiber with A = 1e-12 * scale, which is
+    on the surface.  Its other root is (-C:B) up to O(A).  The sum form is
+    the input itself there, so a rule that took (-C:B) only where both Vieta
+    forms vanish would keep the input."""
+    arr = wd.random_surface(5).array()
+    arr[2, 2, 2] = 1e-12 * np.abs(arr[2, 2]).max()
+    surface = wd.WehlerSurface.from_array(arr)
+    inf = wd.P1Point(1.0, 0.0)
+    q = wd.sigma(surface, wd.Axis.Z, wd.make_surface_point(surface, inf, inf, inf))
+    want = wd.P1Point.make(-arr[2, 2, 0], arr[2, 2, 1])
+    assert abs(q.z.u * want.v - q.z.v * want.u) <= 1e-11
+    assert abs(q.z.v) > 0.5
+
+
+def test_solve_quadratic_double_root_at_infinity():
+    """A = B = 0: the fiber C v^2 has the double root (1:0)."""
+    zero = np.zeros(1, dtype=complex)
+    (r1u, r1v), (r2u, r2v) = wd._solve_quadratic(zero, zero, zero + (0.3 + 0.2j))
+    assert r1v == r2v == 0 and abs(r1u) > 0 and abs(r2u) > 0
 
 
 @pytest.mark.parametrize("count", [1, 256])
