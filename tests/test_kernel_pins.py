@@ -100,12 +100,12 @@ def test_lane_bits_do_not_depend_on_the_lanes_beside_them(name, tangents):
 KERNEL_PINS = {
     ("random", "fiber_values"): "e9817804dd79ed67",
     ("random", "fiber_jets"): "b2f92b00ae3e4736",
-    ("random", "chain_values"): "181b7686087c1d59",
-    ("random", "chain_jets"): "2acd737348e366d9",
+    ("random", "chain_values"): "166e816a85b267f3",
+    ("random", "chain_jets"): "2fc30da889aa323c",
     ("branch", "fiber_values"): "ff1ae66c29b9bcdb",
     ("branch", "fiber_jets"): "dca0918c6f9634f5",
-    ("branch", "chain_values"): "175166defbba9d98",
-    ("branch", "chain_jets"): "7fda1f51afcfb391",
+    ("branch", "chain_values"): "f07637b1373b0288",
+    ("branch", "chain_jets"): "da820af54084cabb",
     ("cayley", "fiber_values"): "8462b445a9821914",
     ("cayley", "fiber_jets"): "f246a3013eb82002",
     ("cayley", "chain_values"): "a2c6465c44d17e2e",
