@@ -6,7 +6,7 @@ The package has four mathematical layers and a command line harness:
   cohomology lattices (characteristic polynomials, dynamical degrees,
   Salem classification, isometry splitting, rank-2 form analysis).
 - :mod:`kummerlab.torus_kummer`: exact dynamics of linear automorphisms of
-  a product of elliptic curves and their Kummer-type quotients.
+  a product of elliptic curves and its sign-involution (Kummer) quotient.
 - :mod:`kummerlab.wehler_dynamics`: numerical dynamics of (2,2,2) surfaces
   in (P1)^3 via the three fiberwise involutions.
 - :mod:`kummerlab.blanc_cremona`: plane Cremona involutions fixing a cubic

@@ -260,17 +260,6 @@ def two_form_check(B: BlancMap, p: P2Point) -> float:
     return abs(value - 1.0)
 
 
-def _random_line_roots(cubic: PlaneCubic, rng):
-    """A random line a + t*b and the roots t of the cubic along it; no roots
-    when the leading coefficient is negligible."""
-    a = rng.normal(size=3) + 1j * rng.normal(size=3)
-    b = rng.normal(size=3) + 1j * rng.normal(size=3)
-    g3, g2, g1, g0 = _line_restriction(cubic, a, b)
-    if abs(g3) < 1e-12 * max(abs(g0), abs(g1), abs(g2), 1e-300):
-        return a, b, ()
-    return a, b, np.roots([g3, g2, g1, g0])
-
-
 def cubic_points(cubic: PlaneCubic, count: int, rng_seed: int) -> list[P2Point]:
     """Points on the cubic from random line slices, polished by Newton steps
     along the line to residual ~1e-15 relative."""
@@ -283,9 +272,12 @@ def cubic_points(cubic: PlaneCubic, count: int, rng_seed: int) -> list[P2Point]:
         guard += 1
         if guard > 100 * count + 100:
             raise InternalInvariantError("cubic point sampling stalled")
-        a, b, roots = _random_line_roots(cubic, rng)
-        if len(roots) == 0:
+        a = rng.normal(size=3) + 1j * rng.normal(size=3)
+        b = rng.normal(size=3) + 1j * rng.normal(size=3)
+        g3, g2, g1, g0 = _line_restriction(cubic, a, b)
+        if abs(g3) < 1e-12 * max(abs(g0), abs(g1), abs(g2), 1e-300):
             continue
+        roots = np.roots([g3, g2, g1, g0])
         t = roots[int(rng.integers(0, len(roots)))]
         ok = False
         for _ in range(5):
@@ -322,95 +314,3 @@ def distinct_cubic_points(
         if seed > rng_seed + 50:
             raise InternalInvariantError("could not find distinct cubic points")
     return out
-
-
-def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Damped Gauss-Newton on system(w) = 0 for a complex vector w: central
-    differences with step 1e-7 for the Jacobian, least-squares steps capped
-    at 0.5 in max norm, at most 40 iterations, stopping after a step below
-    1e-14.  Returns (w, ok); ok is False when a step came out non-finite or
-    could not be solved (system returned NaN or inf), and w is then the last
-    finite iterate."""
-    h = 1e-7
-    for _ in range(40):
-        r = system(w)
-        jac = np.empty((len(r), len(w)), dtype=complex)
-        for j in range(len(w)):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            jac[:, j] = (system(wp) - system(wm)) / (2 * h)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
-            return w, False  # LAPACK would print a complaint on stdout
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            return w, False
-        if not np.all(np.isfinite(step)):
-            return w, False
-        size = np.abs(step).max()
-        if size > 0.5:
-            step = step * (0.5 / size)
-        w = w + step
-        if size < 1e-14:
-            break
-    return w, True
-
-
-def refine_distinct(candidates, grads, refine, chordal) -> list:
-    """The advisory probes' last stage: refine the 20 candidates of lowest
-    gradient in that order, and keep each refined point (refine returns
-    None when it does not converge) unless it lies within chordal distance
-    1e-6 of a point already kept."""
-    kept: list = []
-    for idx in np.argsort(grads)[:20]:
-        point = refine(candidates[idx])
-        if point is not None and all(chordal(point, k) > 1e-6 for k in kept):
-            kept.append(point)
-    return kept
-
-
-def _refine_singular(cubic: PlaneCubic, start: np.ndarray) -> P2Point | None:
-    """Gauss-Newton on the vanishing-gradient system in the best affine
-    chart of the start point (P = 0 follows from Euler's relation)."""
-    m = int(np.argmax(np.abs(start)))
-    free = [a for a in range(3) if a != m]
-    w = np.array([start[free[0]] / start[m], start[free[1]] / start[m]])
-
-    def point(w2):
-        v = np.empty(3, dtype=complex)
-        v[m] = 1.0
-        v[free[0]], v[free[1]] = w2
-        return v
-
-    w, ok = gauss_newton(lambda w2: cubic.gradient(point(w2)), w)
-    if not ok or not np.all(np.isfinite(w)):
-        return None
-    v = point(w)
-    if np.abs(cubic.gradient(v)).max() > 1e-8 * cubic.scale:
-        return None
-    return P2Point.make(*v)
-
-
-def smoothness_probe(
-    cubic: PlaneCubic, trials: int = 1000, rng_seed: int = 0
-) -> list[P2Point]:
-    """Advisory singularity search: collect curve points from random line
-    slices, then Gauss-Newton refine the smallest-gradient candidates on
-    the vanishing-gradient system and keep converged residuals."""
-    rng = np.random.default_rng(rng_seed)
-    points: list[np.ndarray] = []
-    grads: list[float] = []
-    for _ in range(trials):
-        a, b, roots = _random_line_roots(cubic, rng)
-        for t in roots:
-            v = a + t * b
-            top = np.abs(v).max()
-            if top == 0 or not np.isfinite(top):
-                continue
-            v = v / top
-            points.append(v)
-            grads.append(float(np.abs(cubic.gradient(v)).max()))
-    return refine_distinct(
-        points, grads, lambda v: _refine_singular(cubic, v), P2Point.chordal
-    )

@@ -76,10 +76,6 @@ class EmptyEnsembleError(KummerlabError):
     pass
 
 
-class UnsupportedTauError(KummerlabError):
-    pass
-
-
 class InsufficientSamplesError(KummerlabError):
     pass
 

@@ -42,10 +42,10 @@ from .errors import (
     WrongSignatureError,
 )
 
-# Largest polynomial degree the factor-extraction routine accepts.  The
-# cohomology lattices in scope have rank at most 22, so this is generous;
-# anything above it raises UnsupportedDegreeError rather than silently
-# falling back to an incomplete factorization.
+# Largest polynomial degree (or matrix dimension) the spectral routines
+# accept.  The cohomology lattices in scope have rank at most 22, so this is
+# generous; anything above it raises UnsupportedDegreeError, before the
+# totient sieve up to 2 d^2 and rather than an incomplete factorization.
 MAX_FACTOR_DEGREE = 105
 
 # A root counts as lying on the unit circle when its modulus is within this
@@ -593,6 +593,13 @@ def _quadratic_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
                         yield cand
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_FACTOR_DEGREE:
+        raise UnsupportedDegreeError(
+            f"degree {degree} exceeds the supported factor bound {MAX_FACTOR_DEGREE}"
+        )
+
+
 def minimal_factor(p: IntPolynomial, root: complex) -> IntPolynomial:
     """The factor of p over Z containing the given nonzero (numerical) root.
 
@@ -604,10 +611,7 @@ def minimal_factor(p: IntPolynomial, root: complex) -> IntPolynomial:
     dynamical degree times a product of cyclotomics, so the remainder
     returned here is that minimal polynomial.
     """
-    if p.degree > MAX_FACTOR_DEGREE:
-        raise UnsupportedDegreeError(
-            f"degree {p.degree} exceeds the supported factor bound {MAX_FACTOR_DEGREE}"
-        )
+    _check_degree(p.degree)
 
     def hits(f: IntPolynomial) -> bool:
         scale = sum(abs(c) * max(1.0, abs(root)) ** k for k, c in enumerate(f.coeffs))
@@ -702,6 +706,7 @@ def spectral_report(p: IntPolynomial) -> SpectralReport:
     """
     if p.degree < 1:
         raise PreconditionError("spectral data needs a nonconstant polynomial")
+    _check_degree(p.degree)
     rem, cyclos, _ = cyclotomic_strip(p)
     lam = None
     witness = None
@@ -722,6 +727,7 @@ def spectral_report(p: IntPolynomial) -> SpectralReport:
 
 def dynamical_degree(m: IntMatrix) -> SpectralReport:
     """Spectral data of the action of m on a cohomology lattice."""
+    _check_degree(m.dim)
     if m.det() == 0:
         raise NonInvertibleError("matrix is singular over Q")
     return spectral_report(char_poly(m))
@@ -740,7 +746,7 @@ class QuadraticLattice:
     def __post_init__(self):
         g = self.gram.entries
         if any(g[i][j] != g[j][i] for i in range(len(g)) for j in range(len(g))):
-            raise ValueError("gram matrix must be symmetric")
+            raise PreconditionError("gram matrix must be symmetric")
 
     @property
     def rank(self) -> int:

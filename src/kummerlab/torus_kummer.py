@@ -6,11 +6,11 @@ An integer matrix M acts complex-linearly on (x, y); in lattice coordinates
 it transforms (a1, a2) and (b1, b2) separately, so periodic-point work can
 run in exact rational arithmetic while long orbits use floats.
 
-The module also hosts the quotient projections (the sign involution with its
-sixteen fixed points, and multiplication by tau on the square lattices), the
-induced action on degree-2 cohomology, exact and orbit-based Lyapunov
-exponents, Lefschetz periodic-point counting and enumeration, Weyl-sum
-equidistribution reports, and the shared local-dimension estimator.
+The module also hosts the sign-involution quotient projection (sixteen fixed
+points), the lattice matrices of multiplication by tau on the square
+lattices, the induced action on degree-2 cohomology, exact and orbit-based
+Lyapunov exponents, Lefschetz periodic-point counting and enumeration,
+Weyl-sum equidistribution reports, and the shared local-dimension estimator.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ from .errors import (
     InternalInvariantError,
     NotHyperbolicError,
     PreconditionError,
-    UnsupportedTauError,
 )
 from .lattice_algebra import IntMatrix, float_array, smith_normal_form
 
 TAU_I = complex(0.0, 1.0)
 TAU_ZETA3 = complex(-0.5, math.sqrt(3.0) / 2.0)
 
-# lattice-linear action of multiplication by tau on (a, b), z = a + b*tau
+# lattice-linear action of multiplication by tau on (a, b), z = a + b*tau;
+# no computation uses them, tests/test_acceptance.py checks their orders
 ETA_TAU_MATRICES = {
     "i": IntMatrix.from_rows([[0, -1], [1, 0]]),
     "zeta3": IntMatrix.from_rows([[0, -1], [1, -1]]),
@@ -49,8 +49,9 @@ ETA_TAU_ORDERS = {"i": 4, "zeta3": 3}
 
 WEYL_TRIVIAL_TOL = 1e-10
 
-# Run defaults: the largest fixed-point count fix_enumerate lists, the QR
-# orbit, and the dimension leg (the surface leg reuses radii and probes).
+# Run defaults: the largest fixed-point count fix_enumerate lists (and the
+# most frequencies a Weyl-sum report visits), the QR orbit, and the
+# dimension leg (the surface leg reuses radii and probes).
 FIX_CAP = 10**6
 QR_STEPS = 10**4
 QR_WARMUP = 100
@@ -61,8 +62,6 @@ DIMENSION_PROBES = 64
 
 class Quotient(Enum):
     NONE = "NONE"
-    KUMMER_ETA = "KUMMER_ETA"
-    ETA_TAU = "ETA_TAU"
 
 
 class LyapunovMethod(Enum):
@@ -80,15 +79,6 @@ class TorusLattice:
     def __post_init__(self):
         if not self.tau.imag > 0:
             raise PreconditionError("tau must lie in the upper half plane")
-
-
-def _tau_key(lattice: TorusLattice) -> str:
-    for key, tau in (("i", TAU_I), ("zeta3", TAU_ZETA3)):
-        if abs(lattice.tau - tau) <= 1e-12:
-            return key
-    raise UnsupportedTauError(
-        "multiplication by tau is lattice-linear only for tau = i or zeta3"
-    )
 
 
 @dataclass(frozen=True, order=True)
@@ -128,7 +118,8 @@ class TorusPoint:
 
 @dataclass(frozen=True)
 class TorusAutomorphism:
-    """Action of an integer matrix on the torus, with an optional quotient tag."""
+    """Action of an integer matrix on the torus; quotient is always
+    Quotient.NONE, since every computation runs on E x E itself."""
 
     matrix: IntMatrix
     lattice: TorusLattice = TorusLattice()
@@ -139,8 +130,6 @@ class TorusAutomorphism:
             raise PreconditionError("the acting matrix must be 2x2")
         if self.matrix.det() not in (1, -1):
             raise PreconditionError("the acting matrix must be invertible over Z")
-        if self.quotient is Quotient.ETA_TAU:
-            _tau_key(self.lattice)
 
     @property
     def is_hyperbolic(self) -> bool:
@@ -162,14 +151,6 @@ class TorusAutomorphism:
 
     def inverse(self) -> "TorusAutomorphism":
         return replace_matrix(self, self.matrix.inverse_unimodular())
-
-    def project(self, p: TorusPoint) -> TorusPoint:
-        """Canonical representative of p on the tagged quotient."""
-        if self.quotient is Quotient.KUMMER_ETA:
-            return kummer_project(p)
-        if self.quotient is Quotient.ETA_TAU:
-            return eta_tau_project(p, self.lattice)
-        return p
 
 
 def replace_matrix(f: TorusAutomorphism, m: IntMatrix) -> TorusAutomorphism:
@@ -350,9 +331,15 @@ class WeylReport:
 
 
 def _frequency_vectors(k_max: int):
-    for k in itertools.product(range(-k_max, k_max + 1), repeat=4):
-        if k != (0, 0, 0, 0):
-            yield k
+    """The nonzero frequencies of sup-norm at most k_max, lazily; k_max below
+    1, or more than FIX_CAP frequencies, is refused before any is built."""
+    if k_max < 1:
+        raise PreconditionError("k_max must be at least 1")
+    total = (2 * k_max + 1) ** 4 - 1
+    if total > FIX_CAP:
+        raise CapExceededError(f"{total} frequencies exceed the cap {FIX_CAP}")
+    ks = itertools.product(range(-k_max, k_max + 1), repeat=4)
+    return (k for k in ks if k != (0, 0, 0, 0))
 
 
 def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
@@ -362,12 +349,11 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
     exactly 0 or 1; frequencies with |W(k)| > 1e-10 are the characters
     trivial on that subgroup.
     """
-    if k_max < 1:
-        raise PreconditionError("k_max must be at least 1")
+    freqs = _frequency_vectors(k_max)
     if not e.points:
         raise EmptyEnsembleError("no points to average over")
     x = np.array([p.to_floats() for p in e.points])
-    ks = np.array(list(_frequency_vectors(k_max)))
+    ks = np.array(list(freqs))
     # The block row count is pinned by the output bytes: block @ x.T can round
     # differently for another count (1-row blocks change max_nontrivial_abs).
     chunk_rows = max(1, 4_000_000 // max(1, len(e.points)))
@@ -413,14 +399,13 @@ def trivial_character_count(
     cap.  Returns (trivial, total) over nonzero frequencies with
     sup-norm at most k_max.
     """
-    if k_max < 1:
-        raise PreconditionError("k_max must be at least 1")
+    freqs = _frequency_vectors(k_max)
     fix_count(f, n)
     diag, v = _iterate_smith_form(f, n)
     cols = [[v.entries[r][j] for r in range(4)] for j in range(4)]
     trivial = 0
     total = 0
-    for k in _frequency_vectors(k_max):
+    for k in freqs:
         total += 1
         if all(
             sum(k[r] * cols[j][r] for r in range(4)) % diag[j] == 0
@@ -431,7 +416,7 @@ def trivial_character_count(
 
 
 # ---------------------------------------------------------------------------
-# quotient projections
+# quotient projection
 
 
 def kummer_project(p: TorusPoint) -> TorusPoint:
@@ -439,20 +424,6 @@ def kummer_project(p: TorusPoint) -> TorusPoint:
     lexicographic minimum of {p, -p}."""
     neg = -p
     return p if p.coords <= neg.coords else neg
-
-
-def eta_tau_project(p: TorusPoint, lattice: TorusLattice) -> TorusPoint:
-    """Canonical representative under multiplication by tau (order 4 or 3)."""
-    key = _tau_key(lattice)
-    eta = ETA_TAU_MATRICES[key]
-    best = p
-    cur = p
-    for _ in range(ETA_TAU_ORDERS[key] - 1):
-        a1, b1, a2, b2 = cur.coords
-        cur = TorusPoint(_act_mod1(eta, a1, b1) + _act_mod1(eta, a2, b2))
-        if cur.coords < best.coords:
-            best = cur
-    return best
 
 
 def _act_mod1(m: IntMatrix, x, y) -> tuple:

@@ -47,7 +47,6 @@ from .errors import (
     PreconditionError,
     TooFewSaddlesError,
 )
-from .blanc_cremona import gauss_newton, refine_distinct
 from .lattice_algebra import dynamical_degree, wehler_cohomology_action
 from .torus_kummer import (
     DIMENSION_PROBES,
@@ -1213,8 +1212,10 @@ def singularity_probe(
     surface: WehlerSurface, trials: int, rng_seed: int = 0
 ) -> list[Suspect]:
     """Advisory search for singular points: sample fiber points, rank by the
-    largest chart gradient, then Gauss-Newton refine the most suspicious
-    candidates on (F, grad F) = 0 and flag residuals below 1e-8."""
+    largest chart gradient, then Gauss-Newton refine the 20 lowest-gradient
+    candidates in that order on (F, grad F) = 0 and flag residuals below
+    1e-8, keeping a suspect unless it lies within chordal distance 1e-6 of
+    one already kept."""
     if trials < 0:
         raise PreconditionError("trial count must be nonnegative")
     carr = surface.array()
@@ -1224,10 +1225,45 @@ def singularity_probe(
         finite = _finite_lanes(P)
         P = P[finite]
         grads = np.abs(_chart(carr, P).partials).max(axis=0)
-        return refine_distinct(
-            P, grads, lambda cand: _refine_suspect(carr, cand),
-            lambda a, b: a.point.chordal(b.point),
-        )
+        kept: list[Suspect] = []
+        for idx in np.argsort(grads)[:20]:
+            hit = _refine_suspect(carr, P[idx])
+            if hit is not None and all(hit.point.chordal(k.point) > 1e-6 for k in kept):
+                kept.append(hit)
+        return kept
+
+
+def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Damped Gauss-Newton on system(w) = 0 for a complex vector w: central
+    differences with step 1e-7 for the Jacobian, least-squares steps capped
+    at 0.5 in max norm, at most 40 iterations, stopping after a step below
+    1e-14.  Returns (w, ok); ok is False when a step came out non-finite or
+    could not be solved (system returned NaN or inf), and w is then the last
+    finite iterate."""
+    h = 1e-7
+    for _ in range(40):
+        r = system(w)
+        jac = np.empty((len(r), len(w)), dtype=complex)
+        for j in range(len(w)):
+            wp, wm = w.copy(), w.copy()
+            wp[j] += h
+            wm[j] -= h
+            jac[:, j] = (system(wp) - system(wm)) / (2 * h)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+            return w, False  # LAPACK would print a complaint on stdout
+        try:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        except np.linalg.LinAlgError:
+            return w, False
+        if not np.all(np.isfinite(step)):
+            return w, False
+        size = np.abs(step).max()
+        if size > 0.5:
+            step = step * (0.5 / size)
+        w = w + step
+        if size < 1e-14:
+            break
+    return w, True
 
 
 def _refine_suspect(carr, cand) -> Suspect | None:

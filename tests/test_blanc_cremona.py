@@ -270,71 +270,3 @@ def test_cubic_points_land_on_the_cubic():
     for i in range(5):
         for j in range(i + 1, 5):
             assert spaced[i].chordal(spaced[j]) >= 1e-3
-
-
-def test_smoothness_probe_clean_on_fermat():
-    assert bc.smoothness_probe(FERMAT, trials=1000, rng_seed=0) == []
-
-
-def test_smoothness_probe_flags_nodal_cubic():
-    # X1^2 X2 - X0^3 - X0^2 X2 has a node at (0 : 0 : 1)
-    coeffs = [0.0] * 10
-    coeffs[bc.MONOMIALS.index((0, 2, 1))] = 1.0
-    coeffs[bc.MONOMIALS.index((3, 0, 0))] = -1.0
-    coeffs[bc.MONOMIALS.index((2, 0, 1))] = -1.0
-    nodal = bc.PlaneCubic.from_coefficients(coeffs)
-    node = bc.P2Point.make(0.0, 0.0, 1.0)
-    assert abs(nodal.evaluate(node.array())) == 0.0
-    assert np.abs(nodal.gradient(node.array())).max() == 0.0
-    suspects = bc.smoothness_probe(nodal, trials=1000, rng_seed=0)
-    assert suspects
-    assert min(s.chordal(node) for s in suspects) < 1e-6
-
-
-def _cubic_with(terms):
-    coeffs = [0.0] * 10
-    for mono, c in terms.items():
-        coeffs[bc.MONOMIALS.index(mono)] = c
-    return bc.PlaneCubic.from_coefficients(coeffs)
-
-
-PROBE_CUBICS = {
-    "nodal": _cubic_with({(0, 2, 1): 1.0, (3, 0, 0): -1.0, (2, 0, 1): -1.0}),
-    "cuspidal": _cubic_with({(0, 2, 1): 1.0, (3, 0, 0): -1.0}),
-    "fermat": FERMAT,
-}
-
-_ZERO = ("0x0.0p+0", "0x0.0p+0")
-_ONE = ("0x1.0000000000000p+0", "0x0.0p+0")
-
-# (re.hex(), im.hex()) of x0, x1, x2 per suspect, recorded with trials=200:
-# the hex digits pin the line draws, the root order and the refinement bit
-# for bit, including the sign of each zero
-PROBE_SUSPECTS = {
-    ("nodal", 0): [(_ZERO, _ZERO, _ONE)],
-    ("nodal", 1): [(_ZERO, ("-0x1.0000000000000p-170", "0x0.0p+0"), _ONE)],
-    ("nodal", 2): [(_ZERO, _ZERO, _ONE)],
-    ("cuspidal", 0): [
-        (("0x1.83c0cf6b9e72fp-44", "-0x1.196d2b7c1ec87p-44"), _ZERO, _ONE)
-    ],
-    ("cuspidal", 1): [
-        (("-0x1.07e1b2f6a4e86p-44", "0x1.0d83f1da66856p-46"), _ZERO, _ONE)
-    ],
-    ("cuspidal", 2): [
-        (("0x1.cc71312b42401p-46", "0x1.6b716fbf16d15p-48"), _ZERO, _ONE)
-    ],
-    ("fermat", 0): [],
-    ("fermat", 1): [],
-    ("fermat", 2): [],
-}
-
-
-@pytest.mark.golden
-@pytest.mark.parametrize("name, seed", sorted(PROBE_SUSPECTS))
-def test_smoothness_probe_suspects_are_pinned(name, seed):
-    suspects = bc.smoothness_probe(PROBE_CUBICS[name], trials=200, rng_seed=seed)
-    got = [
-        tuple((z.real.hex(), z.imag.hex()) for z in (s.x0, s.x1, s.x2))
-        for s in suspects
-    ]
-    assert got == PROBE_SUSPECTS[(name, seed)]

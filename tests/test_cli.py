@@ -267,6 +267,19 @@ def test_float_overflow_or_long_factor_search_exits_2_fast(tmp_path, capsys, arg
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "rank2", "--gram", "[[1,2],[3,4]]"],
+    ["lattice", "salem", "--poly", json.dumps([1] + [0] * 105 + [1])],
+    ["torus", "equidist", "--n", "2", "--kmax", "16"],
+], ids=["rank2-non-symmetric", "salem-degree-106", "equidist-kmax-16"])
+def test_refused_input_exits_2_fast(tmp_path, capsys, argv):
+    """A non-symmetric Gram matrix, a degree above MAX_FACTOR_DEGREE and a
+    frequency count above FIX_CAP are refused before any work starts."""
+    start = time.perf_counter()
+    _exits_2_with_one_error_line(tmp_path, capsys, argv)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_torus_automorphism_file_integer_tau_matches_float(tmp_path):
     outs = []
     for name, tau in (("int", {"re": 0, "im": 1}), ("float", {"re": 0.0, "im": 1.0})):

@@ -247,6 +247,11 @@ class TestDynamicalDegree:
         with pytest.raises(NonInvertibleError):
             dynamical_degree(IntMatrix.from_rows([[1, 1], [1, 1]]))
 
+    def test_dimension_above_the_degree_bound_is_refused_first(self, monkeypatch):
+        monkeypatch.setattr(IntMatrix, "det", lambda self: pytest.fail("det ran"))
+        with pytest.raises(UnsupportedDegreeError):
+            dynamical_degree(IntMatrix.identity(106))
+
     def test_lehmer_report_verdict(self):
         rep = spectral_report(LEHMER_POLY)
         assert rep.classification is SpectralClass.SALEM

@@ -11,7 +11,7 @@ import pytest
 
 from kummerlab import cli
 from kummerlab import wehler_dynamics as wd
-from kummerlab.blanc_cremona import gauss_newton
+from kummerlab.wehler_dynamics import gauss_newton
 from kummerlab.errors import TooFewSaddlesError
 from kummerlab.torus_kummer import LyapunovMethod, LyapunovReport
 

@@ -15,7 +15,6 @@ from kummerlab.errors import (
     InsufficientSamplesError,
     NotHyperbolicError,
     PreconditionError,
-    UnsupportedTauError,
 )
 from kummerlab.lattice_algebra import IntMatrix, dynamical_degree
 from kummerlab.torus_kummer import (
@@ -23,14 +22,12 @@ from kummerlab.torus_kummer import (
     LyapunovMethod,
     LyapunovReport,
     PeriodicEnsemble,
-    Quotient,
     TAU_I,
     TAU_ZETA3,
     TorusAutomorphism,
     TorusLattice,
     TorusPoint,
     equidistribution_test,
-    eta_tau_project,
     fix_count,
     fix_enumerate,
     h2_action,
@@ -328,6 +325,13 @@ class TestEquidistribution:
             with pytest.raises(PreconditionError):
                 trivial_character_count(FIB, 2, k_max)
 
+    def test_k_max_above_the_frequency_cap_rejected(self):
+        # 31^4 - 1 frequencies fit under FIX_CAP, 33^4 - 1 do not
+        assert (2 * 15 + 1) ** 4 - 1 <= tk.FIX_CAP < (2 * 16 + 1) ** 4 - 1
+        tk._frequency_vectors(15)
+        with pytest.raises(CapExceededError):
+            trivial_character_count(FIB, 2, 16)
+
     def test_exact_counter_matches_direct_sums(self):
         for n in (2, 3):
             e = fix_enumerate(FIB, n)
@@ -377,45 +381,6 @@ class TestEtaTauProject:
         eta = ETA_TAU_MATRICES["zeta3"]
         assert (eta.power(3)).entries == IntMatrix.identity(2).entries
         assert (eta.power(1)).entries != IntMatrix.identity(2).entries
-
-    def test_orbit_invariance_tau_i(self):
-        lat = TorusLattice(TAU_I)
-        rng = random.Random(6)
-        for _ in range(100):
-            p = rand_point(rng)
-            rep = eta_tau_project(p, lat)
-            # multiplication by i in lattice coordinates, per factor
-            a1, b1, a2, b2 = p.coords
-            q = TorusPoint(((-b1) % 1, a1, (-b2) % 1, a2))
-            assert eta_tau_project(q, lat) == rep
-            assert eta_tau_project(rep, lat) == rep
-
-    def test_orbit_invariance_tau_zeta3(self):
-        lat = TorusLattice(TAU_ZETA3)
-        rng = random.Random(7)
-        for _ in range(100):
-            p = rand_point(rng)
-            rep = eta_tau_project(p, lat)
-            a1, b1, a2, b2 = p.coords
-            q = TorusPoint(((-b1) % 1, (a1 - b1) % 1, (-b2) % 1, (a2 - b2) % 1))
-            assert eta_tau_project(q, lat) == rep
-
-    def test_unsupported_tau(self):
-        with pytest.raises(UnsupportedTauError):
-            eta_tau_project(TorusPoint.origin(), TorusLattice(complex(0.3, 0.9)))
-
-    def test_quotient_tag_validation(self):
-        with pytest.raises(UnsupportedTauError):
-            TorusAutomorphism(
-                IntMatrix.identity(2),
-                TorusLattice(complex(0.0, 2.0)),
-                Quotient.ETA_TAU,
-            )
-
-    def test_origin_fixed(self):
-        assert eta_tau_project(TorusPoint.origin(), TorusLattice(TAU_I)) == (
-            TorusPoint.origin()
-        )
 
 
 class TestTorusDistance:
@@ -554,21 +519,3 @@ class TestH2Action:
             )
             delta = a4 + IntMatrix.identity(4).scale(-1)
             assert abs(delta.det()) == fix_count(FIB, n)
-
-
-class TestQuotientTag:
-    def test_project_none(self):
-        p = TorusPoint.from_rationals(Fraction(2, 3), 0, 0, 0)
-        assert FIB.project(p) == p
-
-    def test_project_kummer(self):
-        f = TorusAutomorphism(FIB.matrix, quotient=Quotient.KUMMER_ETA)
-        p = TorusPoint.from_rationals(Fraction(2, 3), 0, 0, 0)
-        assert f.project(p) == kummer_project(p)
-
-    def test_project_eta_tau(self):
-        f = TorusAutomorphism(
-            FIB.matrix, TorusLattice(TAU_I), Quotient.ETA_TAU
-        )
-        p = TorusPoint.from_rationals(Fraction(2, 3), Fraction(1, 5), 0, 0)
-        assert f.project(p) == eta_tau_project(p, TorusLattice(TAU_I))
