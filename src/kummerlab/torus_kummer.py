@@ -50,8 +50,8 @@ ETA_TAU_ORDERS = {"i": 4, "zeta3": 3}
 WEYL_TRIVIAL_TOL = 1e-10
 
 # Run defaults: the largest fixed-point count fix_enumerate lists (and the
-# most frequencies a Weyl-sum report visits), the QR orbit, and the
-# dimension leg (the surface leg reuses radii and probes).
+# most frequencies a Weyl-sum report visits, and the most Haar samples), the
+# QR orbit, and the dimension leg (the surface leg reuses radii and probes).
 FIX_CAP = 10**6
 QR_STEPS = 10**4
 QR_WARMUP = 100
@@ -295,7 +295,11 @@ def fix_enumerate(f: TorusAutomorphism, n: int, cap: int = FIX_CAP) -> PeriodicE
 
     Each d_c divides d4, so coordinate r of V (k / d) mod 1 is the table
     entry Fraction(N_r mod d4, d4) with N_r = sum_c V[r][c] k_c (d4 / d_c).
+    A cap above FIX_CAP is refused before any count: each point costs about
+    600 bytes, so a million points are already near half a gigabyte.
     """
+    if cap > FIX_CAP:
+        raise PreconditionError(f"cap {cap} exceeds FIX_CAP = {FIX_CAP}")
     count = fix_count(f, n)
     if count > cap:
         raise CapExceededError(f"{count} fixed points exceed the cap {cap}")
@@ -342,6 +346,56 @@ def _frequency_vectors(k_max: int):
     return (k for k in ks if k != (0, 0, 0, 0))
 
 
+# Slots of the cos/sin table one Weyl-sum call builds: 2**16 keys and
+# complex values take 1.5 MB.  A periodic ensemble at n = 5 has 1229
+# distinct phases; a table of 2**12 or 2**14 slots collides often enough to
+# lose most of the saving.
+_COS_SIN_SLOTS = 1 << 16
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _cos_sin_cache(slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """An empty _cos_sin table of slots keys (a power of two) and values;
+    every slot starts as the key +0.0 with its value cos 0 + i sin 0 = 1."""
+    return np.zeros(slots, dtype=np.uint64), np.ones(slots, dtype=complex)
+
+
+def _cos_sin(p: np.ndarray, out: np.ndarray, cache) -> None:
+    """Write np.cos(p) into out.real and np.sin(p) into out.imag, bit for bit.
+
+    cache = (keys, values) from _cos_sin_cache.  A phase picks its slot by
+    the top bits of a multiplicative hash of its float64 bits, and a slot
+    whose key has those bits hands back its stored value, so each distinct
+    phase costs one cos and one sin while it keeps its slot.  Every entry is
+    read before any slot changes; the missed phases are then stored as keys
+    and the values computed from the keys as stored: when several misses
+    share a slot, numpy keeps one of them, and its value is then the cos and
+    sin of that same key.  A missed phase whose slot went to another key is
+    evaluated directly.
+    """
+    keys, values = cache
+    bits = p.view(np.uint64)
+    shift = np.uint64(65 - len(keys).bit_length())
+    slot = ((bits * _HASH_MULTIPLIER) >> shift).view(np.int64)
+    # Every slot is below len(keys), so mode="wrap" never wraps; it only
+    # spares the bounds check and the buffered copy of out that "raise" makes.
+    miss = np.take(keys, slot, mode="wrap") != bits
+    np.take(values, slot, out=out, mode="wrap")
+    if miss.any():
+        taken = slot[miss]
+        missed = bits[miss]
+        keys[taken] = missed
+        stored = keys[taken]
+        values.real[taken] = np.cos(stored.view(np.float64))
+        values.imag[taken] = np.sin(stored.view(np.float64))
+        fill = values[taken]
+        other = stored != missed
+        direct = missed[other].view(np.float64)
+        fill.real[other] = np.cos(direct)
+        fill.imag[other] = np.sin(direct)
+        out[miss] = fill
+
+
 def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
     """Weyl sums W(k) = mean of exp(2 pi i <k, coords>) over the ensemble.
 
@@ -359,8 +413,10 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
     chunk_rows = max(1, 4_000_000 // max(1, len(e.points)))
     # exp(2j*pi*P) = cexp(+-0 + i*two_pi*P) is (cos, sin) of two_pi*P bit for bit.
     # The 16-row sub-block is not pinned: a row's mean is the same in any count.
+    # The cos/sin table lives for this call only.
     two_pi = (2j * np.pi).imag
     buf = np.empty((min(16, chunk_rows), len(x)), dtype=complex)
+    cache = _cos_sin_cache(_COS_SIN_SLOTS)
     max_abs = 0.0
     max_nontrivial = 0.0
     trivial: list[tuple[int, int, int, int]] = []
@@ -372,8 +428,7 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
         for r in range(0, len(block), len(buf)):
             p = phase[r : r + len(buf)]
             sub = buf[: len(p)]
-            np.cos(p, out=sub.real)
-            np.sin(p, out=sub.imag)
+            _cos_sin(p, sub, cache)
             w[r : r + len(p)] = np.abs(sub.mean(axis=1))
         max_abs = max(max_abs, float(w.max()))
         for kvec, wa in zip(block, w):
@@ -458,9 +513,16 @@ def h2_action(f: TorusAutomorphism) -> IntMatrix:
 
 
 def haar_samples(n: int, rng_seed: int) -> np.ndarray:
-    """n uniform points in lattice coordinates, shape (n, 4)."""
+    """n uniform points in lattice coordinates, shape (n, 4).
+
+    n above FIX_CAP is refused before anything is allocated: the samples
+    take 32 bytes each and the local dimension estimate several times that,
+    so a count that fits in virtual memory could still exhaust RAM.
+    """
     if n < 0:
         raise PreconditionError("sample count must be nonnegative")
+    if n > FIX_CAP:
+        raise CapExceededError(f"{n} samples exceed the cap {FIX_CAP}")
     return np.random.default_rng(rng_seed).random((n, 4))
 
 

@@ -271,10 +271,14 @@ def test_float_overflow_or_long_factor_search_exits_2_fast(tmp_path, capsys, arg
     ["lattice", "rank2", "--gram", "[[1,2],[3,4]]"],
     ["lattice", "salem", "--poly", json.dumps([1] + [0] * 105 + [1])],
     ["torus", "equidist", "--n", "2", "--kmax", "16"],
-], ids=["rank2-non-symmetric", "salem-degree-106", "equidist-kmax-16"])
+    ["torus", "fix-enum", "--n", "1", "--cap", "1000001"],
+    ["torus", "dimension", "--samples", "1000001"],
+], ids=["rank2-non-symmetric", "salem-degree-106", "equidist-kmax-16",
+        "fix-enum-cap", "dimension-samples"])
 def test_refused_input_exits_2_fast(tmp_path, capsys, argv):
-    """A non-symmetric Gram matrix, a degree above MAX_FACTOR_DEGREE and a
-    frequency count above FIX_CAP are refused before any work starts."""
+    """A non-symmetric Gram matrix, a degree above MAX_FACTOR_DEGREE, a
+    frequency count above FIX_CAP, an enumeration cap above FIX_CAP and
+    more than FIX_CAP Haar samples are refused before any work starts."""
     start = time.perf_counter()
     _exits_2_with_one_error_line(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1.0

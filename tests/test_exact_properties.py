@@ -232,6 +232,33 @@ def test_equidistribution_bits_match_exp_reference(case, k_max):
     assert rep.trivial_frequencies == trivial
 
 
+def cos_sin_reference(p: np.ndarray) -> np.ndarray:
+    """np.cos and np.sin of p written into a complex array."""
+    z = np.empty(p.shape, dtype=complex)
+    np.cos(p, out=z.real)
+    np.sin(p, out=z.imag)
+    return z
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("slots", [1, 2, 1 << 16])
+@pytest.mark.parametrize("size", [1, 2, 3, 17])
+def test_cos_sin_cache_bits_match_direct(slots, size):
+    """Fresh phases, phases an earlier call stored, and repeated phases
+    (signed zeros among them), all through one table; with 1 or 2 slots
+    nearly every phase collides with another."""
+    rng = np.random.default_rng([slots, size])
+    cache = tk._cos_sin_cache(slots)
+    fresh = rng.uniform(-100.0, 100.0, (1, size))
+    seen = np.where(rng.random((1, size)) < 0.5, fresh, rng.uniform(-1e4, 1e4, (1, size)))
+    pool = np.concatenate([fresh.ravel(), [0.0, -0.0, 2.5]])
+    repeated = rng.choice(pool, (2, size))
+    for p in (fresh, seen, repeated, fresh):
+        out = np.empty(p.shape, dtype=complex)
+        tk._cos_sin(p, out, cache)
+        assert out.tobytes() == cos_sin_reference(p).tobytes()
+
+
 def einsum_distance_reference(x: np.ndarray, i: int, tau: complex) -> np.ndarray:
     """The torus metric as one einsum over a (n, 9, 2) translate array."""
     gram = np.array([[1.0, tau.real], [tau.real, abs(tau) ** 2]])

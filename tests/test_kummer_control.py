@@ -90,3 +90,36 @@ def test_rigidity_verdict_is_kummer_consistent():
 def test_default_rigidity_run_is_kummer_consistent():
     report, _ = wd.rigidity_report(kummer_surface(), 5, 2000, 0)
     assert report.verdict is wd.RigidityVerdict.KUMMER_CONSISTENT
+
+
+def _curve_point(x):
+    """A point (x, y) of E: y^2 = 4x^3 - g2 x - g3 above x."""
+    return x, np.sqrt(4 * x**3 - G2 * x - G3)
+
+
+def _chord_add(p, q):
+    """P + Q by the chord rule on E, for P != +-Q: the line through P and Q
+    meets E again at R, with x(R) = slope^2 / 4 - x(P) - x(Q), and
+    P + Q = -R."""
+    (x1, y1), (x2, y2) = p, q
+    slope = (y2 - y1) / (x2 - x1)
+    x3 = slope * slope / 4 - x1 - x2
+    return x3, -(y1 + slope * (x3 - x1))
+
+
+def test_wehler_map_is_m_on_the_group_law():
+    """f sends (x(P), x(Q), x(P + Q)) to (x(3P - 2Q), x(2P - Q), x(P - Q)),
+    which is M = [[3, -2], [-2, 1]] on (u, v), since x = p(u) is even."""
+    rng = np.random.default_rng(2)
+    surface = kummer_surface()
+    for _ in range(10):
+        p, q = (_curve_point(complex(*rng.uniform(-1.5, 1.5, 2))) for _ in range(2))
+        d = _chord_add(p, (q[0], -q[1]))
+        b = _chord_add(p, d)
+        c = _chord_add(b, d)
+        start = wd.make_surface_point(
+            surface, *(wd.P1Point.make(x, 1) for x in (p[0], q[0], _chord_add(p, q)[0]))
+        )
+        image = wd.wehler_map(surface, start)
+        target = wd.SurfacePoint(*(wd.P1Point.make(x, 1) for x in (c[0], b[0], d[0])), 0.0)
+        assert image.chordal(target) <= 1e-9

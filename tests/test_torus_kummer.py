@@ -294,6 +294,12 @@ class TestFixEnumerate:
         with pytest.raises(DegeneratePeriodError):
             fix_enumerate(ROTATION, 4)
 
+    def test_cap_above_fix_cap_refused(self):
+        # refused before the count, even where the ensemble is one point
+        fix_enumerate(FIB, 1, cap=tk.FIX_CAP)
+        with pytest.raises(PreconditionError):
+            fix_enumerate(FIB, 1, cap=tk.FIX_CAP + 1)
+
 
 class TestEquidistribution:
     def test_subgroup_weyl_sums_zero_or_one(self):
@@ -331,6 +337,13 @@ class TestEquidistribution:
         tk._frequency_vectors(15)
         with pytest.raises(CapExceededError):
             trivial_character_count(FIB, 2, 16)
+
+    def test_reports_do_not_depend_on_call_order(self):
+        # the cos/sin table lives for one call, so nothing crosses calls
+        a, b = fix_enumerate(FIB, 3), fix_enumerate(FIB, 4)
+        forward = [repr(equidistribution_test(e, 2)) for e in (a, b)]
+        backward = [repr(equidistribution_test(e, 2)) for e in (b, a)]
+        assert forward == backward[::-1]
 
     def test_exact_counter_matches_direct_sums(self):
         for n in (2, 3):
@@ -422,6 +435,11 @@ class TestTorusDistance:
 
 class TestLocalDimension:
     RADII = np.geomspace(0.2, 0.02, 8)
+
+    def test_haar_samples_above_fix_cap_refused(self):
+        assert haar_samples(tk.FIX_CAP, 1).shape == (tk.FIX_CAP, 4)
+        with pytest.raises(CapExceededError):
+            haar_samples(tk.FIX_CAP + 1, 1)
 
     def test_haar_dimension_four(self):
         samples = haar_samples(10**5, 1)
