@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,11 +33,49 @@ BIG_INT = 2**53
 DEFAULT_MATRIX = [[2, 1], [1, 1]]
 
 
+FNV_OFFSET = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+MASK64 = (1 << 64) - 1
+FNV_BLOCK = 1 << 16
+# P^1, ..., P^FNV_BLOCK mod 2^64; uint64 array products wrap silently
+_FNV_POWERS = np.multiply.accumulate(np.full(FNV_BLOCK, FNV_PRIME, dtype=np.uint64))
+
+
 def fnv1a64(data: bytes) -> int:
-    acc = 0xCBF29CE484222325
-    for byte in data:
-        acc ^= byte
-        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    """FNV-1a 64 of data: h <- (h ^ b) * P mod 2^64 per byte, from the offset
+    basis, computed exactly over blocks of FNV_BLOCK bytes.
+
+    b touches only the low byte l of h, so h ^ b = h + delta with
+    delta = (l ^ b) - l in (-256, 256), and a block of bytes b_0..b_{L-1}
+    takes h to P^L h + sum_k P^(L-k) delta_k mod 2^64.  The deltas need
+    every l_k, and l_{k+1} = m (l_k ^ b_k) mod 256 with m = P mod 256 = 0xB3.
+    For odd m, bit j of m x is x_j xor bit j of m (x mod 2^j), since m x_j 2^j
+    adds x_j at bit j and nothing below it.  So once bits 0..j-1 of every l_k
+    are known, bit j obeys l_{k+1,j} = l_{k,j} xor t_k with
+    t_k = b_{k,j} xor bit j of m ((l_k ^ b_k) mod 2^j), all known, and a
+    prefix xor gives it.  Eight such passes give every l_k; the sum runs in
+    uint64 array arithmetic, which wraps mod 2^64, and h is a Python int
+    masked to 64 bits.
+    """
+    stream = np.frombuffer(data, dtype=np.uint8)
+    m = np.uint8(FNV_PRIME & 0xFF)
+    acc = FNV_OFFSET
+    for start in range(0, len(stream), FNV_BLOCK):
+        b = stream[start : start + FNV_BLOCK]
+        low = np.zeros(len(b), dtype=np.uint8)
+        for j in range(8):
+            bit = 1 << j
+            t = (low ^ b) & (bit - 1)
+            t *= m
+            t ^= b
+            t &= bit
+            start_bit = acc & bit
+            low[0] |= start_bit
+            low[1:] |= np.bitwise_xor.accumulate(t[:-1]) ^ start_bit
+        delta = (low ^ b).astype(np.int64)
+        delta -= low
+        terms = np.dot(delta.view(np.uint64), _FNV_POWERS[len(b) - 1 :: -1])
+        acc = (int(_FNV_POWERS[len(b) - 1]) * acc + int(terms)) & MASK64
     return acc
 
 
@@ -397,14 +436,25 @@ def cmd_torus_fix_count(args, files):
     return json_bytes(payload), "json"
 
 
+# fix-enum CSV rows formatted per slice, so one slice's index array and
+# str are live at a time beside the output bytes
+FIX_ENUM_ROWS = 1 << 16
+
+
 def cmd_torus_fix_enum(args, files):
     f = torus_automorphism(args, files)
     ensemble = tk.fix_enumerate(f, args.n, cap=args.cap)
-    rows = [
-        [f"{c.numerator}/{c.denominator}" for c in p.coords]
-        for p in ensemble.points
-    ]
-    return csv_bytes(["a1", "b1", "a2", "b2"], rows), "csv"
+    d4 = ensemble.denominator
+    # every cell is one of the d4 fractions j/d4 in lowest terms, followed
+    # by "," or, in the last column, by a newline: cells[j + d4]
+    labels = [f"{q.numerator}/{q.denominator}" for q in (Fraction(j, d4) for j in range(d4))]
+    cells = [s + "," for s in labels] + [s + "\n" for s in labels]
+    last_column = np.array([0, 0, 0, d4])
+    parts = [csv_bytes(["a1", "b1", "a2", "b2"], [])]
+    for start in range(0, ensemble.count, FIX_ENUM_ROWS):
+        index = ensemble.numerators[start : start + FIX_ENUM_ROWS] + last_column
+        parts.append("".join(map(cells.__getitem__, index.ravel().tolist())).encode())
+    return b"".join(parts), "csv"
 
 
 def cmd_torus_equidist(args, files):

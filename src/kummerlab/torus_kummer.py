@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,8 +50,9 @@ ETA_TAU_ORDERS = {"i": 4, "zeta3": 3}
 
 WEYL_TRIVIAL_TOL = 1e-10
 
-# Run defaults: the largest fixed-point count fix_enumerate lists (and the
-# most frequencies a Weyl-sum report visits, and the most Haar samples), the
+# Run defaults: the largest fixed-point count fix_enumerate lists (32 bytes
+# of int64 table per point; the Weyl sums read it as 32 more of floats), the
+# most frequencies a Weyl-sum report visits, and the most Haar samples; the
 # QR orbit, and the dimension leg (the surface leg reuses radii and probes).
 FIX_CAP = 10**6
 QR_STEPS = 10**4
@@ -112,9 +114,6 @@ class TorusPoint:
             tuple((a + b) % 1 for a, b in zip(self.coords, other.coords))
         )
 
-    def to_floats(self) -> tuple[float, float, float, float]:
-        return tuple(c.numerator / c.denominator for c in self.coords)
-
 
 @dataclass(frozen=True)
 class TorusAutomorphism:
@@ -157,13 +156,24 @@ def replace_matrix(f: TorusAutomorphism, m: IntMatrix) -> TorusAutomorphism:
     return TorusAutomorphism(matrix=m, lattice=f.lattice, quotient=f.quotient)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicEnsemble:
-    """Fixed points of the n-th iterate, enumerated exactly."""
+    """Fixed points of the n-th iterate, enumerated exactly: row i of the
+    (count, 4) int64 array numerators, over denominator, is point i's
+    lattice coordinates (a1, b1, a2, b2)."""
 
     period: int
-    points: tuple[TorusPoint, ...]
+    numerators: np.ndarray
+    denominator: int
     count: int
+
+    @cached_property
+    def points(self) -> tuple[TorusPoint, ...]:
+        """The points as TorusPoints of Fractions, built on first use."""
+        table = [Fraction(j, self.denominator) for j in range(self.denominator)]
+        return tuple(
+            TorusPoint(tuple(table[j] for j in row)) for row in self.numerators.tolist()
+        )
 
 
 @dataclass(frozen=True)
@@ -293,10 +303,13 @@ def _iterate_smith_form(f: TorusAutomorphism, n: int):
 def fix_enumerate(f: TorusAutomorphism, n: int, cap: int = FIX_CAP) -> PeriodicEnsemble:
     """All fixed points of the n-th iterate by Smith-form coset enumeration.
 
-    Each d_c divides d4, so coordinate r of V (k / d) mod 1 is the table
-    entry Fraction(N_r mod d4, d4) with N_r = sum_c V[r][c] k_c (d4 / d_c).
-    A cap above FIX_CAP is refused before any count: each point costs about
-    600 bytes, so a million points are already near half a gigabyte.
+    Each d_c divides d4, so coordinate r of V (k / d) mod 1 is N_r / d4 with
+    N_r = sum_c W[r][c] k_c mod d4, W[r][c] = V[r][c] (d4 / d_c).  The k run
+    over the Smith divisors in itertools.product order (the last fastest).
+    W is reduced mod d4 first, so each product is below d4^2 and the sums
+    fit in int64: d4 divides the count, which the cap holds to FIX_CAP.
+    A cap above FIX_CAP is refused before any count: each point costs 32
+    bytes of table, and building it takes twice that at the peak.
     """
     if cap > FIX_CAP:
         raise PreconditionError(f"cap {cap} exceeds FIX_CAP = {FIX_CAP}")
@@ -309,15 +322,17 @@ def fix_enumerate(f: TorusAutomorphism, n: int, cap: int = FIX_CAP) -> PeriodicE
     d4 = diag[3]
     if any(d4 % di for di in diag):
         raise InternalInvariantError("Smith divisors do not divide the last one")
-    w = [[v.entries[r][c] * (d4 // diag[c]) for c in range(4)] for r in range(4)]
-    table = [Fraction(j, d4) for j in range(d4)]
-    points = []
-    for k0, k1, k2, k3 in itertools.product(*(range(di) for di in diag)):
-        coords = [table[(a * k0 + b * k1 + c * k2 + e * k3) % d4] for a, b, c, e in w]
-        points.append(TorusPoint(tuple(coords)))
-    if len(points) != count:
+    w = np.array(
+        [[v.entries[r][c] * (d4 // diag[c]) % d4 for r in range(4)] for c in range(4)],
+        dtype=np.int64,
+    )
+    table = np.indices(diag).reshape(4, -1).T @ w
+    table %= d4
+    if len(table) != count:
         raise InternalInvariantError("enumeration disagrees with the Lefschetz count")
-    return PeriodicEnsemble(period=n, points=tuple(points), count=count)
+    if not (table.min() >= 0 and table.max() < d4):
+        raise InternalInvariantError("lattice coordinates left [0, 1)")
+    return PeriodicEnsemble(period=n, numerators=table, denominator=d4, count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +419,14 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
     trivial on that subgroup.
     """
     freqs = _frequency_vectors(k_max)
-    if not e.points:
+    if not len(e.numerators):
         raise EmptyEnsembleError("no points to average over")
-    x = np.array([p.to_floats() for p in e.points])
+    # both divisions are correctly rounded, so these are float(Fraction) bits
+    x = e.numerators / e.denominator
     ks = np.array(list(freqs))
     # The block row count is pinned by the output bytes: block @ x.T can round
     # differently for another count (1-row blocks change max_nontrivial_abs).
-    chunk_rows = max(1, 4_000_000 // max(1, len(e.points)))
+    chunk_rows = max(1, 4_000_000 // len(x))
     # exp(2j*pi*P) = cexp(+-0 + i*two_pi*P) is (cos, sin) of two_pi*P bit for bit.
     # The 16-row sub-block is not pinned: a row's mean is the same in any count.
     # The cos/sin table lives for this call only.
@@ -430,6 +446,9 @@ def equidistribution_test(e: PeriodicEnsemble, k_max: int) -> WeylReport:
             sub = buf[: len(p)]
             _cos_sin(p, sub, cache)
             w[r : r + len(p)] = np.abs(sub.mean(axis=1))
+        # phase and its last view p go before the next block @ x.T, so one
+        # block is live at a time
+        del phase, p
         max_abs = max(max_abs, float(w.max()))
         for kvec, wa in zip(block, w):
             if wa > WEYL_TRIVIAL_TOL:

@@ -10,6 +10,7 @@ import math
 import re
 import shlex
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ import pytest
 
 from kummerlab import cli
 from kummerlab import blanc_cremona as bc
+from kummerlab import lattice_algebra as la
+from kummerlab import torus_kummer as tk
 from kummerlab import wehler_dynamics as wd
 
 
@@ -124,6 +127,15 @@ def test_torus_fix_enum_rational_csv(tmp_path):
     cell = re.compile(r"^-?\d+/\d+$")
     for line in lines[1:]:
         assert all(cell.match(c) for c in line.split(","))
+
+
+def test_torus_fix_enum_slices_give_the_rows_of_the_points(tmp_path):
+    # 102400 rows: more than one cli.FIX_ENUM_ROWS slice
+    out = run_cli(tmp_path, "fe6.csv", "torus", "fix-enum", "--n", "6")
+    e = tk.fix_enumerate(tk.TorusAutomorphism(la.IntMatrix.from_rows([[2, 1], [1, 1]])), 6)
+    assert e.count == 102400 > cli.FIX_ENUM_ROWS
+    rows = [[f"{c.numerator}/{c.denominator}" for c in p.coords] for p in e.points]
+    assert out.read_bytes() == cli.csv_bytes(["a1", "b1", "a2", "b2"], rows)
 
 
 def test_torus_equidist_report(tmp_path):
@@ -479,6 +491,31 @@ def test_fnv1a64_reference_vectors():
     assert cli.fnv1a64(b"") == 0xCBF29CE484222325
     assert cli.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert cli.fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def fnv1a64_byte_loop(data: bytes) -> int:
+    """FNV-1a 64 one byte at a time: the definition."""
+    acc = 0xCBF29CE484222325
+    for byte in data:
+        acc ^= byte
+        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc
+
+
+BLOCK = cli.FNV_BLOCK
+
+
+@pytest.mark.parametrize(
+    "length", [0, 1, 2, 255, 256, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_fnv1a64_matches_byte_loop(length):
+    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+    with warnings.catch_warnings():
+        # wraparound stays in array ops and masked Python ints: no numpy
+        # scalar overflow warning
+        warnings.simplefilter("error", RuntimeWarning)
+        digest = cli.fnv1a64(data)
+    assert type(digest) is int
+    assert digest == fnv1a64_byte_loop(data)
 
 
 def test_big_ints_become_decimal_strings(tmp_path):

@@ -1,7 +1,9 @@
 """Property tests for the exact torus layer.
 
 Random unimodular 2x2 matrices drive the periodic-point enumeration
-against a plain Fraction reference loop and the Lefschetz count; random
+against a plain Fraction reference loop and the Lefschetz count, and fixed
+maps up to 102 400 points, some with unequal Smith divisors, check its
+int64 table row for row against the former Fraction-table loop; random
 small integer matrices check the Smith normal form contract that the
 enumeration relies on; random moduli in the standard fundamental domain
 check the torus metric against a wide brute-force translate search.
@@ -143,6 +145,44 @@ def test_fix_enumerate_matches_fraction_loop_and_lefschetz(case):
         assert f.apply_n(p, n) == p
 
 
+def table_loop_reference(f: TorusAutomorphism, n: int):
+    """The former fix_enumerate body: one Fraction table lookup per
+    coordinate, the k in itertools.product order."""
+    a4 = lattice_action_4x4(TorusAutomorphism(f.matrix.power(n)))
+    _, d, v = smith_normal_form(a4 + IntMatrix.identity(4).scale(-1))
+    diag = [d.entries[i][i] for i in range(4)]
+    d4 = diag[3]
+    w = [[v.entries[r][c] * (d4 // diag[c]) for c in range(4)] for r in range(4)]
+    table = [Fraction(j, d4) for j in range(d4)]
+    points = []
+    for k0, k1, k2, k3 in itertools.product(*(range(di) for di in diag)):
+        points.append(
+            tuple(table[(a * k0 + b * k1 + c * k2 + e * k3) % d4] for a, b, c, e in w)
+        )
+    return diag, points
+
+
+@pytest.mark.parametrize(
+    "rows, n, diag",
+    [([[2, 1], [1, 1]], n, None) for n in range(1, 7)]
+    + [([[3, 2], [1, 1]], 2, [2, 2, 6, 6]), ([[2, 1], [1, 1]], 4, [3, 3, 15, 15])],
+)
+def test_integer_table_matches_former_fraction_loop(rows, n, diag):
+    f = TorusAutomorphism(IntMatrix.from_rows(rows))
+    ref_diag, ref = table_loop_reference(f, n)
+    if diag is not None:
+        assert ref_diag == diag
+    e = fix_enumerate(f, n)
+    d4 = e.denominator
+    assert d4 == ref_diag[3] and e.numerators.dtype == np.int64
+    assert e.numerators.shape == (e.count, 4) == (len(ref), 4)
+    assert [p.coords for p in e.points] == ref
+    assert e.numerators.tolist() == [[int(c * d4) for c in p] for p in ref]
+    # the Weyl sums read the table as numerators / d4: float(Fraction)'s bits
+    floats = np.array([[float(c) for c in p] for p in ref])
+    assert (e.numerators / d4).tobytes() == floats.tobytes()
+
+
 @st.composite
 def int_square(draw):
     n = draw(st.integers(1, 4))
@@ -199,7 +239,7 @@ def test_torus_distance_exhaustive_on_fundamental_domain(re, lift, seed):
 
 def exp_weyl_reference(points, k_max: int):
     """Weyl sums as np.exp of the whole complex phase block."""
-    x = np.array([p.to_floats() for p in points])
+    x = np.array([[float(c) for c in p.coords] for p in points])
     ks = np.array(
         [k for k in itertools.product(range(-k_max, k_max + 1), repeat=4) if any(k)]
     )

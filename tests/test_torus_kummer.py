@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -314,14 +315,15 @@ class TestEquidistribution:
                 assert phase.denominator == 1
 
     def test_origin_ensemble_all_trivial(self):
-        e = PeriodicEnsemble(1, (TorusPoint.origin(),), 1)
+        e = PeriodicEnsemble(1, np.zeros((1, 4), dtype=np.int64), 1, 1)
+        assert e.points == (TorusPoint.origin(),)
         rep = equidistribution_test(e, 2)
         assert abs(rep.max_abs - 1.0) < 1e-12
         assert len(rep.trivial_frequencies) == 5**4 - 1
 
     def test_empty_ensemble(self):
         with pytest.raises(EmptyEnsembleError):
-            equidistribution_test(PeriodicEnsemble(1, (), 0), 2)
+            equidistribution_test(PeriodicEnsemble(1, np.zeros((0, 4), dtype=np.int64), 1, 0), 2)
 
     def test_k_max_below_one_rejected(self):
         e = fix_enumerate(FIB, 2)
@@ -344,6 +346,19 @@ class TestEquidistribution:
         forward = [repr(equidistribution_test(e, 2)) for e in (a, b)]
         backward = [repr(equidistribution_test(e, 2)) for e in (b, a)]
         assert forward == backward[::-1]
+
+    def test_one_phase_block_live_at_a_time(self):
+        # 14641 points: 273-row phase blocks of 32 MB; holding the previous
+        # block through the next block @ x.T peaks above two blocks
+        e = fix_enumerate(FIB, 5)
+        block = (4_000_000 // e.count) * e.count * 8
+        tracemalloc.start()
+        try:
+            equidistribution_test(e, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block < peak < 1.8 * block
 
     def test_exact_counter_matches_direct_sums(self):
         for n in (2, 3):
