@@ -562,11 +562,15 @@ def _rational_root_factors(p: IntPolynomial) -> Iterator[IntPolynomial]:
                     yield cand
 
 
+def _check_trial_division(n: int) -> None:
+    if math.isqrt(abs(n)) > FACTOR_SEARCH_CAP:
+        raise CapExceededError(
+            f"a {abs(n).bit_length()}-bit coefficient needs over {FACTOR_SEARCH_CAP} trial divisions")
+
+
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    if math.isqrt(n) > FACTOR_SEARCH_CAP:
-        raise CapExceededError(
-            f"a {n.bit_length()}-bit coefficient needs over {FACTOR_SEARCH_CAP} trial divisions")
+    _check_trial_division(n)
     out = []
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
@@ -614,7 +618,10 @@ def minimal_factor(p: IntPolynomial, root: complex) -> IntPolynomial:
     _check_degree(p.degree)
 
     def hits(f: IntPolynomial) -> bool:
-        scale = sum(abs(c) * max(1.0, abs(root)) ** k for k, c in enumerate(f.coeffs))
+        try:
+            scale = sum(abs(c) * max(1.0, abs(root)) ** k for k, c in enumerate(f.coeffs))
+        except OverflowError:
+            raise PreconditionError("the root's powers leave the float range") from None
         return abs(complex(f(root))) <= 1e-7 * scale
 
     rem, cyclos, _ = cyclotomic_strip(p)
@@ -623,9 +630,10 @@ def minimal_factor(p: IntPolynomial, root: complex) -> IntPolynomial:
             return cyclotomic(n)
     # linear and quadratic factors are regenerated after every strip since
     # the candidate sets depend on the current constant and leading terms;
-    # the remainder has a nonzero constant term, so t is never a candidate
-    for generate in (_rational_root_factors, _quadratic_factors):
-        while rem.degree > 0 and (f := next(generate(rem), None)) is not None:
+    # the remainder has a nonzero constant term, so t is never a candidate;
+    # one of degree <= 3 with no rational root is irreducible (Gauss's lemma)
+    for generate, low in ((_rational_root_factors, 1), (_quadratic_factors, 4)):
+        while rem.degree >= low and (f := next(generate(rem), None)) is not None:
             if hits(f):
                 return f
             rem, _ = _strip_factor(rem, f)
@@ -651,11 +659,12 @@ def _classify_remainder(
     outside = [r for r in roots if abs(r) > 1 + UNIT_CIRCLE_TOL]
     if len(outside) != 1 or abs(witness.imag) > 1e-8 * lam:
         return SpectralClass.OTHER, factor
-    has_reciprocal = any(abs(r - 1 / witness) <= 1e-6 for r in roots)
+    # relative: an absolute 1e-6 cannot tell 1/lam from -1/lam once lam > 2e6
+    has_reciprocal = any(abs(r - 1 / witness) <= 1e-6 / lam for r in roots)
     others_on_circle = all(
         abs(abs(r) - 1) <= UNIT_CIRCLE_TOL
         for r in roots
-        if abs(r - witness) > 1e-6 and abs(r - 1 / witness) > 1e-6
+        if abs(r - witness) > 1e-6 and abs(r - 1 / witness) > 1e-6 / lam
     )
     if has_reciprocal and others_on_circle:
         return SpectralClass.SALEM, factor
@@ -728,8 +737,10 @@ def spectral_report(p: IntPolynomial) -> SpectralReport:
 def dynamical_degree(m: IntMatrix) -> SpectralReport:
     """Spectral data of the action of m on a cohomology lattice."""
     _check_degree(m.dim)
-    if m.det() == 0:
+    if (det := m.det()) == 0:
         raise NonInvertibleError("matrix is singular over Q")
+    # minimal_factor trial-divides +-det, the stripped remainder's constant term
+    _check_trial_division(det)
     return spectral_report(char_poly(m))
 
 

@@ -10,8 +10,8 @@ differences.
 
 State layout: one lane stack S with shape (1 + d, n, 3, 2) over complex128
 (row, lane, axis, homogeneous component).  S[0] holds the points and S[1:]
-d directional derivatives, one per chart direction: d = 0 for value lanes,
-d = 2 for the Newton frame.  One kernel serves every d: a product or a
+d directional derivatives: d = 0 for value lanes, 2 for the Newton frame
+and 3 for the singularity probe.  One kernel serves every d: a product or a
 quotient of stacks takes values and tangents together by the product and
 quotient rules, and a lane mask or a plain coefficient covers all rows in
 one call, so a value row has the same bits whatever d is.  Points alone
@@ -1195,17 +1195,23 @@ def torus_control_report(f: TorusAutomorphism, rng_seed: int = 0) -> RigidityRep
 # singularity probe
 
 
-def _suspect_system(carr, wx, wy, wz):
-    """Residual 4-vector (F, dF/dwx, dF/dwy, dF/dwz) at affine (wx, wy, wz)
-    in the charts u = 1 per axis."""
-    P = _pack_points([[P1Point(1.0, w) for w in (wx, wy, wz)]])
-    out = np.empty(4, dtype=complex)
-    for axis, w in enumerate((wx, wy, wz)):
-        A, B, C = _fiber_coeffs(carr, axis, P[None])[:, 0]
-        out[1 + axis] = B[0] + 2 * C[0] * w
-    # A, B, C of the last pass are those of the z fiber
-    out[0] = A[0] + B[0] * wz + C[0] * wz * wz
-    return out
+def _suspect_jets(carr, W):
+    """(F, dF/dwx, dF/dwy, dF/dwz) at the affine points W (n, 3) in the
+    chart u = 1 on every axis, as r (n, 4), with its exact Jacobian in W,
+    (n, 4, 3); rows 1-3 of the Jacobian are the Hessian of the affine F.
+    One lane stack carries a tangent row per affine coordinate through one
+    _fiber_coeffs call per axis."""
+    S = np.zeros((4, len(W), 3, 2), dtype=complex)
+    S[0, ..., 0], S[0, ..., 1] = 1.0, W
+    S[1:, :, :, 1] = np.eye(3)[:, None]
+    grads = []
+    for axis in range(3):
+        A, B, C = _fiber_coeffs(carr, axis, S)
+        w = S[:, :, axis, 1]
+        grads.append(B + 2 * _mul(C, w))
+    # A, B, C and w of the last pass are those of the z fiber
+    R = np.stack([A + _mul(B, w) + _mul(_mul(C, w), w), *grads])  # (output, row, lane)
+    return R[:, 0].T, R[:, 1:].transpose(2, 0, 1)
 
 
 def singularity_probe(
@@ -1213,74 +1219,56 @@ def singularity_probe(
 ) -> list[Suspect]:
     """Advisory search for singular points: sample fiber points, rank by the
     largest chart gradient, then Gauss-Newton refine the 20 lowest-gradient
-    candidates in that order on (F, grad F) = 0 and flag residuals below
+    candidates at once on (F, grad F) = 0 in the chart u = 1 per axis
+    (skipping candidates with some |u| < 1e-6) and flag residuals below
     1e-8, keeping a suspect unless it lies within chordal distance 1e-6 of
-    one already kept."""
+    one kept before it in candidate order."""
     if trials < 0:
         raise PreconditionError("trial count must be nonnegative")
     carr = surface.array()
     rng = np.random.default_rng(rng_seed)
     with np.errstate(all="ignore"):
         P = _seed_points(carr, rng, max(trials, 1))
-        finite = _finite_lanes(P)
-        P = P[finite]
+        P = P[_finite_lanes(P)]
         grads = np.abs(_chart(carr, P).partials).max(axis=0)
-        kept: list[Suspect] = []
-        for idx in np.argsort(grads)[:20]:
-            hit = _refine_suspect(carr, P[idx])
-            if hit is not None and all(hit.point.chordal(k.point) > 1e-6 for k in kept):
-                kept.append(hit)
-        return kept
+        cand = P[np.argsort(grads)[:20]]
+        cand = cand[(np.abs(cand[:, :, 0]) >= 1e-6).all(axis=1)]
+        # a lane stopped by a non-finite step is scored at its last iterate
+        W, _ = gauss_newton(lambda V: _suspect_jets(carr, V), cand[..., 1] / cand[..., 0])
+        score = np.abs(_suspect_jets(carr, W)[0]).max(axis=1)
+        good = (score < 1e-8) & np.isfinite(W).all(axis=1)
+        Q = _greedy_dedup(np.stack([np.ones_like(W), W], axis=-1)[good], 1e-6)
+        r = np.abs(_suspect_jets(carr, Q[:, :, 1])[0])
+    return [Suspect(SurfacePoint(*(P1Point.make(1.0, w) for w in q[:, 1]), float(a[0])),
+                    float(a.max())) for q, a in zip(Q, r)]
 
 
-def gauss_newton(system, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Damped Gauss-Newton on system(w) = 0 for a complex vector w: central
-    differences with step 1e-7 for the Jacobian, least-squares steps capped
-    at 0.5 in max norm, at most 40 iterations, stopping after a step below
-    1e-14.  Returns (w, ok); ok is False when a step came out non-finite or
-    could not be solved (system returned NaN or inf), and w is then the last
-    finite iterate."""
-    h = 1e-7
+def gauss_newton(system, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Gauss-Newton on system(W) = 0, one lane per row of the complex
+    (n, m) array W; system(W) returns residuals (n, k) and Jacobian (n, k, m).
+    Each lane takes least-squares steps (the pseudo-inverse at lstsq's
+    default cutoff) capped at 0.5 in max norm, at most 40, and stops after a
+    step below 1e-14.  Returns (W, ok); ok is False on lanes whose residual,
+    Jacobian or step came out non-finite, which keep their last finite
+    iterate and never reach LAPACK (it would print a complaint on stdout)."""
+    W = np.array(W, dtype=complex)
+    ok = np.ones(len(W), dtype=bool)
+    live = np.arange(len(W))
     for _ in range(40):
-        r = system(w)
-        jac = np.empty((len(r), len(w)), dtype=complex)
-        for j in range(len(w)):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += h
-            wm[j] -= h
-            jac[:, j] = (system(wp) - system(wm)) / (2 * h)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
-            return w, False  # LAPACK would print a complaint on stdout
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            return w, False
-        if not np.all(np.isfinite(step)):
-            return w, False
-        size = np.abs(step).max()
-        if size > 0.5:
-            step = step * (0.5 / size)
-        w = w + step
-        if size < 1e-14:
+        if not live.size:
             break
-    return w, True
-
-
-def _refine_suspect(carr, cand) -> Suspect | None:
-    """Gauss-Newton on (F, grad F) = 0 from a lane in the all-affine chart;
-    a Suspect when the residual ends below 1e-8, else None."""
-    # skip candidates near a pole
-    if any(abs(cand[ax, 0]) < 1e-6 for ax in range(3)):
-        return None
-    w = np.array([cand[ax, 1] / cand[ax, 0] for ax in range(3)])
-    # a non-finite step leaves the last iterate to be scored
-    w, _ = gauss_newton(lambda v: _suspect_system(carr, *v), w)
-    r = _suspect_system(carr, *w)
-    score = float(np.abs(r).max())
-    if not (score < 1e-8 and np.all(np.isfinite(w))):
-        return None
-    x, y, z = (P1Point.make(1.0, c) for c in w)
-    return Suspect(point=SurfacePoint(x, y, z, float(np.abs(r[0]))), grad_max=score)
+        r, jac = system(W[live])
+        fin = np.isfinite(r).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+        step = np.full(W[live].shape, np.nan, dtype=complex)
+        step[fin] = -(np.linalg.pinv(jac[fin], rtol=None) @ r[fin, :, None])[..., 0]
+        fin &= np.isfinite(step).all(axis=1)
+        ok[live[~fin]] = False
+        live, step = live[fin], step[fin]
+        size = np.abs(step).max(axis=1)
+        step *= (0.5 / np.maximum(size, 0.5))[:, None]
+        W[live] += step
+        live = live[size >= 1e-14]
+    return W, ok
 
 
 # ---------------------------------------------------------------------------

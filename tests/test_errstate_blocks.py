@@ -6,10 +6,13 @@ input that raises a RuntimeWarning inside that block and nowhere else, and
 turns RuntimeWarning into an error: losing the block fails the test.
 
 The block in singularity_probe has no such test, because no input was
-found that warns there: the probe draws its own max-normalised seed lanes,
-every quotient and square root under the block sits in an inner block, and
-Gauss-Newton moves affine coordinates of modulus at most 1e6 by at most
-0.5 per step, so nothing overflows.
+found that warns there (the probe's fixtures in test_singularity_probe.py
+run clean with the block set to raise): the probe draws its own
+max-normalised seed lanes, every quotient and square root in the seeding
+and the chart sits in an inner block, the affine coordinates divide by
+|u| >= 1e-6, Gauss-Newton moves them from modulus at most 1e6 by at most
+0.5 per step, so nothing overflows, and only lanes whose residual and
+Jacobian are finite reach the pseudo-inverse.
 """
 
 import warnings

@@ -38,6 +38,7 @@ from kummerlab.lattice_algebra import (
     spectral_report,
     wehler_cohomology_action,
 )
+from kummerlab import lattice_algebra as la
 from kummerlab.lattice_algebra import _divisors, _quadratic_factors
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2  # dominant root of t^2 - 3t + 1
@@ -225,6 +226,27 @@ class TestMinimalFactor:
         lam, w, _ = dominant_root(p)
         assert minimal_factor(p, w).coeffs == (1, -5, 1)
 
+    def test_quadratic_remainder_is_returned_without_a_search(self, monkeypatch):
+        # t^2 - 93 t + 9700 has no rational root, so it is irreducible
+        monkeypatch.setattr(la, "_quadratic_factors",
+                            lambda p: pytest.fail("quadratic factor search ran"))
+        rep = dynamical_degree(IntMatrix.from_rows([[49, 92], [-82, 44]]))
+        assert rep.min_poly.coeffs == (9700, -93, 1)
+
+    def test_quadratic_with_a_wide_middle_coefficient(self):
+        # the quadratic search here would need over FACTOR_SEARCH_CAP middle
+        # coefficients; the remainder is irreducible and needs none
+        rep = dynamical_degree(IntMatrix.from_rows([[300000, 1], [1, 1]]))
+        assert rep.min_poly.coeffs == (299999, -300001, 1)
+        assert rep.classification is SpectralClass.OTHER
+
+    def test_large_root_with_minus_its_inverse_is_not_salem(self):
+        # t^2 - 10^7 t - 1 has roots lam and -1/lam, which lie within 1e-6
+        # of 1/lam; the quadratic factor search used to refuse it
+        rep = dynamical_degree(IntMatrix.from_rows([[10**7, 1], [1, 0]]))
+        assert rep.min_poly.coeffs == (-1, -(10**7), 1)
+        assert rep.classification is SpectralClass.OTHER
+
     def test_degree_cap(self):
         coeffs = [0] * 107
         coeffs[0] = -1
@@ -251,6 +273,23 @@ class TestDynamicalDegree:
         monkeypatch.setattr(IntMatrix, "det", lambda self: pytest.fail("det ran"))
         with pytest.raises(UnsupportedDegreeError):
             dynamical_degree(IntMatrix.identity(106))
+
+    @staticmethod
+    def _doubled_shift(n):
+        """2I plus the cyclic shift: det = 2^n - (-1)^n."""
+        return IntMatrix.from_rows(
+            [[2 * (i == j) + (j == (i + 1) % n) for j in range(n)] for i in range(n)])
+
+    def test_huge_determinant_is_refused_before_char_poly(self, monkeypatch):
+        monkeypatch.setattr(la, "char_poly", lambda m: pytest.fail("char_poly ran"))
+        msg = f"a 106-bit coefficient needs over {FACTOR_SEARCH_CAP} trial divisions"
+        with pytest.raises(CapExceededError, match=msg):
+            dynamical_degree(self._doubled_shift(105))
+
+    def test_huge_determinant_keeps_its_message(self):
+        msg = f"a 60-bit coefficient needs over {FACTOR_SEARCH_CAP} trial divisions"
+        with pytest.raises(CapExceededError, match=msg):
+            dynamical_degree(self._doubled_shift(60))
 
     def test_lehmer_report_verdict(self):
         rep = spectral_report(LEHMER_POLY)

@@ -91,62 +91,88 @@ def test_lyapunov_and_rigidity_commands_report_the_same_per_period(tmp_path):
 # damped Gauss-Newton
 
 
-def test_gauss_newton_converges_on_a_polynomial_system():
-    def system(w):
-        x, y = w
-        return np.array([x * x - 4.0, x * y - 2.0, y * y * y - 1.0])
+def _polynomial_system(W):
+    x, y = W[:, 0], W[:, 1]
+    zero = np.zeros_like(x)
+    r = np.stack([x * x - 4.0, x * y - 2.0, y * y * y - 1.0], axis=1)
+    jac = np.stack([np.stack([2 * x, zero], axis=1),
+                    np.stack([y, x], axis=1),
+                    np.stack([zero, 3 * y * y], axis=1)], axis=1)
+    return r, jac
 
-    w, ok = gauss_newton(system, np.array([1.6 + 0.2j, 0.7 - 0.1j]))
-    assert ok
-    assert np.abs(w - np.array([2.0, 1.0])).max() < 1e-12
-    assert np.abs(system(w)).max() < 1e-12
+
+def _square_minus_four(W):
+    """x^2 - 4 on one unknown, NaN (residual and Jacobian) where |x - 1| < 1/4."""
+    nan = np.abs(W - 1) < 0.25
+    return np.where(nan, np.nan, W * W - 4.0), np.where(nan, np.nan, 2 * W)[:, :, None]
+
+
+def _flush_c_stdio():
+    # LAPACK prints its complaint about NaN input through C stdio, outside
+    # Python; flush C's buffers so that such output would be captured
+    libc = ctypes.CDLL(None)
+    libc.fflush.argtypes, libc.fflush.restype = [ctypes.c_void_p], ctypes.c_int
+    libc.fflush(None)
+
+
+def test_gauss_newton_converges_on_a_polynomial_system():
+    W, ok = gauss_newton(_polynomial_system, np.array([[1.6 + 0.2j, 0.7 - 0.1j]]))
+    assert ok.tolist() == [True]
+    assert np.abs(W - np.array([2.0, 1.0])).max() < 1e-12
+    assert np.abs(_polynomial_system(W)[0]).max() < 1e-12
 
 
 def test_gauss_newton_caps_each_step():
     seen = []
 
-    def system(w):
-        seen.append(w.copy())
-        return np.array([w[0] - 10.0])
+    def system(W):
+        seen.append(W.copy())
+        return W - 10.0, np.ones((len(W), 1, 1), dtype=complex)
 
-    w, ok = gauss_newton(system, np.array([0j]))
-    assert ok and abs(w[0] - 10.0) < 1e-12
-    # the solve points (every third call) move by at most 0.5 per step
-    solves = [v[0] for v in seen[::3]]
+    W, ok = gauss_newton(system, np.array([[0j]]))
+    assert ok.tolist() == [True] and abs(W[0, 0] - 10.0) < 1e-12
+    # every call is a solve point, and each moves by at most 0.5
+    solves = [v[0, 0] for v in seen]
+    assert len(solves) == 21
     assert all(abs(b - a) <= 0.5 + 1e-15 for a, b in zip(solves, solves[1:]))
 
 
 def test_gauss_newton_returns_last_finite_iterate_on_a_non_finite_step():
     # the residual jumps to 1e300 at w = 0.5 while the slope stays 1e-17,
     # so the least-squares step there overflows
-    def system(w):
-        if w[0] == 0.5:
-            return np.array([1e300 + 0j])
-        return np.array([1e-17 * w[0]])
+    def system(W):
+        r = np.where(W == 0.5, 1e300 + 0j, 1e-17 * W)
+        return r, np.full((len(W), 1, 1), 1e-17 + 0j)
 
     with np.errstate(all="ignore"):
-        w, ok = gauss_newton(system, np.array([1.0 + 0j]))
-    assert not ok
-    assert w.tolist() == [0.5 + 0j]
+        W, ok = gauss_newton(system, np.array([[1.0 + 0j]]))
+    assert ok.tolist() == [False]
+    assert W.tolist() == [[0.5 + 0j]]
 
 
 def test_gauss_newton_returns_last_finite_iterate_when_the_system_turns_nan(capfd):
-    # x^2 - 4 from 0.5: the first step is capped at 0.5 and lands on |w| = 1,
+    # x^2 - 4 from 0.5: the first step is capped at 0.5 and lands on w = 1,
     # where the system is NaN and the least-squares solve must not run
-    def system(w):
-        if abs(w[0]) >= 1:
-            return np.array([np.nan + 0j])
-        return np.array([w[0] * w[0] - 4.0])
-
     with np.errstate(all="ignore"):
-        w, ok = gauss_newton(system, np.array([0.5 + 0j]))
-    assert not ok
-    assert w.tolist() == [1.0 + 0j]
-    # LAPACK prints its complaint about NaN input through C stdio, outside
-    # Python; flush C's buffers so that such output would be captured here
-    libc = ctypes.CDLL(None)
-    libc.fflush.argtypes, libc.fflush.restype = [ctypes.c_void_p], ctypes.c_int
-    libc.fflush(None)
+        W, ok = gauss_newton(_square_minus_four, np.array([[0.5 + 0j]]))
+    assert ok.tolist() == [False]
+    assert W.tolist() == [[1.0 + 0j]]
+    _flush_c_stdio()
+    assert capfd.readouterr() == ("", "")
+
+
+def test_gauss_newton_lanes_do_not_see_a_nan_lane(capfd):
+    # the middle lane turns NaN after one step; the others converge to 2
+    # and -2 as they would alone
+    start = np.array([[1.6 + 0.2j], [0.5 + 0j], [-1.7 - 0.3j]])
+    with np.errstate(all="ignore"):
+        W, ok = gauss_newton(_square_minus_four, start)
+        alone = [gauss_newton(_square_minus_four, start[i:i + 1]) for i in range(3)]
+    assert ok.tolist() == [True, False, True]
+    assert ok.tolist() == [a[1][0] for a in alone]
+    assert W.tolist() == [a[0][0].tolist() for a in alone]
+    assert np.abs(W[[0, 2], 0] - np.array([2.0, -2.0])).max() < 1e-12
+    _flush_c_stdio()
     assert capfd.readouterr() == ("", "")
 
 

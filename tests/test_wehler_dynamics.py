@@ -370,15 +370,14 @@ def test_tangent_map_at_involution_fixed_point_has_eigenvalue_minus_one():
         assert abs(eig[1] - 1.0) < 1e-6
 
 
-def _forced_node_surface():
+def _forced_node_surface(seed=3, zeroed=((2, 2, 2), (1, 2, 2), (2, 1, 2), (2, 2, 1))):
     """Random surface with the coefficients of every monomial containing
     u_x^2 u_y^2 u_z^2 / u^2 u^2 u / ... zeroed so that the form and its three
-    chart gradients all vanish at x = y = z = (1:0)."""
-    arr = wd.random_surface(3).array()
-    arr[2, 2, 2] = 0.0
-    arr[1, 2, 2] = 0.0
-    arr[2, 1, 2] = 0.0
-    arr[2, 2, 1] = 0.0
+    chart gradients all vanish at x = y = z = (1:0); other zeroed sets move
+    the node."""
+    arr = wd.random_surface(seed).array()
+    for idx in zeroed:
+        arr[idx] = 0.0
     return wd.WehlerSurface.from_array(arr)
 
 
