@@ -58,7 +58,7 @@ CASES = {
     ),
     "wehler_probe_node": (
         ["wehler", "probe", "--surface", SURFACE_FILE, "--seed", "5"],
-        "16112329818949560833",
+        "2324053470535728170",
     ),
     "blanc_orbit": (
         ["blanc", "orbit", "--seed", "2", "--l", "3", "--n", "200"],
