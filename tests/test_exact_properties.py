@@ -16,6 +16,9 @@ hold fails here under a named test.  The torus metric's cutoff must keep
 the bits of every distance within it and put every other point beyond it,
 so the local dimension estimate is that of the uncut metric; its shortcut
 for pairs with |z| < 1/2 must keep the bits a few ulps from |z| = 1/2.
+Its bytes must not depend on the samples' memory layout or on what one
+closure computed before, and the Haar dimension estimate is pinned to
+the bit.
 
 The lattice layer keeps one engine per question; each rewritten routine is
 checked against a test-local copy of the code it replaced.  The inverse of
@@ -456,6 +459,78 @@ def test_local_dimension_estimate_cutoff_matches_uncut(tau, seed):
     assert local_dimension_estimate(samples, dist, *args) == local_dimension_estimate(
         samples, uncut, *args
     )
+
+
+HAAR_DIMENSION_GOLDEN = [
+    (TAU_I, 0, "0x1.024be73b3e05bp+2", "0x1.02f16db8d4f6fp-5"),
+    (TAU_I, 1, "0x1.f92ca16ffae96p+1", "0x1.19266f15c7d33p-5"),
+    (TAU_I, 2, "0x1.fffdb4da88b6cp+1", "0x1.0ea188ae99c9ap-5"),
+    (TAU_ZETA3, 0, "0x1.0160f985717b6p+2", "0x1.abd4a65d54e44p-6"),
+    (TAU_ZETA3, 1, "0x1.fe07ada0c9b4ap+1", "0x1.0c7e0add6f394p-5"),
+    (TAU_ZETA3, 2, "0x1.000f6dc5aedcep+2", "0x1.f05bf718cc1e7p-6"),
+    (0.3 + 1.2j, 0, "0x1.01428251cf421p+2", "0x1.fe0aceaac06b1p-6"),
+    (0.3 + 1.2j, 1, "0x1.f6b008549ee40p+1", "0x1.60683046d7448p-5"),
+    (0.3 + 1.2j, 2, "0x1.013a0a040112dp+2", "0x1.3fa63756f6fd0p-5"),
+    (0.5 + 1j, 0, "0x1.02df53eba0f5cp+2", "0x1.f0b7739d8385ep-6"),
+    (0.5 + 1j, 1, "0x1.f77bbf246029cp+1", "0x1.17fe060ac7534p-5"),
+    (0.5 + 1j, 2, "0x1.0067fa789e008p+2", "0x1.f8e84a9f74a11p-6"),
+]
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("tau, seed, dim, stderr", HAAR_DIMENSION_GOLDEN)
+def test_haar_dimension_bits_are_golden(tau, seed, dim, stderr):
+    """(dim, stderr) of 20 000 Haar samples at 64 probes, to the bit."""
+    est, err = tk.haar_dimension(TorusLattice(complex(tau)), 20000, 64, seed)
+    assert (est.hex(), err.hex()) == (dim, stderr)
+
+
+def dist_cases(n: int, seed: int) -> np.ndarray:
+    """n Haar-like rows whose row 1 duplicates row 0, so cutoff 0 keeps two."""
+    x = np.random.default_rng(seed).random((n, 4))
+    x[1] = x[0]
+    return x
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("tau", [TAU_I, TAU_ZETA3, 0.3 + 1.2j, 0.5 + 1j])
+def test_torus_distance_bits_do_not_depend_on_layout(tau):
+    c_order = dist_cases(2000, 5)
+    f_order = np.asfortranarray(c_order)
+    assert f_order.T.flags.c_contiguous
+    dist = torus_distance(TorusLattice(tau))
+    for i in (0, 1, len(c_order) - 1):
+        for cutoff in (math.inf, 0.5, 0.0):
+            assert (
+                dist(c_order, i, cutoff).tobytes() == dist(f_order, i, cutoff).tobytes()
+            )
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("tau", [TAU_I, TAU_ZETA3, 0.3 + 1.2j])
+def test_torus_distance_closure_reuse_matches_fresh_closure(tau):
+    """One closure over arrays of changing length, and over an array changed
+    in place between calls, returns what a fresh closure returns, each time
+    in an array of its own."""
+    lattice = TorusLattice(tau)
+    dist = torus_distance(lattice)
+    got, want = [], []
+
+    def call(x, i, cutoff):
+        got.append(dist(x, i, cutoff))
+        want.append(torus_distance(lattice)(x, i, cutoff).tobytes())
+
+    call(dist_cases(500, 6), 0, math.inf)
+    call(dist_cases(1000, 7), 999, 0.5)
+    call(dist_cases(500, 8), 1, 0.0)
+    changed = dist_cases(1000, 9)
+    call(changed, 3, 0.5)
+    changed[::3] *= 0.5
+    call(changed, 3, 0.5)
+    assert want[3] != want[4]
+    for out, ref in zip(got, want):
+        assert out.flags.owndata
+        assert out.tobytes() == ref
 
 
 RANGE_TABLE = [
