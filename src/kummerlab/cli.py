@@ -799,7 +799,7 @@ def run(argv) -> int:
     args = build_parser().parse_args(argv)
     args.workers = _worker_count(args)
     if not 0 <= args.seed < 2**64:
-        raise ConfigError("rng seed must fit in 64 bits")
+        raise ConfigError("rng seed must be between 0 and 2**64 - 1")
     if args.workers < 1:
         raise ConfigError("worker count must be positive")
     files = _RunFiles()

@@ -585,6 +585,13 @@ def torus_distance(
     most 3/2), and the domain check's 1e-12 tolerance shortens w by less
     than 1e-11; the slack keeps |z| below 1/2 - 2.5e-10 |tau|^2, so each
     other translate's computed form exceeds 1/4 and q00 stays the minimum.
+
+    dist works column by column on samples.T: a column-major (n, 4) array,
+    as haar_dimension passes, is read contiguously; any other layout gives
+    the same bits, only slower.  The wrapped columns and their sum of
+    squares go to scratch rows that the closure owns and reallocates when n
+    changes, so one closure must not run two calls at once (from threads);
+    each call returns a fresh array.
     """
     re = lattice.tau.real
     if abs(re) > 0.5 + 1e-12 or not 1.0 - 1e-12 <= abs(lattice.tau) <= 1e150:
@@ -599,23 +606,38 @@ def torus_distance(
         # (c1*g10)*c0 round differently.
         return (c0 * g00) * c0 + (c0 * g01) * c1 + (c1 * g10) * c0 + (c1 * g11) * c1
 
+    scratch = np.empty((7, 0))
+
     def dist(samples: np.ndarray, i: int, cutoff: float) -> np.ndarray:
+        nonlocal scratch
         x = np.asarray(samples, dtype=float)
-        d = x - x[i]
-        d -= np.round(d)
-        keep = np.flatnonzero(
-            lam * np.einsum("ij,ij->i", d, d) <= cutoff * cutoff * (1.0 + slack)
-        )
-        d = d[keep]
-        total = np.zeros(len(d))
-        for a, b in ((0, 1), (2, 3)):
-            # the (0, 0) translate, built as in the search
-            q_min = form(d[:, a] + 0.0, d[:, b] + 0.0)
+        if scratch.shape[1] != len(x):
+            scratch = np.empty((7, len(x)))
+        *d, r2, t0, t1 = scratch
+        for col, dk in zip(x.T, d):
+            np.subtract(col, col[i], out=dk)
+            dk -= np.round(dk, out=t0)
+        # |d|^2 as (d0^2 + d2^2) + (d1^2 + d3^2), the order of a row einsum
+        # on C-ordered rows under numpy 2.4 on x86-64; any other order moves
+        # it by an ulp or two, far inside the slack
+        np.multiply(d[0], d[0], out=r2)
+        r2 += np.multiply(d[2], d[2], out=t0)
+        np.multiply(d[1], d[1], out=t0)
+        t0 += np.multiply(d[3], d[3], out=t1)
+        r2 += t0
+        r2 *= lam
+        keep = np.flatnonzero(r2 <= cutoff * cutoff * (1.0 + slack))
+        d = [dk[keep] for dk in d]
+        q = []
+        for c0, c1 in ((d[0], d[1]), (d[2], d[3])):
+            # The (0, 0) translate.  The search adds 0.0 to c0 and c1, which
+            # keeps their bits: dk - round(dk) is never -0.0.
+            q_min = form(c0, c1)
             far = np.flatnonzero(~(q_min < near))
-            q_min[far] = _min_translate_form(form, d[far, a], d[far, b])
-            total += q_min
+            q_min[far] = _min_translate_form(form, c0[far], c1[far])
+            q.append(q_min)
         out = np.full(len(x), np.inf)
-        out[keep] = np.sqrt(total)
+        out[keep] = np.sqrt(q[0] + q[1])
         return out
 
     return dist
@@ -640,7 +662,8 @@ def local_dimension_estimate(
     For each probe the slope of log(neighbor fraction within r) against
     log r is fit by least squares over the radii with at least one
     neighbor (the probe itself is excluded).  Returns the mean slope over
-    probes and its standard error.
+    probes and its standard error, so at least 2 probes must be asked for
+    and at least 2 must give a slope: one slope has no error bar.
 
     dist(samples, i, cutoff) returns the distances from sample i, with the
     largest radius as cutoff: an entry for a sample farther than cutoff may
@@ -649,8 +672,8 @@ def local_dimension_estimate(
     n = len(samples)
     if n < 1000:
         raise InsufficientSamplesError(f"{n} samples; need at least 1000")
-    if probes < 1 or probes > n:
-        raise PreconditionError("probes must be between 1 and the sample count")
+    if probes < 2 or probes > n:
+        raise PreconditionError("probes must be between 2 and the sample count")
     r_arr = np.array(sorted((float(r) for r in radii), reverse=True))
     if len(r_arr) < 2 or r_arr[-1] <= 0:
         raise PreconditionError("need at least two positive radii")
@@ -673,10 +696,12 @@ def local_dimension_estimate(
             continue
         y = np.log(counts[mask] / n)
         slopes.append(float(np.polyfit(log_r[mask], y, 1)[0]))
-    if 2 * empty_at_largest > probes or not slopes:
+    if 2 * empty_at_largest > probes:
         raise DegenerateRadiiError(
             "most probes see no neighbors at the largest radius"
         )
+    if len(slopes) < 2:
+        raise DegenerateRadiiError("fewer than 2 probes give a slope")
     return float(np.mean(slopes)), mean_stderr(slopes)
 
 
@@ -684,8 +709,10 @@ def haar_dimension(
     lattice: TorusLattice, n_samples: int, probes: int, rng_seed: int
 ) -> tuple[float, float]:
     """Local dimension of n_samples Haar points in the flat torus metric; the
-    samples come from rng_seed and the probes from rng_seed + 1."""
-    samples = haar_samples(n_samples, rng_seed)
+    samples come from rng_seed and the probes from rng_seed + 1.  The samples
+    are copied to column-major order, so the metric reads each coordinate
+    column contiguously."""
+    samples = np.asfortranarray(haar_samples(n_samples, rng_seed))
     return local_dimension_estimate(
         samples, torus_distance(lattice), DIMENSION_RADII, probes, rng_seed + 1
     )

@@ -575,6 +575,19 @@ def test_bad_seed_exits_2(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_names_the_range(capsys, seed):
+    rc = cli.main(["torus", "fix-count", "--n", "2", "--seed", seed])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: rng seed must be between 0 and 2**64 - 1\n"
+
+
+def test_torus_dimension_one_probe_exits_2(capsys):
+    rc = cli.main(["torus", "dimension", "--samples", "1000", "--probes", "1"])
+    assert rc == 2
+    assert "probes must be between 2" in capsys.readouterr().err
+
+
 def test_bad_workers_exits_2(capsys):
     rc = cli.main(["torus", "fix-count", "--n", "2", "--workers", "0"])
     assert rc == 2

@@ -517,6 +517,29 @@ class TestLocalDimension:
                 1001,
             )
 
+    def test_one_probe_refused(self):
+        # one slope would get a stderr of 0.0
+        with pytest.raises(PreconditionError):
+            local_dimension_estimate(
+                haar_samples(1000, 9),
+                torus_distance(TorusLattice(TAU_I)),
+                self.RADII,
+                1,
+            )
+
+    def test_one_surviving_slope_refused(self):
+        """The first probe sees neighbors at every radius; the others see
+        them only at the largest, so they give no slope and are not empty."""
+        calls = []
+
+        def dist(samples, i, cutoff):
+            calls.append(i)
+            return np.full(len(samples), 0.01 if len(calls) == 1 else 0.15)
+
+        with pytest.raises(DegenerateRadiiError):
+            local_dimension_estimate(haar_samples(1000, 10), dist, self.RADII, 8)
+        assert len(calls) == 8
+
 
 class TestH2Action:
     def test_shape_and_det(self):
