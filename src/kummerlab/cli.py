@@ -50,33 +50,60 @@ def fnv1a64(data: bytes) -> int:
     takes h to P^L h + sum_k P^(L-k) delta_k mod 2^64.  The deltas need
     every l_k, and l_{k+1} = m (l_k ^ b_k) mod 256 with m = P mod 256 = 0xB3.
     For odd m, bit j of m x is x_j xor bit j of m (x mod 2^j), since m x_j 2^j
-    adds x_j at bit j and nothing below it.  So once bits 0..j-1 of every l_k
-    are known, bit j obeys l_{k+1,j} = l_{k,j} xor t_k with
-    t_k = b_{k,j} xor bit j of m ((l_k ^ b_k) mod 2^j), all known, and a
-    prefix xor gives it.  Eight such passes give every l_k; the sum runs in
-    uint64 array arithmetic, which wraps mod 2^64, and h is a Python int
-    masked to 64 bits.
+    adds x_j at bit j and nothing below it.  The planes j = 0..7 run in turn
+    and keep z_k = m ((l_k ^ b_k) mod 2^j) mod 256, from bits 0..j-1 alone.
+    Bit j then obeys l_{k+1,j} = l_{k,j} xor t_k with t_k = b_{k,j} xor
+    z_{k,j}, so l_{k,j} is bit j of l_0 xor the prefix xor of t_0..t_{k-1}.
+    The t bits are packed 64 to a little-endian uint64 word; six shift-xor
+    steps (1, 2, ..., 32) give each word's inclusive prefix, whose top bit is
+    the word's parity, one xor-accumulate of the parities carries it across
+    words, and an xor with the packed t leaves the exclusive prefix.  Then
+    z_k += m 2^j (l_{k,j} xor b_{k,j}) takes z to bit j, and after plane 7
+    z_k = l_{k+1}.  The sum runs in uint64 array arithmetic, which wraps
+    mod 2^64, and h is a Python int masked to 64 bits.
     """
     stream = np.frombuffer(data, dtype=np.uint8)
-    m = np.uint8(FNV_PRIME & 0xFF)
     acc = FNV_OFFSET
     for start in range(0, len(stream), FNV_BLOCK):
-        b = stream[start : start + FNV_BLOCK]
-        low = np.zeros(len(b), dtype=np.uint8)
-        for j in range(8):
-            bit = 1 << j
-            t = (low ^ b) & (bit - 1)
-            t *= m
-            t ^= b
-            t &= bit
-            start_bit = acc & bit
-            low[0] |= start_bit
-            low[1:] |= np.bitwise_xor.accumulate(t[:-1]) ^ start_bit
-        delta = (low ^ b).astype(np.int64)
-        delta -= low
-        terms = np.dot(delta.view(np.uint64), _FNV_POWERS[len(b) - 1 :: -1])
-        acc = (int(_FNV_POWERS[len(b) - 1]) * acc + int(terms)) & MASK64
+        acc = _fnv1a64_block(acc, stream[start : start + FNV_BLOCK])
     return acc
+
+
+def _fnv1a64_block(acc: int, b: np.ndarray) -> int:
+    """fnv1a64's state acc after the bytes b; its scratch dies on return,
+    so one block's worth is alive at a time."""
+    m = np.uint8(FNV_PRIME & 0xFF)
+    n = len(b)
+    z = np.zeros(n, dtype=np.uint8)
+    # t fills whole 64-bit words; its zero tail comes after every bit that is read
+    t = np.zeros(-(-n // 64) * 64, dtype=np.uint8)
+    for j in range(8):
+        bit = 1 << j
+        np.bitwise_xor(z, b, out=t[:n])
+        t &= bit
+        words = np.packbits(t, bitorder="little").view("<u8")
+        prefix = words.copy()
+        for shift in (1, 2, 4, 8, 16, 32):
+            prefix ^= prefix << shift
+        carry = np.bitwise_xor.accumulate(prefix.view("<i8") >> 63)
+        prefix ^= words
+        prefix[1:] ^= carry[:-1].view("<u8")
+        if acc & bit:
+            prefix ^= np.uint64(MASK64)
+        u = np.unpackbits(prefix.view(np.uint8), count=n, bitorder="little")
+        # u * bit, not u << j: numpy's uint8 shift is ten times slower
+        u *= bit
+        u ^= b
+        u &= bit
+        u *= m
+        z += u
+    low = np.empty(n, dtype=np.uint8)
+    low[0] = acc & 0xFF
+    low[1:] = z[:-1]
+    delta = (low ^ b).astype(np.int64)
+    delta -= low
+    terms = np.dot(delta.view(np.uint64), _FNV_POWERS[n - 1 :: -1])
+    return (int(_FNV_POWERS[n - 1]) * acc + int(terms)) & MASK64
 
 
 def json_int(value: int):
@@ -549,7 +576,7 @@ def cmd_wehler_probe(args, files):
 
 def cmd_wehler_density(args, files):
     surface = load_surface(args, files)
-    if len(args.proj) != 2 or any(c not in "xyz" for c in args.proj):
+    if len(args.proj) != 2 or len(set(args.proj) & set("xyz")) != 2:
         raise ConfigError("projection must be two of x, y, z")
     rng = np.random.default_rng(args.seed)
     p0 = wd.random_surface_point(surface, rng)

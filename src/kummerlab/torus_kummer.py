@@ -650,6 +650,16 @@ def mean_stderr(values) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
+def _ball_counts(d: np.ndarray, i: int, r_arr: np.ndarray) -> np.ndarray:
+    """Entries of d other than d[i] with d <= r, for each radius r of r_arr:
+    one count_nonzero over the whole row per radius, less d[i] whatever
+    distance it holds, which gives the integers of np.delete(d, i) without
+    its copy.  Gathering the entries within the largest radius first would
+    cost more than it saves: a boolean gather of 10^5 entries takes longer
+    than the eight counts."""
+    return np.array([np.count_nonzero(d <= r) for r in r_arr]) - (d[i] <= r_arr)
+
+
 def local_dimension_estimate(
     samples: Sequence,
     dist: Callable[[Sequence, int, float], np.ndarray],
@@ -686,8 +696,7 @@ def local_dimension_estimate(
     empty_at_largest = 0
     for i in idx:
         d = np.asarray(dist(samples, int(i), r_arr[0]), dtype=float)
-        d = np.delete(d, int(i))
-        counts = (d[None, :] <= r_arr[:, None]).sum(axis=1)
+        counts = _ball_counts(d, int(i), r_arr)
         if counts[0] == 0:
             empty_at_largest += 1
             continue

@@ -10,6 +10,7 @@ import math
 import re
 import shlex
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -285,12 +286,14 @@ def test_float_overflow_or_long_factor_search_exits_2_fast(tmp_path, capsys, arg
     ["torus", "equidist", "--n", "2", "--kmax", "16"],
     ["torus", "fix-enum", "--n", "1", "--cap", "1000001"],
     ["torus", "dimension", "--samples", "1000001"],
+    ["wehler", "density", "--random", "--proj", "xx"],
 ], ids=["rank2-non-symmetric", "salem-degree-106", "equidist-kmax-16",
-        "fix-enum-cap", "dimension-samples"])
+        "fix-enum-cap", "dimension-samples", "density-proj-xx"])
 def test_refused_input_exits_2_fast(tmp_path, capsys, argv):
     """A non-symmetric Gram matrix, a degree above MAX_FACTOR_DEGREE, a
-    frequency count above FIX_CAP, an enumeration cap above FIX_CAP and
-    more than FIX_CAP Haar samples are refused before any work starts."""
+    frequency count above FIX_CAP, an enumeration cap above FIX_CAP, more
+    than FIX_CAP Haar samples and a projection that repeats an axis are
+    refused before any work starts."""
     start = time.perf_counter()
     _exits_2_with_one_error_line(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1.0
@@ -505,17 +508,58 @@ def fnv1a64_byte_loop(data: bytes) -> int:
 BLOCK = cli.FNV_BLOCK
 
 
-@pytest.mark.parametrize(
-    "length", [0, 1, 2, 255, 256, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-def test_fnv1a64_matches_byte_loop(length):
-    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+def fnv1a64_no_warnings(data: bytes) -> int:
     with warnings.catch_warnings():
         # wraparound stays in array ops and masked Python ints: no numpy
         # scalar overflow warning
         warnings.simplefilter("error", RuntimeWarning)
-        digest = cli.fnv1a64(data)
+        return cli.fnv1a64(data)
+
+
+# 63..129 and BLOCK +- 63..65 sit at the edges of the 64-bit words that
+# carry the packed prefix xor
+@pytest.mark.parametrize(
+    "length", [0, 1, 2, 63, 64, 65, 127, 128, 129, 255, 256,
+               BLOCK - 65, BLOCK - 64, BLOCK - 63, BLOCK - 1, BLOCK, BLOCK + 1,
+               BLOCK + 63, BLOCK + 64, BLOCK + 65, 3 * BLOCK + 7])
+def test_fnv1a64_matches_byte_loop(length):
+    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+    digest = fnv1a64_no_warnings(data)
     assert type(digest) is int
     assert digest == fnv1a64_byte_loop(data)
+
+
+def test_fnv1a64_every_low_byte_at_a_block_start():
+    """The second block starts from each of the 256 low bytes l: the first
+    block's last byte is b = l_prev ^ (m^-1 l mod 256), where l_prev is the
+    low byte before it and m = FNV prime mod 256."""
+    rng = np.random.default_rng(28)
+    head = rng.integers(0, 256, BLOCK - 1, dtype=np.uint8).tobytes()
+    tail = rng.integers(0, 256, 200, dtype=np.uint8).tobytes()
+    h_prev = fnv1a64_byte_loop(head)
+    m_inv = pow(cli.FNV_PRIME & 0xFF, -1, 256)
+    for low in range(256):
+        last = (h_prev ^ (m_inv * low)) & 0xFF
+        h_block = ((h_prev ^ last) * cli.FNV_PRIME) & cli.MASK64
+        assert h_block & 0xFF == low
+        expected = h_block
+        for byte in tail:
+            expected = ((expected ^ byte) * cli.FNV_PRIME) & cli.MASK64
+        assert fnv1a64_no_warnings(head + bytes([last]) + tail) == expected
+
+
+def test_fnv1a64_scratch_is_bounded_by_one_block():
+    """A 4 MiB payload is digested with at most 1 MiB traced above it."""
+    tracemalloc.start()
+    try:
+        data = np.random.default_rng(4).integers(0, 256, 4 << 20, dtype=np.uint8).tobytes()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fnv1a64_no_warnings(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1 << 20
 
 
 def test_big_ints_become_decimal_strings(tmp_path):

@@ -540,6 +540,24 @@ class TestLocalDimension:
             local_dimension_estimate(haar_samples(1000, 10), dist, self.RADII, 8)
         assert len(calls) == 8
 
+    @pytest.mark.parametrize("self_entry", [0.0, 0.03, "tie", 1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("i", [0, 17, 399])
+    def test_ball_counts_match_the_delete_form(self, i, self_entry):
+        """Counting the whole row at each radius, less the probe's own entry,
+        gives the integers of counting np.delete(d, i), whatever d[i] holds."""
+        r_arr = np.sort(self.RADII)[::-1]
+        rng = np.random.default_rng(i)
+        d = rng.uniform(0.0, 0.5, 400)
+        d[rng.choice(400, 40, replace=False)] = np.inf
+        d[rng.choice(400, 40, replace=False)] = np.nan
+        ties = rng.choice(400, 3 * len(r_arr), replace=False)
+        d[ties] = np.repeat(r_arr, 3)
+        d[i] = r_arr[3] if self_entry == "tie" else self_entry
+        counts = tk._ball_counts(d, i, r_arr)
+        expected = (np.delete(d, i)[None, :] <= r_arr[:, None]).sum(axis=1)
+        assert counts.dtype.kind == "i"
+        np.testing.assert_array_equal(counts, expected)
+
 
 class TestH2Action:
     def test_shape_and_det(self):
