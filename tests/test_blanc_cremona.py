@@ -13,6 +13,13 @@ from kummerlab.errors import (
 
 FERMAT = bc.fermat_cubic()
 BASE = bc.P2Point.make(1.0, -1.0, 0.0)
+# a smooth cubic with all ten coefficients nonzero and dyadic: the Fermat
+# cubic has only X0^3, X1^3 and X2^3, so only this one runs the convolution
+# chains of mixed monomials such as X0 X1 X2 and X0^2 X1
+DENSE = bc.PlaneCubic.from_coefficients(
+    [1.0, -0.5 + 0.25j, 0.75, 0.25 - 0.5j, -1.5 + 0.5j,
+     0.5, -1.0 + 0.125j, 0.375j, -0.625, 1.25 - 0.25j]
+)
 
 
 def random_p2(rng):
@@ -205,18 +212,19 @@ def test_blanc_compose_reports_failing_stage():
 
 
 def test_blanc_compose_equals_the_public_sigma_chain_bitwise():
-    # blanc_compose skips the per-step base-point check that BlancMap
-    # already made; the points it returns are sigma_q's, bit for bit
-    qs = bc.distinct_cubic_points(FERMAT, 3, 1)
-    B = bc.BlancMap(FERMAT, tuple(qs))
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        p = random_p2(rng)
-        ref = p
-        for q in reversed(qs):
-            ref = bc.sigma_q(FERMAT, q, ref)
-        got = bc.blanc_compose(B, p)
-        assert got.array().tobytes() == ref.array().tobytes()
+    # blanc_compose and blanc_inverse skip the per-step base-point check that
+    # BlancMap already made; the points they return are sigma_q's, bit for bit
+    for cubic in (FERMAT, DENSE):
+        qs = bc.distinct_cubic_points(cubic, 3, 1)
+        B = bc.BlancMap(cubic, tuple(qs))
+        rng = np.random.default_rng(21)
+        for step, order in ((bc.blanc_compose, qs[::-1]), (bc.blanc_inverse, qs)):
+            for _ in range(50):
+                p = random_p2(rng)
+                ref = p
+                for q in order:
+                    ref = bc.sigma_q(cubic, q, ref)
+                assert step(B, p).array().tobytes() == ref.array().tobytes()
 
 
 def test_two_involution_composition_does_not_return_early():

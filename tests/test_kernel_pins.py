@@ -6,9 +6,10 @@ _fiber_coeffs and of two turns of f through _apply_chain, on value lanes
 and on lanes with two tangent rows, for three lane sets: random
 off-surface lanes with NaN lanes, the branch lanes (A = 0 corners and a
 double root) and seeded lanes on the Cayley cubic; 200 blanc_compose
-steps of the map of the orbit benchmark; and the scalar surface wrappers,
-whose inverse chain and single involutions no CLI golden runs.  A
-same-bytes change keeps every digest.
+steps of the map of the orbit benchmark; the Cremona step on a cubic with
+all ten coefficients nonzero, whose mixed monomials no CLI golden reaches;
+and the scalar surface wrappers, whose inverse chain and single
+involutions no CLI golden runs.  A same-bytes change keeps every digest.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import pytest
 
 from kummerlab import blanc_cremona as bc
 from kummerlab import wehler_dynamics as wd
+from test_blanc_cremona import DENSE, random_p2
 from test_cayley_cubic import cayley_surface
 from test_involution_engine import _branch_lanes, _branch_surface
 from test_shared_helpers import _lanes
@@ -114,6 +116,13 @@ KERNEL_PINS = {
 BLANC_PIN = "8fcb4dc0e5a1b523"
 INVERSE_PIN = "cfadb3c3fa608492"
 SIGMA_PIN = "837c4be03f29d395"
+DENSE_PINS = {
+    "compose": "5bdb540d332d5143",
+    "inverse": "72ebce8162fcbe1e",
+    "sigma": "38f0b9439295942f",
+    "line": "970857ed4eeda806",
+    "infinity": "61c083c265b67ef2",
+}
 
 
 @pytest.mark.parametrize("name, kind", sorted(KERNEL_PINS))
@@ -132,6 +141,38 @@ def test_blanc_compose_bytes_are_pinned():
         p = bc.blanc_compose(B, p)
         steps.append(p.array())
     assert _digest(*steps) == BLANC_PIN
+
+
+def _dense_bytes(kind):
+    B = bc.BlancMap(DENSE, tuple(bc.distinct_cubic_points(DENSE, 3, 1)))
+    rng = np.random.default_rng(5)
+    if kind in ("compose", "inverse"):
+        step = bc.blanc_compose if kind == "compose" else bc.blanc_inverse
+        p = bc.P2Point.make(rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal(), 1.0)
+        steps = []
+        for _ in range(200):
+            p = step(B, p)
+            steps.append(p.array())
+        return steps
+    if kind == "sigma":
+        return [bc.sigma_q(DENSE, B.base_points[0], random_p2(rng)).array() for _ in range(200)]
+    if kind == "line":
+        lines = rng.normal(size=(200, 2, 3)) + 1j * rng.normal(size=(200, 2, 3))
+        return [np.array(bc._line_restriction(DENSE, a, d)) for a, d in lines]
+    # inputs on the line at infinity of the chart of the first applied base
+    # point, whose pivots are X0, X1, X2 in order
+    assert [int(np.argmax(np.abs(q.array()))) for q in B.base_points] == [0, 1, 2]
+    u, v = 0.3 + 0.7j, -1.1 + 0.2j
+    return [
+        bc.blanc_compose(B, bc.P2Point.make(u, v, 0.0)).array(),
+        bc.blanc_inverse(B, bc.P2Point.make(0.0, u, v)).array(),
+        bc.sigma_q(DENSE, B.base_points[0], bc.P2Point.make(0.0, u, v)).array(),
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(DENSE_PINS))
+def test_dense_cubic_cremona_bytes_are_pinned(kind):
+    assert _digest(*_dense_bytes(kind)) == DENSE_PINS[kind]
 
 
 def _point_bytes(p):
