@@ -16,7 +16,7 @@ extraction is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,29 @@ TANGENCY_TOL = 1e-12
 CHART_TOL = 1e-8
 FD_STEP = 1e-6
 
+# The core of np.convolve, which converts both operands to arrays, swaps them
+# so the longer comes first and returns correlate(longer, shorter[::-1]).
+# Calling it with those operands gives np.convolve's bits without its
+# per-call argument handling; mode 2 is "full" on every numpy >= 1.24.
+_CORRELATE = getattr(np.convolve, "__wrapped__", np.convolve).__globals__["multiarray"].correlate
+
+
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """v divided by its entry of largest modulus; the zero or non-finite
+    vector is refused."""
+    mag = np.abs(v)
+    top = int(mag.argmax())
+    if mag[top] == 0 or not np.isfinite(mag[top]):
+        raise PreconditionError("(0, 0, 0) is not a projective point")
+    return v / v[top]
+
+
+def _chordal(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest 2x2 minor of the rows a and b."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return max(0.0, abs(a0 * b1 - a1 * b0), abs(a0 * b2 - a2 * b0), abs(a1 * b2 - a2 * b1))
+
 
 @dataclass(frozen=True)
 class P2Point:
@@ -59,38 +82,36 @@ class P2Point:
 
     @classmethod
     def make(cls, x0: complex, x1: complex, x2: complex) -> "P2Point":
-        v = np.array([x0, x1, x2], dtype=complex)
-        mag = np.abs(v)
-        top = mag.max()
-        if top == 0 or not np.isfinite(top):
-            raise PreconditionError("(0, 0, 0) is not a projective point")
-        v = v / v[int(np.argmax(mag))]
-        return cls(complex(v[0]), complex(v[1]), complex(v[2]))
+        return cls(*_normalized(np.array([x0, x1, x2], dtype=complex)).tolist())
 
     def array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2], dtype=complex)
 
     def chordal(self, other: "P2Point") -> float:
-        a, b = self.array(), other.array()
-        out = 0.0
-        for i in range(3):
-            for j in range(i + 1, 3):
-                out = max(out, abs(a[i] * b[j] - a[j] * b[i]))
-        return out
+        return _chordal(self.array(), other.array())
 
 
 @dataclass(frozen=True)
 class PlaneCubic:
     """Homogeneous cubic in (X0, X1, X2): ten coefficients following
-    MONOMIALS order."""
+    MONOMIALS order.  terms holds each nonzero coefficient with the
+    variables of its three linear factors in ascending order, e.g.
+    (c, (0, 0, 1)) for c X0^2 X1."""
 
     coeffs: tuple
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != 10:
             raise PreconditionError("expected 10 cubic coefficients")
         if all(c == 0 for c in self.coeffs):
             raise PreconditionError("cubic is identically zero")
+        terms = tuple(
+            (c, tuple(var for var, e in enumerate(expo) for _ in range(e)))
+            for c, expo in zip(self.coeffs, MONOMIALS)
+            if c != 0
+        )
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_coefficients(cls, seq) -> "PlaneCubic":
@@ -130,16 +151,20 @@ def fermat_cubic() -> PlaneCubic:
 
 def _line_restriction(cubic: PlaneCubic, origin: np.ndarray, direction: np.ndarray):
     """Coefficients (g3, g2, g1, g0) of t -> P(origin + t * direction), by
-    exact convolution of the three linear factors of each monomial."""
+    exact convolution of the three linear factors of each monomial, with the
+    operands and order np.convolve(np.convolve(np.convolve([1], lin_i),
+    lin_j), lin_k) uses: the length-1 polynomial is the shorter operand of
+    the first product, so it comes second there."""
+    pairs = np.empty((3, 2), dtype=complex)
+    pairs[:, 0] = direction
+    pairs[:, 1] = origin
+    lins, revs = list(pairs), list(pairs[:, ::-1].copy())
+    # np.convolve passes [1][::-1]: that view keeps its negative stride in
+    # the core, which then sums in numpy's own loop rather than in BLAS
+    one = np.array([1.0 + 0.0j])[::-1]
     total = np.zeros(4, dtype=complex)
-    for c, expo in zip(cubic.coeffs, MONOMIALS):
-        if c == 0:
-            continue
-        poly = np.array([1.0 + 0.0j])
-        for var, e in enumerate(expo):
-            lin = np.array([direction[var], origin[var]])
-            for _ in range(e):
-                poly = np.convolve(poly, lin)
+    for c, (i, j, k) in cubic.terms:
+        poly = _CORRELATE(_CORRELATE(_CORRELATE(lins[i], one, 2), revs[j], 2), revs[k], 2)
         total += c * poly
     return total[0], total[1], total[2], total[3]
 
@@ -152,16 +177,15 @@ def sigma_q(cubic: PlaneCubic, q: P2Point, p: P2Point) -> P2Point:
     """The involution of the pencil of lines through the base point q."""
     if not on_cubic(cubic, q):
         raise PreconditionError("base point is not on the cubic")
-    return _pencil_involution(cubic, q, p)
-
-
-def _pencil_involution(cubic: PlaneCubic, q: P2Point, p: P2Point) -> P2Point:
-    """sigma_q for a base point q already checked to lie on the cubic."""
-    if p.chordal(q) <= 1e-12:
-        raise IndeterminatePointError("input coincides with the base point")
     qarr = q.array()
-    m = int(np.argmax(np.abs(qarr)))
-    parr = p.array()
+    return P2Point(*_involution(cubic, qarr, int(np.argmax(np.abs(qarr))), p.array()).tolist())
+
+
+def _involution(cubic: PlaneCubic, qarr: np.ndarray, m: int, parr: np.ndarray) -> np.ndarray:
+    """sigma_q on normalized arrays, for a base point q already checked to
+    lie on the cubic, with pivot m = argmax |q_i|."""
+    if _chordal(parr, qarr) <= 1e-12:
+        raise IndeterminatePointError("input coincides with the base point")
     if abs(parr[m]) <= 1e-13:
         # p sits on the chart's line at infinity, at parameter t = infinity
         d = parr
@@ -183,16 +207,19 @@ def _pencil_involution(cubic: PlaneCubic, q: P2Point, p: P2Point) -> P2Point:
     out = de * qarr + nu * d
     if np.abs(out).max() <= 1e-280 * gscale:
         raise InternalInvariantError("involution produced the zero vector")
-    return P2Point.make(out[0], out[1], out[2])
+    return _normalized(out)
 
 
 @dataclass(frozen=True)
 class BlancMap:
     """Composition of pencil involutions for base points q_1 .. q_l on one
-    cubic; q_l is applied first."""
+    cubic; q_l is applied first.  qarrs and pivots hold each base point's
+    array and the index of its entry of largest modulus."""
 
     cubic: PlaneCubic
     base_points: tuple
+    qarrs: tuple = field(init=False, repr=False, compare=False)
+    pivots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.base_points) < 1:
@@ -207,29 +234,34 @@ class BlancMap:
                     raise PreconditionError(
                         f"base points {i + 1} and {j + 1} coincide"
                     )
+        qarrs = tuple(q.array() for q in pts)
+        object.__setattr__(self, "qarrs", qarrs)
+        object.__setattr__(self, "pivots", tuple(int(np.argmax(np.abs(a))) for a in qarrs))
 
 
 def blanc_compose(B: BlancMap, p: P2Point) -> P2Point:
-    return _apply_stages(B, p, range(len(B.base_points), 0, -1))
+    return P2Point(*_apply_stages(B, p.array(), range(len(B.base_points), 0, -1)).tolist())
 
 
 def blanc_inverse(B: BlancMap, p: P2Point) -> P2Point:
-    return _apply_stages(B, p, range(1, len(B.base_points) + 1))
+    return P2Point(*_apply_stages(B, p.array(), range(1, len(B.base_points) + 1)).tolist())
 
 
-def _apply_stages(B: BlancMap, p: P2Point, stages) -> P2Point:
+def _apply_stages(B: BlancMap, v: np.ndarray, stages) -> np.ndarray:
     """Apply sigma_q (base points checked once, by BlancMap) for the 1-based
-    indices in stages order; an indeterminacy is re-raised with the index."""
+    indices in stages order to the normalized array v; an indeterminacy is
+    re-raised with the index."""
     for stage in stages:
         try:
-            p = _pencil_involution(B.cubic, B.base_points[stage - 1], p)
+            v = _involution(B.cubic, B.qarrs[stage - 1], B.pivots[stage - 1], v)
         except IndeterminatePointError as err:
             raise IndeterminatePointError(str(err), stage=stage) from None
-    return p
+    return v
 
 
 def _affine_image(B: BlancMap, x: complex, y: complex) -> tuple[complex, complex]:
-    w = blanc_compose(B, P2Point.make(x, y, 1.0)).array()
+    v = _normalized(np.array([x, y, 1.0], dtype=complex))
+    w = _apply_stages(B, v, range(len(B.base_points), 0, -1))
     if abs(w[2]) <= CHART_TOL * np.abs(w).max():
         raise ChartFailureError("image left the affine chart")
     return w[0] / w[2], w[1] / w[2]

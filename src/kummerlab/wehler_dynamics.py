@@ -1286,6 +1286,8 @@ def density_histogram(
     projection; each P1 coordinate maps to its chordal height
     |v|^2/(|u|^2+|v|^2) in [0, 1]."""
     names = {"x": 0, "y": 1, "z": 2}
+    if len(proj) != 2 or proj[0] == proj[1] or not set(proj) <= set(names):
+        raise PreconditionError("projection must be two distinct axes of x, y, z")
     ax_a, ax_b = names[proj[0]], names[proj[1]]
     pts, _ = orbit(surface, p0, iters)
     heights = np.empty((iters + 1, 2))

@@ -57,6 +57,62 @@ def test_cubic_constructor_and_evaluation():
         assert abs(fd - g[var]) < 1e-6
 
 
+# real and imaginary parts for the convolution-core tests: signed zeros,
+# subnormals, infinities and NaN besides ordinary values
+SPECIAL_PARTS = (0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.5, -0.75)
+
+
+def test_bound_convolution_core_gives_np_convolve_bits():
+    # np.convolve(x, y) puts the longer operand first and reverses the
+    # shorter.  A reversed operand of two or more entries is copied to
+    # contiguous memory inside the core, so _line_restriction may pass such a
+    # copy; a reversed single entry keeps its negative stride, which changes
+    # the summation path, so there it must pass the view
+    pool = np.array([complex(re, im) for re in SPECIAL_PARTS for im in SPECIAL_PARTS])
+    rng = np.random.default_rng(8)
+    for n in range(1, 5):
+        for _ in range(300):
+            a = rng.choice(pool, size=n)
+            lin = rng.choice(pool, size=2)
+            for x, y in ((a, lin), (lin, a)):
+                ref = np.convolve(x, y).tobytes()
+                longer, shorter = (y, x) if len(x) < len(y) else (x, y)
+                forms = [shorter[::-1]] + [shorter[::-1].copy()] * (len(shorter) > 1)
+                for rev in forms:
+                    assert bc._CORRELATE(longer, rev, 2).tobytes() == ref, (
+                        f"numpy {np.__version__}: the core bound from np.convolve no longer "
+                        f"gives np.convolve's bits for {x!r} * {y!r}"
+                    )
+
+
+def _line_restriction_by_convolve(cubic, origin, direction):
+    total = np.zeros(4, dtype=complex)
+    for c, expo in zip(cubic.coeffs, bc.MONOMIALS):
+        if c == 0:
+            continue
+        poly = np.array([1.0 + 0.0j])
+        for var, e in enumerate(expo):
+            lin = np.array([direction[var], origin[var]])
+            for _ in range(e):
+                poly = np.convolve(poly, lin)
+        total += c * poly
+    return total[0], total[1], total[2], total[3]
+
+
+def test_line_restriction_equals_the_np_convolve_chain_bitwise():
+    pool = np.array([complex(re, im) for re in SPECIAL_PARTS for im in SPECIAL_PARTS])
+    rng = np.random.default_rng(9)
+    lines = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(200)]
+    lines += [rng.choice(pool, size=(2, 3)) for _ in range(200)]
+    lines += [rng.normal(size=(2, 3)) for _ in range(20)]
+    for cubic in (FERMAT, DENSE):
+        for origin, direction in lines:
+            with np.errstate(all="ignore"):
+                got = np.array(bc._line_restriction(cubic, origin, direction))
+                ref = np.array(_line_restriction_by_convolve(cubic, origin, direction))
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_line_restriction_reproduces_cubic_along_line():
     rng = np.random.default_rng(1)
     cubic = bc.PlaneCubic.from_coefficients(rng.normal(size=10) + 1j * rng.normal(size=10))

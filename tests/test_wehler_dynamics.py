@@ -683,3 +683,16 @@ def test_density_histogram_shape_and_scaling():
     assert int((img > 0).sum()) >= 100
     small = wd.density_histogram(surface, p, iters=50, proj=("y", "z"), bins=64)
     assert small.shape == (64, 64)
+
+
+@pytest.mark.parametrize("proj", [("x", "x"), ("x", "w")])
+def test_density_histogram_refuses_a_repeated_or_unknown_axis(proj, monkeypatch):
+    surface = wd.random_surface(7)
+    p = wd.random_surface_point(surface, np.random.default_rng(6))
+
+    def no_orbit(*args):
+        raise AssertionError("the orbit ran before the projection was checked")
+
+    monkeypatch.setattr(wd, "orbit", no_orbit)
+    with pytest.raises(PreconditionError):
+        wd.density_histogram(surface, p, iters=200, proj=proj, bins=64)
