@@ -160,7 +160,8 @@ def _line_restriction(cubic: PlaneCubic, origin: np.ndarray, direction: np.ndarr
     pairs[:, 1] = origin
     lins, revs = list(pairs), list(pairs[:, ::-1].copy())
     # np.convolve passes [1][::-1]: that view keeps its negative stride in
-    # the core, which then sums in numpy's own loop rather than in BLAS
+    # the core, which then sums on another path than for a contiguous [1],
+    # with other bits on infinities and NaN
     one = np.array([1.0 + 0.0j])[::-1]
     total = np.zeros(4, dtype=complex)
     for c, (i, j, k) in cubic.terms:
