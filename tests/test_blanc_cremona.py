@@ -57,9 +57,10 @@ def test_cubic_constructor_and_evaluation():
         assert abs(fd - g[var]) < 1e-6
 
 
-# real and imaginary parts for the convolution-core tests: signed zeros,
-# subnormals, infinities and NaN besides ordinary values
+# entries for the convolution-core tests: every pair of real and imaginary
+# parts from signed zeros, subnormals, infinities, NaN and ordinary values
 SPECIAL_PARTS = (0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.5, -0.75)
+SPECIAL = np.array([complex(re, im) for re in SPECIAL_PARTS for im in SPECIAL_PARTS])
 
 
 def test_bound_convolution_core_gives_np_convolve_bits():
@@ -68,12 +69,11 @@ def test_bound_convolution_core_gives_np_convolve_bits():
     # contiguous memory inside the core, so _line_restriction may pass such a
     # copy; a reversed single entry keeps its negative stride, which changes
     # the summation path, so there it must pass the view
-    pool = np.array([complex(re, im) for re in SPECIAL_PARTS for im in SPECIAL_PARTS])
     rng = np.random.default_rng(8)
     for n in range(1, 5):
         for _ in range(300):
-            a = rng.choice(pool, size=n)
-            lin = rng.choice(pool, size=2)
+            a = rng.choice(SPECIAL, size=n)
+            lin = rng.choice(SPECIAL, size=2)
             for x, y in ((a, lin), (lin, a)):
                 ref = np.convolve(x, y).tobytes()
                 longer, shorter = (y, x) if len(x) < len(y) else (x, y)
@@ -100,10 +100,9 @@ def _line_restriction_by_convolve(cubic, origin, direction):
 
 
 def test_line_restriction_equals_the_np_convolve_chain_bitwise():
-    pool = np.array([complex(re, im) for re in SPECIAL_PARTS for im in SPECIAL_PARTS])
     rng = np.random.default_rng(9)
     lines = [rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)) for _ in range(200)]
-    lines += [rng.choice(pool, size=(2, 3)) for _ in range(200)]
+    lines += [rng.choice(SPECIAL, size=(2, 3)) for _ in range(200)]
     lines += [rng.normal(size=(2, 3)) for _ in range(20)]
     for cubic in (FERMAT, DENSE):
         for origin, direction in lines:
