@@ -60,7 +60,9 @@ def _normalized(v: np.ndarray) -> np.ndarray:
     vector is refused."""
     mag = np.abs(v)
     top = int(mag.argmax())
-    if mag[top] == 0 or not np.isfinite(mag[top]):
+    if not np.isfinite(mag[top]):
+        raise PreconditionError("projective point has a non-finite coordinate")
+    if mag[top] == 0:
         raise PreconditionError("(0, 0, 0) is not a projective point")
     return v / v[top]
 
@@ -104,6 +106,8 @@ class PlaneCubic:
     def __post_init__(self):
         if len(self.coeffs) != 10:
             raise PreconditionError("expected 10 cubic coefficients")
+        if not np.isfinite(np.array(self.coeffs, dtype=complex)).all():
+            raise PreconditionError("cubic has a non-finite coefficient")
         if all(c == 0 for c in self.coeffs):
             raise PreconditionError("cubic is identically zero")
         terms = tuple(

@@ -576,13 +576,9 @@ def cmd_wehler_probe(args, files):
 
 def cmd_wehler_density(args, files):
     surface = load_surface(args, files)
-    if len(args.proj) != 2 or len(set(args.proj) & set("xyz")) != 2:
-        raise ConfigError("projection must be two of x, y, z")
     rng = np.random.default_rng(args.seed)
     p0 = wd.random_surface_point(surface, rng)
-    img = wd.density_histogram(
-        surface, p0, args.iters, proj=(args.proj[0], args.proj[1])
-    )
+    img = wd.density_histogram(surface, p0, args.iters, proj=tuple(args.proj))
     header = f"P5 {img.shape[1]} {img.shape[0]} 255\n".encode()
     return header + img.tobytes(), "pgm"
 

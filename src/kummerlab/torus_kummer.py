@@ -589,9 +589,7 @@ def torus_distance(
     dist works column by column on samples.T: a column-major (n, 4) array,
     as haar_dimension passes, is read contiguously; any other layout gives
     the same bits, only slower.  The wrapped columns and their sum of
-    squares go to scratch rows that the closure owns and reallocates when n
-    changes, so one closure must not run two calls at once (from threads);
-    each call returns a fresh array.
+    squares go to work rows allocated on each call.
     """
     re = lattice.tau.real
     if abs(re) > 0.5 + 1e-12 or not 1.0 - 1e-12 <= abs(lattice.tau) <= 1e150:
@@ -606,14 +604,9 @@ def torus_distance(
         # (c1*g10)*c0 round differently.
         return (c0 * g00) * c0 + (c0 * g01) * c1 + (c1 * g10) * c0 + (c1 * g11) * c1
 
-    scratch = np.empty((7, 0))
-
     def dist(samples: np.ndarray, i: int, cutoff: float) -> np.ndarray:
-        nonlocal scratch
         x = np.asarray(samples, dtype=float)
-        if scratch.shape[1] != len(x):
-            scratch = np.empty((7, len(x)))
-        *d, r2, t0, t1 = scratch
+        *d, r2, t0, t1 = np.empty((7, len(x)))
         for col, dk in zip(x.T, d):
             np.subtract(col, col[i], out=dk)
             dk -= np.round(dk, out=t0)

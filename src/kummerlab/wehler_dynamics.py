@@ -138,8 +138,10 @@ class WehlerSurface:
     @classmethod
     def from_array(cls, arr) -> "WehlerSurface":
         arr = np.array(arr, dtype=complex)
+        if not np.isfinite(arr).all():
+            raise PreconditionError("coefficient tensor has a non-finite entry")
         top = np.abs(arr).max() if arr.size else 0.0
-        if top == 0 or not np.isfinite(top):
+        if top == 0:
             raise PreconditionError("coefficient tensor is identically zero")
         arr = arr / top
         return cls(tuple(tuple(tuple(x for x in row) for row in plane) for plane in arr))

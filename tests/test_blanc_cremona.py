@@ -57,6 +57,16 @@ def test_cubic_constructor_and_evaluation():
         assert abs(fd - g[var]) < 1e-6
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_point_or_cubic_is_named(bad):
+    with pytest.raises(PreconditionError, match="non-finite"):
+        bc.P2Point.make(bad, 1.0, 1.0)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        bc.PlaneCubic.from_coefficients([bad] + [1.0] * 9)
+    with pytest.raises(PreconditionError, match=r"\(0, 0, 0\) is not a projective point"):
+        bc.P2Point.make(0.0, 0.0, 0.0)
+
+
 # entries for the convolution-core tests: every pair of real and imaginary
 # parts from signed zeros, subnormals, infinities, NaN and ordinary values
 SPECIAL_PARTS = (0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.5, -0.75)

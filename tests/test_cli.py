@@ -287,13 +287,17 @@ def test_float_overflow_or_long_factor_search_exits_2_fast(tmp_path, capsys, arg
     ["torus", "fix-enum", "--n", "1", "--cap", "1000001"],
     ["torus", "dimension", "--samples", "1000001"],
     ["wehler", "density", "--random", "--proj", "xx"],
+    ["wehler", "density", "--random", "--proj", "xyz"],
+    ["wehler", "density", "--random", "--proj", "x"],
+    ["wehler", "density", "--random", "--proj", "xq"],
 ], ids=["rank2-non-symmetric", "salem-degree-106", "equidist-kmax-16",
-        "fix-enum-cap", "dimension-samples", "density-proj-xx"])
+        "fix-enum-cap", "dimension-samples", "density-proj-xx",
+        "density-proj-xyz", "density-proj-x", "density-proj-xq"])
 def test_refused_input_exits_2_fast(tmp_path, capsys, argv):
     """A non-symmetric Gram matrix, a degree above MAX_FACTOR_DEGREE, a
     frequency count above FIX_CAP, an enumeration cap above FIX_CAP, more
-    than FIX_CAP Haar samples and a projection that repeats an axis are
-    refused before any work starts."""
+    than FIX_CAP Haar samples and a projection that is not two distinct
+    axes of x, y, z are refused before any work starts."""
     start = time.perf_counter()
     _exits_2_with_one_error_line(tmp_path, capsys, argv)
     assert time.perf_counter() - start < 1.0

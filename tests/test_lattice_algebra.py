@@ -137,6 +137,29 @@ class TestDominantRoot:
         assert abs(lam - 1.17628081825991) < 1e-10
         assert res < 1e-12
 
+    def test_lehmer_float_newton_map_has_a_two_cycle(self):
+        """The float Newton step on LEHMER_POLY swaps two neighbouring
+        floats, on either side of the root, so _newton_polish never meets
+        its step tolerance there and ends on the member its start decides."""
+        lo, hi = 1.1762808182599174, 1.1762808182599176
+        dp = LEHMER_POLY.derivative()
+        assert float(LEHMER_POLY(lo)) < 0 < float(LEHMER_POLY(hi))
+        for x, y in ((lo, hi), (hi, lo)):
+            assert x - float(LEHMER_POLY(x)) / float(dp(x)) == y
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the polish ends its 2-cycle on the member its start decides: "
+        "...174 from the power-iteration estimate, ...176 from the np.roots "
+        "witness; ROADMAP item 10's lattice change drops the power iteration"))
+    def test_lehmer_polish_does_not_depend_on_its_start(self):
+        """dominant_root polishes from the power-iteration estimate
+        1.1762808182600701; polishing the np.roots witness 1.176280818259916
+        instead must give the same float for the power iteration to be
+        deletable without moving the Lehmer outputs."""
+        roots = LEHMER_POLY.roots()
+        start = roots[np.argmax(np.abs(roots))].real
+        assert dominant_root(LEHMER_POLY)[1].real == la._newton_polish(LEHMER_POLY, start)
+
 
 class TestSalemClassify:
     def test_one_for_identity(self):
