@@ -55,10 +55,10 @@ FD_STEP = 1e-6
 _CORRELATE = getattr(np.convolve, "__wrapped__", np.convolve).__globals__["multiarray"].correlate
 
 
-def _normalized(v: np.ndarray) -> np.ndarray:
+def _normalized(v: np.ndarray, mag: np.ndarray | None = None) -> np.ndarray:
     """v divided by its entry of largest modulus; the zero or non-finite
-    vector is refused."""
-    mag = np.abs(v)
+    vector is refused.  mag is np.abs(v), when the caller has taken it."""
+    mag = np.abs(v) if mag is None else mag
     top = int(mag.argmax())
     if not np.isfinite(mag[top]):
         raise PreconditionError("projective point has a non-finite coordinate")
@@ -210,9 +210,10 @@ def _involution(cubic: PlaneCubic, qarr: np.ndarray, m: int, parr: np.ndarray) -
     nu = -g2 * tvec[0] - 2 * g1 * tvec[1]
     de = 2 * g3 * tvec[0] + g2 * tvec[1]
     out = de * qarr + nu * d
-    if np.abs(out).max() <= 1e-280 * gscale:
+    mag = np.abs(out)
+    if mag.max() <= 1e-280 * gscale:
         raise InternalInvariantError("involution produced the zero vector")
-    return _normalized(out)
+    return _normalized(out, mag)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ from .torus_kummer import (
 MEMBERSHIP_TOL = 1e-10
 NEWTON_ACCEPT_TOL = 1e-11
 DEDUP_TOL = 1e-7
+TWO_FORM_TOL = 1e-8
 CHART_FAIL_TOL = 1e-10
 DEGENERATE_FIBER_TOL = 1e-14
 NEWTON_STEP_CAP = 0.3
@@ -109,13 +110,27 @@ class P1Point:
     @classmethod
     def make(cls, u: complex, v: complex) -> "P1Point":
         u, v = complex(u), complex(v)
-        if u == 0 and v == 0:
+        au, av = abs(u), abs(v)
+        if not (au < math.inf and av < math.inf):
+            raise PreconditionError("projective point has a non-finite coordinate")
+        if au == 0 and av == 0:
             raise PreconditionError("(0, 0) is not a projective point")
-        w = u if abs(u) >= abs(v) else v
+        w = u if au >= av else v
         return cls(u / w, v / w)
 
     def chordal(self, other: "P1Point") -> float:
         return abs(self.u * other.v - other.u * self.v)
+
+
+def _top_modulus(arr) -> float:
+    """The largest modulus in a coefficient array that is finite and not
+    identically zero; any other is refused."""
+    if not np.isfinite(arr).all():
+        raise PreconditionError("coefficient tensor has a non-finite entry")
+    top = np.abs(arr).max() if arr.size else 0.0
+    if top == 0:
+        raise PreconditionError("coefficient tensor is identically zero")
+    return top
 
 
 @dataclass(frozen=True)
@@ -129,21 +144,13 @@ class WehlerSurface:
         arr = np.array(self.coeffs, dtype=complex)
         if arr.shape != (3, 3, 3):
             raise PreconditionError("expected a 3x3x3 coefficient tensor")
-        top = np.abs(arr).max()
-        if top == 0:
-            raise PreconditionError("coefficient tensor is identically zero")
-        if not (abs(top - 1.0) <= 1e-12):
+        if not (abs(_top_modulus(arr) - 1.0) <= 1e-12):
             raise PreconditionError("coefficients must be max-modulus normalized")
 
     @classmethod
     def from_array(cls, arr) -> "WehlerSurface":
         arr = np.array(arr, dtype=complex)
-        if not np.isfinite(arr).all():
-            raise PreconditionError("coefficient tensor has a non-finite entry")
-        top = np.abs(arr).max() if arr.size else 0.0
-        if top == 0:
-            raise PreconditionError("coefficient tensor is identically zero")
-        arr = arr / top
+        arr = arr / _top_modulus(arr)
         return cls(tuple(tuple(tuple(x for x in row) for row in plane) for plane in arr))
 
     def array(self) -> np.ndarray:
@@ -437,6 +444,11 @@ def wehler_map_inverse(
     return _sigma_chain(surface.array(), INVERSE_AXES, p, tol, 1)[0]
 
 
+# |A u^2 + B uv + C v^2| of two fiber quadratics at one point differ by less
+# than this; derived in _sigma_chain
+_RESIDUAL_MARGIN = 1024 * 2.0**-52
+
+
 def _sigma_chain(carr, axes, p, tol, steps):
     """The point after each of steps passes of the involutions of axes
     from p, each involution a one-lane _swap_root.  A degenerate fiber
@@ -450,30 +462,66 @@ def _sigma_chain(carr, axes, p, tol, steps):
     zq is None or the z-fiber quadratic of S's current x and y rows: it
     gives the point's residual, it is sigma_3's own quadratic (sigma_3
     leaves x and y alone), and after sigma_1 it is the next pass's sigma_3
-    quadratic.  It is refreshed when a rebuild changes the bytes of those
+    quadratic.  It goes stale when a rebuild changes the bytes of those
     rows, as sigma_1 and sigma_2 do, and as P1Point.make does to the rows
-    of a point it did not build, such as the start point's.
+    of a point it did not build, such as the start point's.  A stale zq is
+    evaluated again only where a residual is recorded (the last point of a
+    pass) or sigma_3 comes next.  Any other point with a stale zq (sigma_2's
+    in f, sigma_1's in f^-1, and sigma_3's in f's first pass when the start
+    rows moved) is checked with the quadratic (A, B, C) of the involution
+    that comes next, which that involution then uses: it passes when
+    r = |A u^2 + B uv + C v^2| in that axis satisfies r + margin <= tol.
+    Otherwise, a NaN r included, its z-fiber residual decides as before.
+
+    The margin: both evaluations take the same 27-term form F at the same
+    rebuilt rows.  Coefficients are max-modulus normalized (modulus at most
+    1 + 1e-12) and P1Point.make leaves max(|u|, |v|) = 1 up to an ulp, so
+    the monomials (v^2, uv, u^2) of a row sum in modulus to at most 3, and
+    the terms of F to at most 27.  Each term takes six complex products
+    (two monomials, their product, the coefficient, two residual factors),
+    each good to sqrt(5) u with u = 2^-53, and ten additions (eight in the
+    coefficient sum, two in the residual) and a modulus, at most twelve
+    roundings of u; by Minkowski's inequality the sums' errors stay within
+    u of the sum of the terms' moduli.  So either evaluation is within
+    (6 sqrt(5) + 12) u * 27 < 350 eps of |F| (eps = 2u), and the two within
+    700 eps.  The margin of 1024 eps, about 2.3e-13, also covers the
+    rounding of r + margin, u (r + margin) < 324 eps, while r stays below
+    about 600, and no r exceeds 28.  So a point passes the cheap check only
+    when its z-fiber residual would pass, and points, residuals and errors
+    keep their bits.
     """
     if steps and p.residual > tol:
         raise OffSurfaceError("input point fails the membership tolerance")
     S = _pack_points([(p.x, p.y, p.z)])[None]
-    zq = None
+    zq = nq = None
+    last = len(axes) - 1
     out = []
     for _ in range(steps):
-        for axis in axes:
-            if axis == 2 and zq is None:
-                zq = _fiber_coeffs(carr, 2, S)
-            Q = _swap_root(*(zq if axis == 2 else _fiber_coeffs(carr, axis, S)), axis, S)
+        for i, axis in enumerate(axes):
+            if axis == 2:
+                q = zq = _fiber_coeffs(carr, 2, S) if zq is None else zq
+            else:
+                q = _fiber_coeffs(carr, axis, S) if nq is None else nq
+            nq = None
+            Q = _swap_root(*q, axis, S)
             if not np.isfinite(Q).all():
                 # sigma_1 moves x (axis 0), sigma_2 y, sigma_3 z
                 raise IndeterminatePointError(
                     "degenerate fiber under the involution", stage=axis + 1
                 )
-            rows = [P1Point.make(*row) for row in Q[0, 0]]
+            rows = [P1Point.make(*row) for row in Q[0, 0].tolist()]
             Q = _pack_points([rows])[None]
-            if zq is None or Q[0, 0, :2].tobytes() != S[0, 0, :2].tobytes():
-                zq = _fiber_coeffs(carr, 2, Q)
+            if zq is not None and Q[0, 0, :2].tobytes() != S[0, 0, :2].tobytes():
+                zq = None
             S = Q
+            if zq is None and i < last and axes[i + 1] != 2:
+                nq = _fiber_coeffs(carr, axes[i + 1], S)
+                A, B, C = nq[:, 0, 0].tolist()
+                u, v = rows[axes[i + 1]].u, rows[axes[i + 1]].v
+                if abs(A * u * u + B * u * v + C * v * v) + _RESIDUAL_MARGIN <= tol:
+                    continue
+            if zq is None:
+                zq = _fiber_coeffs(carr, 2, S)
             res = float(_z_residuals(*zq[:, 0], S[0])[0])
             if res > tol:
                 raise OffSurfaceError(f"residual {res:.3e} exceeds membership tolerance {tol:.1e}")
@@ -878,7 +926,9 @@ def newton_periodic(
     stabilizer from its own stream; _newton_lanes steps the lane set, or
     one contiguous slice per worker with at most one worker per chunk; the
     converged lanes are sorted, deduplicated and filtered by exact period,
-    then checked on the surface and given their multipliers.  Lanes are
+    then checked on the surface and given their multipliers, which must
+    keep the two-form identity m_u m_s = (-1)^n within TWO_FORM_TOL or the
+    search raises InternalInvariantError.  Lanes are
     independent and sorted before dedup, so the result is identical for any
     worker count.
     """
@@ -909,6 +959,12 @@ def newton_periodic(
     big, small, fail = _multipliers_at(carr, cand, n)
     res = _residuals(carr, cand)
     keep = ~fail & (res <= MEMBERSHIP_TOL) & np.isfinite(big) & np.isfinite(small)
+    # f*Omega = -Omega for the holomorphic two-form, so m_u m_s = (-1)^n
+    defect = np.abs(big[keep] * small[keep] - (-1) ** n).max(initial=0.0)
+    if defect > TWO_FORM_TOL:
+        raise InternalInvariantError(
+            f"two-form identity fails at period {n}: |m_u m_s - (-1)^n| = {defect:.3e}"
+        )
     out: list[SaddleOrbit] = []
     for i in np.flatnonzero(keep):
         point = SurfacePoint(*(P1Point.make(*row) for row in cand[i]), float(res[i]))

@@ -22,6 +22,7 @@ from kummerlab import blanc_cremona as bc
 from kummerlab import lattice_algebra as la
 from kummerlab import torus_kummer as tk
 from kummerlab import wehler_dynamics as wd
+from test_wehler_dynamics import skew_multipliers
 
 
 def run_cli(tmp_path, name, *argv):
@@ -737,6 +738,18 @@ def test_non_integer_file_matrix_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def test_two_form_defect_exits_3_with_one_internal_error_line(tmp_path, capsys, monkeypatch):
+    skew_multipliers(monkeypatch)
+    out = tmp_path / "s.csv"
+    rc = cli.main(["wehler", "saddles", "--random", "--seed", "1", "--nmax", "2",
+                   "--seeds", "256", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: two-form identity fails at period 2")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["saddles", "lyapunov", "rigidity"])

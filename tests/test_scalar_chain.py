@@ -4,9 +4,11 @@ sigma, wehler_map, wehler_map_inverse and orbit run one loop that keeps the
 z-fiber quadratic of the current point and reuses it for the point's
 residual and for the next sigma_3.  reference_chain below is the chain as
 it was before that sharing: every involution rebuilds its point and
-evaluates a fresh z-fiber quadratic for the residual.  The loop must give
-the same points, residuals and errors, bit for bit, with fewer fiber
-quadratics.
+evaluates a fresh z-fiber quadratic for the residual.  A point whose z-fiber
+quadratic the loop does not need next is checked with the next
+involution's own quadratic and a rounding margin, and only near tol with
+its z-fiber residual.  The loop must give the same points, residuals and
+errors, bit for bit, with fewer fiber quadratics.
 """
 
 import numpy as np
@@ -144,51 +146,87 @@ class _Counter:
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 50])
-def test_orbit_evaluates_4n_plus_2_fiber_quadratics(monkeypatch, n_steps):
-    """Four per step: sigma_2, sigma_1 and the residuals after each.  The
-    start point's quadratic serves sigma_3 of step one, but its rows move
-    under the first rebuild, so the residual after that sigma_3 needs its
-    own; from then on sigma_3 reuses the quadratic of the last residual."""
+def test_orbit_evaluates_3n_plus_1_fiber_quadratics(monkeypatch, n_steps):
+    """Three per step: sigma_2, sigma_1 and the residual after sigma_1,
+    which is also the next step's sigma_3 quadratic.  sigma_1's quadratic
+    checks the point after sigma_2 first.  The start point's quadratic
+    serves sigma_3 of step one; its rows move under the first rebuild, so
+    sigma_2's quadratic checks the point after that sigma_3."""
     surface = wd.random_surface(1)
     p = wd.random_surface_point(surface, np.random.default_rng(0))
     count = _Counter(monkeypatch, "_fiber_coeffs")
     wd.orbit(surface, p, n_steps)
-    assert count.calls == 4 * n_steps + 2
+    assert count.calls == 3 * n_steps + 1
 
 
 # ---------------------------------------------------------------------------
 # the error contract
 
 
+def _loop_and_reference(surface, p, tol, axes):
+    """(loop, reference) call pairs for the chains that start with axes:
+    orbit over three steps and wehler_map for f, wehler_map_inverse for
+    f^-1."""
+    carr = surface.array()
+    ref = lambda: reference_chain(carr, axes, p, tol)  # noqa: E731
+    if axes == wd.INVERSE_AXES:
+        return [(lambda: wd.wehler_map_inverse(surface, p, tol), ref)]
+    return [
+        (lambda: wd.orbit(surface, p, 3, tol), lambda: reference_orbit(surface, p, 3, tol)),
+        (lambda: wd.wehler_map(surface, p, tol), ref),
+    ]
+
+
+def _counted(monkeypatch, call):
+    """outcome(call) and the number of involutions it ran."""
+    swaps = _Counter(monkeypatch, "_swap_root")
+    got = outcome(call), swaps.calls
+    monkeypatch.undo()
+    return got
+
+
 @pytest.mark.parametrize("name", [1, 7])
 def test_tight_tolerance_fails_at_the_same_involution(monkeypatch, name):
     """tol just below the residual after the first involution, or below the
     median residual of three steps: the loop and the reference raise the
-    same OffSurfaceError after the same number of involutions."""
+    same OffSurfaceError after the same number of involutions.
+
+    The points after sigma_3 sigma_2 in f and after sigma_1 in f^-1 are
+    checked with the next involution's quadratic, whose margin is far above
+    these levels, so there the exact z-fiber residual decides: at tol one
+    ulp below the level the chain stops at that point, and at tol equal to
+    it the point passes, with the same outcome as the reference."""
     surface, pts = _start_points(name, 6)
     carr = surface.array()
     checked = 0
     for p in pts:
         first = reference_chain(carr, (2,), p, np.inf).residual
+        second = reference_chain(carr, (2, 1), p, np.inf).residual
         rows, _ = reference_orbit(surface, p, 3, np.inf)
         median = np.median([q.residual for q in rows[1:]])
-        for level in (first, median):
+        # (level, first involutions, involutions run at one ulp below, at it)
+        levels = [
+            (first, wd.FORWARD_AXES, 1, False),
+            (median, wd.FORWARD_AXES, None, False),
+            (second, wd.FORWARD_AXES, 1 if first > np.nextafter(second, 0.0) else 2, True),
+            (reference_chain(carr, (0,), p, np.inf).residual, wd.INVERSE_AXES, 1, True),
+        ]
+        for level, axes, swaps, at_level in levels:
             if level <= p.residual:
                 continue
-            tol = np.nextafter(level, 0.0)
-            outcomes = []
-            for fn in (wd.orbit, reference_orbit):
-                swaps = _Counter(monkeypatch, "_swap_root")
-                outcomes.append((outcome(fn, surface, p, 3, tol), swaps.calls))
-                monkeypatch.undo()
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[0][0][0] == "OffSurfaceError"
-            if level == first:
-                assert outcomes[0][1] == 1
-            got = outcome(wd.wehler_map, surface, p, tol)
-            assert got == outcome(_chain_ref(wd.FORWARD_AXES), surface, p, tol)
-            checked += 1
-    assert checked >= 6
+            below = np.nextafter(level, 0.0)
+            for tol in (below, level) if at_level else (below,):
+                pairs = _loop_and_reference(surface, p, tol, axes)
+                for k, (loop, ref) in enumerate(pairs):
+                    got = _counted(monkeypatch, loop)
+                    assert got == _counted(monkeypatch, ref)
+                    # three steps reach a residual above the median; one
+                    # wehler_map need not
+                    if tol == below and (swaps or k == 0):
+                        assert got[0][0] == "OffSurfaceError"
+                        assert swaps is None or got[1] == swaps
+                checked += 1
+    assert checked >= 18
 
 
 def _degenerate_fiber_point(axis):

@@ -10,6 +10,7 @@ from kummerlab.errors import (
     ChartFailureError,
     DegenerateFiberError,
     IndeterminatePointError,
+    InternalInvariantError,
     OffSurfaceError,
     PreconditionError,
     TooFewSaddlesError,
@@ -36,8 +37,15 @@ def test_p1point_normalizes_larger_component_to_one():
 
 
 def test_p1point_rejects_zero_pair():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"\(0, 0\) is not a projective point"):
         wd.P1Point.make(0.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)])
+def test_p1point_names_a_non_finite_coordinate(bad):
+    for u, v in ((bad, 1.0), (1.0, bad), (bad, 0.0)):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            wd.P1Point.make(u, v)
 
 
 def test_chordal_is_symmetric_and_scale_free():
@@ -71,6 +79,10 @@ def test_surface_from_array_names_a_non_finite_entry(bad):
     arr[0, 1, 2] = bad
     with pytest.raises(PreconditionError, match="non-finite"):
         wd.WehlerSurface.from_array(arr)
+    # the direct constructor names it too, before the normalization check
+    coeffs = tuple(tuple(tuple(x for x in r) for r in plane) for plane in arr)
+    with pytest.raises(PreconditionError, match="coefficient tensor has a non-finite entry"):
+        wd.WehlerSurface(coeffs)
 
 
 def test_random_surface_deterministic_and_real_option():
@@ -539,6 +551,24 @@ def test_two_form_identity_on_random_surfaces(seed, n):
     assert rows
     det = np.array([o.multipliers[0] * o.multipliers[1] for o in rows])
     assert np.abs(det - (-1) ** n).max() <= 1e-8
+
+
+def skew_multipliers(monkeypatch, factor=1.0 + 1e-6):
+    """Scale every big multiplier by factor, which moves m_u m_s off (-1)^n
+    by about |factor - 1|."""
+    inner = wd._multipliers_at
+
+    def skewed(*args, **kwargs):
+        big, small, fail = inner(*args, **kwargs)
+        return big * factor, small, fail
+
+    monkeypatch.setattr(wd, "_multipliers_at", skewed)
+
+
+def test_two_form_defect_beyond_the_bound_raises(monkeypatch):
+    skew_multipliers(monkeypatch)
+    with pytest.raises(InternalInvariantError, match=r"at period 2: .* = 1\.0\d*e-06$"):
+        wd.newton_periodic(wd.random_surface(1), 2, 256, 0)
 
 
 # ---------------------------------------------------------------------------
