@@ -1070,10 +1070,12 @@ def assemble_rigidity(
 ) -> RigidityReport:
     """Verdict logic shared by the surface pipeline and the torus control.
 
-    KUMMER_CONSISTENT needs both gaps within 3 stderr and the dimension
-    within 3 stderr of 4; a positive (Ruelle-direction) gap beyond 3 stderr
-    is RIGIDITY_GAP; negative gaps beyond tolerance or missing data give
-    INCONCLUSIVE.
+    The verdict reads gap_u = lambda_u - 1/2 log lambda_f alone; band = 3
+    stderr.  RIGIDITY_GAP if gap_u > band (the Ruelle direction);
+    KUMMER_CONSISTENT if |gap_u| <= band and the dimension is within 3
+    stderr of 4; INCONCLUSIVE otherwise.  gap_s is reported, not read: the
+    saddles keep m_u m_s = (-1)^n and the torus lambda_s = -lambda_u, so it
+    repeats gap_u with more rounding than the band allows for.
     """
     lyap_u = lyap_s = lyap_err = gap_u = gap_s = qr_gap = None
     verdict = RigidityVerdict.INCONCLUSIVE
@@ -1082,11 +1084,10 @@ def assemble_rigidity(
         gap_u = lyap.lambda_u - half_log_lambda_f
         gap_s = -lyap.lambda_s - half_log_lambda_f
         band = 3 * lyap.stderr
-        if gap_u > band or gap_s > band:
+        dim_ok = dimension is not None and abs(dimension[0] - 4.0) <= 3 * dimension[1]
+        if gap_u > band:
             verdict = RigidityVerdict.RIGIDITY_GAP
-        elif gap_u < -band or gap_s < -band:
-            verdict = RigidityVerdict.INCONCLUSIVE
-        elif dimension is not None and abs(dimension[0] - 4.0) <= 3 * dimension[1]:
+        elif abs(gap_u) <= band and dim_ok:
             verdict = RigidityVerdict.KUMMER_CONSISTENT
         if qr_lambda_u is not None:
             qr_gap = qr_lambda_u - half_log_lambda_f
@@ -1211,17 +1212,16 @@ def rigidity_report(
         lyap = None
     dimension = None
     cloud = saddle_cloud(orbits)
-    if len(cloud) >= 1000:
-        try:
-            dimension = local_dimension_estimate(
-                cloud,
-                surface_cloud_distance,
-                DEFAULT_SURFACE_RADII,
-                min(DIMENSION_PROBES, len(cloud)),
-                rng_seed,
-            )
-        except (InsufficientSamplesError, DegenerateRadiiError):
-            dimension = None
+    try:
+        dimension = local_dimension_estimate(
+            cloud,
+            surface_cloud_distance,
+            DEFAULT_SURFACE_RADII,
+            min(DIMENSION_PROBES, len(cloud)),
+            rng_seed,
+        )
+    except (InsufficientSamplesError, DegenerateRadiiError):
+        pass
     report = assemble_rigidity(
         lam_f,
         0.5 * math.log(lam_f),

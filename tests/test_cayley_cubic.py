@@ -88,3 +88,12 @@ def assert_exact_saddles(surface, n, count):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_saddles_carry_the_exact_exponent(n):
     assert_exact_saddles(cayley_surface(), n, _smooth_fixed_count(n))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_rigidity_verdict_is_inconclusive(n):
+    """gap_u is zero here too, but the saddle cloud has fewer than 1000
+    points and so no dimension estimate: the verdict must stay INCONCLUSIVE,
+    never KUMMER_CONSISTENT."""
+    report, _ = wd.rigidity_report(cayley_surface(), n, 2000, 0)
+    assert report.verdict is wd.RigidityVerdict.INCONCLUSIVE

@@ -81,15 +81,10 @@ def test_rigidity_verdict_is_kummer_consistent():
     assert abs(report.gap_u) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="at the default nmax 5, gap_s = 2.2e-13 exceeds the band 3 stderr "
-    "= 6.2e-14 and the verdict is RIGIDITY_GAP: with m_u m_s = +-1, gap_s is "
-    "a worse-conditioned copy of gap_u, and the band does not allow for it",
-)
 def test_default_rigidity_run_is_kummer_consistent():
     report, _ = wd.rigidity_report(kummer_surface(), 5, 2000, 0)
     assert report.verdict is wd.RigidityVerdict.KUMMER_CONSISTENT
+    assert abs(report.gap_u) <= 1e-12
 
 
 def _curve_point(x):

@@ -192,14 +192,18 @@ def _lyap(lu, ls, stderr=0.01):
     "lyap, dimension, verdict",
     [
         (_lyap(HALF + 1.0, -HALF), None, V.RIGIDITY_GAP),
-        (_lyap(HALF, -HALF - 1.0), (4.0, 0.1), V.RIGIDITY_GAP),
+        # lambda_s does not enter the verdict: gap_s = +-1 with gap_u = 0
+        (_lyap(HALF, -HALF - 1.0), (4.0, 0.1), V.KUMMER_CONSISTENT),
         (_lyap(HALF - 1.0, -HALF), (4.0, 0.1), V.INCONCLUSIVE),
-        (_lyap(HALF, -HALF + 1.0), (4.0, 0.1), V.INCONCLUSIVE),
+        (_lyap(HALF, -HALF + 1.0), (4.0, 0.1), V.KUMMER_CONSISTENT),
         (_lyap(HALF + 0.01, -HALF), (4.0, 0.1), V.KUMMER_CONSISTENT),
         (_lyap(HALF, -HALF), (3.0, 0.1), V.INCONCLUSIVE),
         (_lyap(HALF, -HALF), None, V.INCONCLUSIVE),
         (None, (4.0, 0.1), V.INCONCLUSIVE),
         (None, None, V.INCONCLUSIVE),
+        # the same gap_u = +-1 rows with a matching lambda_s keep their verdicts
+        (_lyap(HALF + 1.0, -HALF - 1.0), (4.0, 0.1), V.RIGIDITY_GAP),
+        (_lyap(HALF - 1.0, -HALF + 1.0), (4.0, 0.1), V.INCONCLUSIVE),
     ],
 )
 @pytest.mark.parametrize("qr_lambda_u", [None, HALF + 0.25])
