@@ -671,8 +671,8 @@ def cmd_blanc_orbit(args, files):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker count (default: KUMMERLAB_WORKERS or 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="worker count (default: 1)")
     common.add_argument("--out", default=None,
                         help="result file path (default: stdout); a manifest "
                              "is written alongside")
@@ -802,25 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _worker_count(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("KUMMERLAB_WORKERS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"bad KUMMERLAB_WORKERS value: {env}") from None
-    return 1
-
-
 def _echo_config(args) -> dict:
     return {key: value for key, value in vars(args).items() if not callable(value)}
 
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    args.workers = _worker_count(args)
     if not 0 <= args.seed < 2**64:
         raise ConfigError("rng seed must be between 0 and 2**64 - 1")
     if args.workers < 1:

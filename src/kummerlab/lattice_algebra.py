@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -766,10 +765,6 @@ class QuadraticLattice:
     def is_even(self) -> bool:
         return all(self.gram.entries[i][i] % 2 == 0 for i in range(self.rank))
 
-    def evaluate(self, x: Sequence[int]) -> int:
-        g = self.gram.entries
-        return sum(x[i] * g[i][j] * x[j] for i in range(self.rank) for j in range(self.rank))
-
 
 def isometry_check(m: IntMatrix, lattice: QuadraticLattice) -> bool:
     if m.dim != lattice.rank:
@@ -778,40 +773,26 @@ def isometry_check(m: IntMatrix, lattice: QuadraticLattice) -> bool:
 
 
 def signature(lattice: QuadraticLattice) -> tuple[int, int, int]:
-    """Inertia (positive, negative, zero) by exact symmetric reduction over Q."""
-    n = lattice.rank
-    a = [[Fraction(x) for x in row] for row in lattice.gram.entries]
-    pos = neg = zero = 0
+    """Inertia (positive, negative, zero) by Descartes' rule of signs on the
+    exact characteristic polynomial p of the Gram matrix.
 
-    def add_sym(dst: int, src: int, c: Fraction):
-        # congruence transform: simultaneous row and column operation
-        for j in range(n):
-            a[dst][j] += c * a[src][j]
-        for i in range(n):
-            a[i][dst] += c * a[i][src]
+    A real symmetric matrix has only real eigenvalues, so with z the power
+    of t dividing p, q = p / t^z has every root real and nonzero.  For such
+    a q the sign changes of q(t) count its positive roots exactly and those
+    of q(-t) its negative roots: each count is at least its number of roots,
+    and the two counts add up to at most deg q, which is the number of roots.
+    The counts skip zero coefficients, so p(t) and p(-t) give those of q(t)
+    and +-q(-t) without dividing out t^z.
+    """
+    coeffs = char_poly(lattice.gram).coeffs
+    zero = next(k for k, c in enumerate(coeffs) if c)
+    q_pos = [c for c in coeffs if c]
+    q_neg = [-c if k % 2 else c for k, c in enumerate(coeffs) if c]
+    return _sign_changes(q_pos), _sign_changes(q_neg), zero
 
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                add_sym(k, off, Fraction(1))
-        pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_sym(i, k, -a[i][k] / pivot)
-    return pos, neg, zero
+
+def _sign_changes(cs: list[int]) -> int:
+    return sum(a * b < 0 for a, b in zip(cs, cs[1:]))
 
 
 @dataclass(frozen=True)
@@ -873,13 +854,6 @@ class Rank2Analysis:
     lambda_psi: float | None
 
 
-def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def represents_value(lattice: QuadraticLattice, value: int, bound: int) -> bool:
     """Whether q(x, y) = value has an integer solution with |x| <= bound
     (y is solved exactly per x, so it is unrestricted)."""
@@ -914,12 +888,13 @@ def rank2_analysis(
 ) -> Rank2Analysis:
     if lattice.rank != 2:
         raise WrongRankError("analysis requires a rank-2 lattice")
-    pos, neg, zero = signature(lattice)
-    if (pos, neg, zero) != (1, 1, 0):
-        raise WrongSignatureError("analysis requires signature (1,1)")
     g = lattice.gram.entries
-    disc = g[0][1] * g[0][1] - g[0][0] * g[1][1]  # positive by signature
-    rep_zero = _is_perfect_square(disc)
+    # the Gram's determinant is -disc, the product of its two eigenvalues:
+    # signature (1,1) exactly when disc > 0
+    disc = g[0][1] * g[0][1] - g[0][0] * g[1][1]
+    if disc <= 0:
+        raise WrongSignatureError("analysis requires signature (1,1)")
+    rep_zero = math.isqrt(disc) ** 2 == disc
     rep_minus_two = represents_value(lattice, -2, search_bound)
     aut_inf = not rep_zero and not rep_minus_two
     return Rank2Analysis(

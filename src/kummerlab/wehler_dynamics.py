@@ -1286,7 +1286,7 @@ def singularity_probe(
     carr = surface.array()
     rng = np.random.default_rng(rng_seed)
     with np.errstate(all="ignore"):
-        P = _seed_points(carr, rng, max(trials, 1))
+        P = _seed_points(carr, rng, trials)
         P = P[_finite_lanes(P)]
         grads = np.abs(_chart(carr, P).partials).max(axis=0)
         cand = P[np.argsort(grads)[:20]]

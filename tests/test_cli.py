@@ -339,15 +339,12 @@ def test_wehler_surface_file_matches_random(tmp_path):
     assert from_file.read_bytes() == from_seed.read_bytes()
 
 
-def test_wehler_saddles_worker_invariance(tmp_path, monkeypatch):
+def test_wehler_saddles_worker_invariance(tmp_path):
     base = ("wehler", "saddles", "--random", "--seed", "4",
             "--nmax", "2", "--seeds", "256")
     one = run_cli(tmp_path, "w1.csv", *base, "--workers", "1")
     three = run_cli(tmp_path, "w3.csv", *base, "--workers", "3")
     assert one.read_bytes() == three.read_bytes()
-    monkeypatch.setenv("KUMMERLAB_WORKERS", "2")
-    env = run_cli(tmp_path, "we.csv", *base)
-    assert one.read_bytes() == env.read_bytes()
     repeat = run_cli(tmp_path, "wr.csv", *base, "--workers", "1")
     assert one.read_bytes() == repeat.read_bytes()
 
@@ -463,14 +460,10 @@ def test_manifest_contents(tmp_path):
     assert set(manifest["stages"]) == {"compute_s", "emit_s"}
 
 
-@pytest.mark.parametrize("env, expected", [("2", 2), (None, 1)],
-                         ids=["env", "default"])
-def test_manifest_echoes_resolved_workers(tmp_path, monkeypatch, env, expected):
-    if env is None:
-        monkeypatch.delenv("KUMMERLAB_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("KUMMERLAB_WORKERS", env)
-    run_cli(tmp_path, "fc.json", "torus", "fix-count", "--n", "2")
+@pytest.mark.parametrize("flags, expected", [((), 1), (("--workers", "3"), 3)],
+                         ids=["default", "flag"])
+def test_manifest_echoes_resolved_workers(tmp_path, flags, expected):
+    run_cli(tmp_path, "fc.json", "torus", "fix-count", "--n", "2", *flags)
     manifest = json.loads((tmp_path / "fc.json.manifest.json").read_text())
     assert manifest["config"]["workers"] == expected
 

@@ -25,8 +25,12 @@ checked against a test-local copy of the code it replaced.  The inverse of
 a random unimodular matrix must equal the cofactor adjugate; exact division
 must equal long division over Q; minimal_factor must equal the former
 cyclotomic loop on products of cyclotomics with a non-cyclotomic factor,
-at the dominant root and at a root of unity; and nf_splitting must equal
-its former sequence of public calls on conjugated isometries.
+at the dominant root and at a root of unity; nf_splitting must equal
+its former sequence of public calls on conjugated isometries; and the
+signature read by Descartes' rule off the characteristic polynomial must
+equal the former congruence reduction over Q on full, low-rank and
+zero-diagonal Grams, while rank2_analysis refuses every 2x2 Gram but the
+indefinite nondegenerate ones with one message.
 """
 
 import cmath
@@ -49,6 +53,7 @@ from kummerlab.errors import (
     PreconditionError,
     SplitViolationError,
     UnsupportedDegreeError,
+    WrongSignatureError,
 )
 from kummerlab.lattice_algebra import (
     LEHMER_POLY,
@@ -68,6 +73,8 @@ from kummerlab.lattice_algebra import (
     isometry_check,
     minimal_factor,
     nf_splitting,
+    rank2_analysis,
+    signature,
     smith_normal_form,
     spectral_report,
     wehler_cohomology_action,
@@ -824,3 +831,105 @@ def conjugated_isometry(draw):
 def test_nf_splitting_matches_former_call_sequence(case):
     m, lattice = case
     assert outcome(nf_splitting, m, lattice) == outcome(former_nf_splitting, m, lattice)
+
+
+def former_signature(lattice: QuadraticLattice) -> tuple[int, int, int]:
+    """signature by exact symmetric reduction over Q, as it was written."""
+    n = lattice.rank
+    a = [[Fraction(x) for x in row] for row in lattice.gram.entries]
+    pos = neg = zero = 0
+
+    def add_sym(dst: int, src: int, c: Fraction):
+        # congruence transform: simultaneous row and column operation
+        for j in range(n):
+            a[dst][j] += c * a[src][j]
+        for i in range(n):
+            a[i][dst] += c * a[i][src]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                add_sym(k, off, Fraction(1))
+        pivot = a[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                add_sym(i, k, -a[i][k] / pivot)
+    return pos, neg, zero
+
+
+def _symmetric(n: int, entry) -> list[list[int]]:
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = entry(i, j)
+    return g
+
+
+@st.composite
+def symmetric_gram(draw):
+    n = draw(st.integers(0, 8))
+    return _symmetric(n, lambda i, j: draw(st.integers(-6, 6)))
+
+
+@st.composite
+def low_rank_gram(draw):
+    """A sum of at most three terms +-v v^T, so rank and sign are known to
+    be small and the zero count is at least n - 3."""
+    n = draw(st.integers(1, 8))
+    g = [[0] * n for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        s = draw(st.sampled_from((1, -1)))
+        for i in range(n):
+            for j in range(n):
+                g[i][j] += s * v[i] * v[j]
+    return g
+
+
+@st.composite
+def hollow_gram(draw):
+    """Zero diagonal with some nonzero off-diagonal entry: the reduction's
+    off-diagonal pivot branch."""
+    n = draw(st.integers(2, 8))
+    g = _symmetric(n, lambda i, j: 0 if i == j else draw(st.integers(-4, 4)))
+    assume(any(any(row) for row in g))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(symmetric_gram(), low_rank_gram(), hollow_gram()))
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+@example([[0, 0], [0, 3]])
+def test_signature_matches_former_rational_reduction(g):
+    lattice = QuadraticLattice(IntMatrix.from_rows(g))
+    assert signature(lattice) == former_signature(lattice)
+
+
+@pytest.mark.parametrize("gram", [
+    [[2, 0], [0, 2]],
+    [[-1, 0], [0, -3]],
+    [[0, 0], [0, 3]],
+    [[1, 1], [1, 1]],
+    [[0, 0], [0, 0]],
+], ids=["positive", "negative", "semidefinite", "rank-one", "zero"])
+def test_rank2_analysis_refuses_all_but_signature_1_1(gram):
+    with pytest.raises(WrongSignatureError, match=r"^analysis requires signature \(1,1\)$"):
+        rank2_analysis(QuadraticLattice(IntMatrix.from_rows(gram)))
+
+
+def test_rank2_analysis_reads_isotropy_from_the_discriminant():
+    assert rank2_analysis(QuadraticLattice(IntMatrix.from_rows([[0, 1], [1, 0]]))).represents_zero

@@ -1,6 +1,7 @@
 """Tests for the numerical (2,2,2) surface dynamics engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -720,6 +721,14 @@ def test_probe_flags_forced_node():
 def test_probe_clean_on_random_surface():
     surface = wd.random_surface(11)
     assert wd.singularity_probe(surface, trials=1500, rng_seed=5) == []
+
+
+def test_probe_with_zero_trials_samples_nothing():
+    surface = _forced_node_surface()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(30):
+            assert wd.singularity_probe(surface, trials=0, rng_seed=seed) == []
 
 
 def test_density_histogram_shape_and_scaling():
