@@ -16,8 +16,11 @@ quotient of stacks takes values and tangents together by the product and
 quotient rules, and a lane mask or a plain coefficient covers all rows in
 one call, so a value row has the same bits whatever d is.  Points alone
 travel as P = S[0] with shape (n, 3, 2).  The scalar functions are
-one-lane calls of the same kernel.  Dead lanes are marked with NaN and
-dropped at collection time.
+one-lane calls of the same kernel, except that the root swap on a single
+value lane runs its own body: there each per-lane np.where of the kernel
+becomes a Python branch on the same comparison, with the same numpy
+arithmetic, the same bits and in about half the time.  Dead lanes are marked
+with NaN and dropped at collection time.
 
 The periodic-point search draws its seed lanes chunk by chunk, each chunk
 with its own random stream and Newton stabilizer, steps them with the
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -333,6 +335,10 @@ def _normalize_pair_arrays(u, v):
 # ---------------------------------------------------------------------------
 # the involutions
 
+# sqrt(ulp) = np.sqrt(np.finfo(float).eps), exactly: the swapped axis is
+# taken at (1:0) when |v| <= _SQRT_EPS |u|
+_SQRT_EPS = 2.0**-26
+
 
 def _swap_root(A, B, C, axis, S):
     """Swap the axis coordinate to the other root of its fiber quadratic
@@ -352,6 +358,8 @@ def _swap_root(A, B, C, axis, S):
     A single guarded Newton step on the smaller affine coordinate squares
     the remaining error.  Lanes with a degenerate fiber become NaN.
     """
+    if S.shape[:2] == (1, 1):
+        return _swap_root_one_lane(A, B, C, axis, S)
     u, v = S[:, :, axis, 0], S[:, :, axis, 1]
     cscale = np.maximum(np.maximum(np.abs(A[0]), np.abs(B[0])), np.abs(C[0]))
     scale = np.maximum(cscale, 1e-300)
@@ -365,7 +373,7 @@ def _swap_root(A, B, C, axis, S):
         r = np.abs(A[0] * nu * nu + B[0] * nu * nv + C[0] * nv * nv)
         r = np.where(np.maximum(au, av) <= 1e-13 * scale, np.inf, r)
         prod = r[1] < r[0]
-        at_inf = np.abs(v[0]) <= np.sqrt(np.finfo(float).eps) * np.abs(u[0])
+        at_inf = np.abs(v[0]) <= _SQRT_EPS * np.abs(u[0])
         cu = np.where(at_inf, -C, np.where(prod, pu, su))
         cv = np.where(at_inf, B, np.where(prod, pv, sv))
         denom = np.where(np.abs(cu[0]) >= np.abs(cv[0]), cu, cv)
@@ -385,6 +393,63 @@ def _swap_root(A, B, C, axis, S):
         S2[:, :, axis, 0] = np.where(pick_u, nu, x)
         S2[:, :, axis, 1] = np.where(pick_u, x, nv)
         S2[:, cscale <= DEGENERATE_FIBER_TOL, axis] = np.nan
+    return S2
+
+
+def _swap_root_one_lane(A, B, C, axis, S):
+    """_swap_root on a single value lane, S of shape (1, 1, 3, 2), with the
+    same bits.
+
+    The scalar chain swaps one lane per call.  There each np.where of the
+    lane kernel, and the mask that feeds it, costs a numpy call to pick one
+    of two (1, 1) arrays.  Here every such choice is a Python branch on the
+    same comparison of the same moduli.  Every complex product, quotient,
+    sum and modulus stays the lane kernel's numpy call on (1, 1) arrays,
+    with its operand order: numpy's complex multiply may use FMA and
+    Python's does not, so no arithmetic leaves numpy.  A candidate's
+    normalised pair from the residual test is the one the lane kernel
+    normalises again when it takes that candidate, so it is kept, and a
+    candidate whose pair vanishes against the scale skips its residual.
+    """
+    u, v = S[:, :, axis, 0], S[:, :, axis, 1]
+    # np.maximum for cscale, since Python's max drops a NaN by argument
+    # order; max(cscale, 1e-300) keeps a NaN cscale, as np.maximum does
+    cscale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C)).item()
+    scale = max(cscale, 1e-300)
+    with np.errstate(all="ignore"):
+        if np.abs(v).item() <= _SQRT_EPS * np.abs(u).item():
+            forms = ((-C, B),)
+        else:
+            Au = A * u
+            forms = ((-(B * v) - Au, A * v), (C * v, Au))
+        # the sum form unless the product form has the smaller residual
+        best = rbest = None
+        for cu, cv in forms:
+            au, av = np.abs(cu).item(), np.abs(cv).item()
+            inv = 1.0 / (cu if au >= av else cv)
+            nu, nv = cu * inv, cv * inv
+            if au <= 1e-13 * scale and av <= 1e-13 * scale:
+                r = math.inf
+            else:
+                r = np.abs(A * nu * nu + B * nu * nv + C * nv * nv).item()
+            if best is None or r < rbest:
+                best, rbest = (nu, nv), r
+        nu, nv = best
+        # the polish step of the lane kernel in the chart pick_u
+        pick_u = np.abs(nu).item() >= np.abs(nv).item()
+        x, lead = (nv, C) if pick_u else (nu, A)
+        lead_xx = lead * (x * x)
+        if pick_u:
+            g = (B * x + A) + lead_xx
+        else:
+            g = (B * x + lead_xx) + C
+        gp = 2.0 * (lead * x) + B
+        if np.abs(gp).item() > 1e-8 * scale:
+            x = x - g * (1.0 / gp)
+        S2 = S.copy()
+        S2[:, :, axis, 0], S2[:, :, axis, 1] = (nu, x) if pick_u else (x, nv)
+        if cscale <= DEGENERATE_FIBER_TOL:
+            S2[:, :, axis] = np.nan
     return S2
 
 
@@ -941,6 +1006,10 @@ def newton_periodic(
     # one contiguous lane slice per worker, at most one per seed chunk
     groups = min(workers, math.ceil(seeds / SEED_CHUNK))
     if groups > 1:
+        # imported here: concurrent.futures pulls in multiprocessing and
+        # logging, which no serial run needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=groups) as pool:
             parts = pool.map(
                 _newton_lanes, [carr] * groups, [n] * groups,

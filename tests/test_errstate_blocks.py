@@ -52,9 +52,13 @@ def test_normalize_pair_arrays_zero_pair():
 
 
 def test_swap_root_vanishing_fiber():
+    # one lane runs the one-lane body, two lanes the lane kernel: each has
+    # its own block
     P = _point_at_infinity(wd.random_surface(1))
-    P2 = wd._swap_root(ZERO[None], ZERO[None], ZERO[None], 2, P[None])[0]  # 1 / 0 on every candidate
-    assert np.isnan(P2[0, 2]).all()
+    for lanes in (P, np.concatenate([P, P])):
+        zero = np.zeros((1, len(lanes)), dtype=complex)
+        P2 = wd._swap_root(zero, zero, zero, 2, lanes[None])[0]  # 1 / 0 on every candidate
+        assert np.isnan(P2[:, 2]).all()
 
 
 def test_seed_chart_tangents_at_a_node():

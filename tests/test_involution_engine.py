@@ -40,23 +40,56 @@ def _tangents(P):
     return rng.normal(size=(2,) + P.shape) + 1j * rng.normal(size=(2,) + P.shape)
 
 
+def _kernel_choices(A, B, C, axis, P):
+    """The choices _swap_root makes on the value lanes P (n, 3, 2) with
+    their fiber quadratics (A, B, C), each (n,): the lane kernel's rules on
+    its arithmetic, as a mask of lanes per named branch."""
+    u, v = P[:, axis, 0], P[:, axis, 1]
+    cscale = np.maximum(np.maximum(abs(A), abs(B)), abs(C))
+    scale = np.maximum(cscale, 1e-300)
+    with np.errstate(all="ignore"):
+        forms = ((-(B * v) - A * u, A * v), (C * v, A * u))
+        res, vanish = [], np.zeros(len(P), dtype=bool)
+        for cu, cv in forms:
+            inv = 1.0 / np.where(abs(cu) >= abs(cv), cu, cv)
+            nu, nv = cu * inv, cv * inv
+            gone = np.maximum(abs(cu), abs(cv)) <= 1e-13 * scale
+            res.append(np.where(gone, np.inf, abs(A * nu * nu + B * nu * nv + C * nv * nv)))
+            vanish |= gone
+        at_inf = abs(v) <= wd._SQRT_EPS * abs(u)
+        prod = res[1] < res[0]
+        cu = np.where(at_inf, -C, np.where(prod, forms[1][0], forms[0][0]))
+        cv = np.where(at_inf, B, np.where(prod, forms[1][1], forms[0][1]))
+        u_denom = abs(cu) >= abs(cv)
+        inv = 1.0 / np.where(u_denom, cu, cv)
+        nu, nv = cu * inv, cv * inv
+        pick_u = abs(nu) >= abs(nv)
+        x, lead = np.where(pick_u, nv, nu), np.where(pick_u, C, A)
+        polish = abs(2.0 * (lead * x) + B) > 1e-8 * scale
+    return {
+        "(-C:B)": at_inf,
+        "sum form": ~at_inf & ~prod,
+        "product form": ~at_inf & prod,
+        "a Vieta form vanishes": ~at_inf & vanish,
+        "u denominator": u_denom,
+        "v denominator": ~u_denom,
+        "u chart": pick_u,
+        "v chart": ~pick_u,
+        "polish": polish,
+        "no polish": ~polish,
+        "degenerate fiber": cscale <= wd.DEGENERATE_FIBER_TOL,
+        "non-finite lane": ~wd._finite_lanes(P),
+    }
+
+
 def _vieta_choice(carr, axis, P):
     """Which root formula the kernel takes on each lane: 0 and 1 for the sum
     and product forms of Vieta, whichever has the smaller fiber residual
     once max-normalized, and 2 for (-C:B) on inputs within sqrt(eps) of
-    (1:0).  The same rule as _swap_root, written with plain division."""
+    (1:0)."""
     A, B, C = wd._fiber_coeffs(carr, axis, P[None])[:, 0]
-    u, v = P[:, axis, 0], P[:, axis, 1]
-    scale = np.maximum(np.maximum(np.maximum(abs(A), abs(B)), abs(C)), 1e-300)
-    res = []
-    with np.errstate(all="ignore"):
-        for cu, cv in ((-(B * v) - A * u, A * v), (C * v, A * u)):
-            d = np.where(abs(cu) >= abs(cv), cu, cv)
-            nu, nv = cu / d, cv / d
-            r = abs(A * nu * nu + B * nu * nv + C * nv * nv)
-            res.append(np.where(np.maximum(abs(cu), abs(cv)) <= 1e-13 * scale, np.inf, r))
-    at_inf = abs(v) <= np.sqrt(np.finfo(float).eps) * abs(u)
-    return np.where(at_inf, 2, (res[1] < res[0]).astype(int))
+    choices = _kernel_choices(A, B, C, axis, P)
+    return np.where(choices["(-C:B)"], 2, choices["product form"].astype(int))
 
 
 def test_branch_lanes_reach_every_branch_of_the_involution():
@@ -192,3 +225,89 @@ def test_tangent_map_errors_are_unchanged():
     img = wd._chart(surface.array(), Q)
     src_fail, dead, img_fail = src.fail, ~wd._finite_lanes(Q), img.fail
     assert dead.tolist() == [True, True] and not img_fail.any()
+
+
+# ---------------------------------------------------------------------------
+# the one-lane body
+
+
+def _one_lane_surfaces():
+    from test_cayley_cubic import cayley_surface
+    from test_kummer_control import kummer_surface
+
+    for seed in (1, 7, 13):
+        for real in (False, True):
+            yield wd.random_surface(seed, real_coeffs=real)
+    yield kummer_surface()
+    yield cayley_surface()
+
+
+def _forced_lanes(carr, axis):
+    """Value lanes (n, 3, 2) and their quadratics A, B, C, each (n,).
+
+    First, lanes of fiber quadratics whose swapped axis sits at (1:0), at
+    |v| just on either side of _SQRT_EPS |u|, at |u| = |v|, or holds NaN or
+    inf, and one lane with a non-finite row off the axis.  Then lanes of
+    chosen quadratics:
+    - a vanishing fiber, and one of modulus below DEGENERATE_FIBER_TOL;
+    - the double roots (1:1) of (u - v)^2 and (0:1) of u^2, where the
+      polish derivative vanishes;
+    - inputs whose other roots tie |u| = |v|: (1:-1) of u^2 - v^2 and
+      (1:i) of (v - iu)(v + u);
+    - A u^2 at (1:0), whose (-C:B) is (0:0), and a NaN A at (1:0), where
+      the polish guard reads a NaN scale;
+    - a root of 1e-14 u^2 + 1e-14 uv + v^2, where the product form
+      vanishes against the scale but has the smaller residual.
+    """
+    with np.errstate(all="ignore"):
+        base = wd._seed_points(carr, np.random.default_rng(17), 1)[0]
+    above = np.nextafter(wd._SQRT_EPS, 1.0)
+    rows = [
+        (1, 0), (1, wd._SQRT_EPS), (1, above), (-1j, wd._SQRT_EPS * 1j), (1j, above * 1j),
+        (wd._SQRT_EPS, 1), (1, 1), (1, 1j), (-1j, 1), (np.nan, 1), (1, np.inf), (np.inf, 0),
+    ]
+    P = np.repeat(base[None], len(rows) + 1, axis=0)
+    P[: len(rows), axis] = rows
+    P[-1, (axis + 1) % 3] = (np.nan, np.inf)  # a non-finite row off the axis
+    with np.errstate(all="ignore"):
+        A, B, C = wd._fiber_coeffs(carr, axis, P[None])[:, 0]
+    chosen = [
+        ((0, 0, 0), (1, 1)), ((1e-15, 0, 2e-15j), (1, 1)),
+        ((1, -2, 1), (1, 1)), ((1, 0, 0), (0, 1)), ((1, 0, -1), (1, 1)), ((1, 0, 0), (1, 0)),
+        ((-1j, 1 - 1j, 1), (1, -1)), ((np.nan, 1, 2), (1, 0)),
+    ]
+    small = np.array([[1e-14], [1e-14], [1]], dtype=complex)
+    root = wd._normalize_pair_arrays(*wd._solve_quadratic(*small)[0])
+    chosen.append((small[:, 0], np.concatenate(root)))
+    Q = np.repeat(base[None], len(chosen), axis=0)
+    Q[:, axis] = [row for _, row in chosen]
+    coeffs = np.array([abc for abc, _ in chosen], dtype=complex).T
+    return np.concatenate([P, Q]), *(np.concatenate([X, Y]) for X, Y in zip((A, B, C), coeffs))
+
+
+def test_one_lane_body_matches_the_lane_kernel_bitwise():
+    """_swap_root on one value lane against the lane kernel on the same lane
+    in a two-lane stack: random lanes of surfaces 1, 7 and 13, complex and
+    real, of the Kummer control and of the Cayley cubic, then forced lanes,
+    on every axis.  Random lanes never reach (1:0), a vanishing form, a
+    skipped polish or a degenerate fiber; with the forced lanes, every
+    branch of the one-lane body is taken."""
+    hit = set()
+    for surface in _one_lane_surfaces():
+        carr = surface.array()
+        with np.errstate(all="ignore"):
+            rand = wd._seed_points(carr, np.random.default_rng(23), 48)
+        for axis in range(3):
+            with np.errstate(all="ignore"):
+                coeffs = wd._fiber_coeffs(carr, axis, rand[None])[:, 0]
+            forced = _forced_lanes(carr, axis)
+            for P, A, B, C in ((rand, *coeffs), forced):
+                choices = _kernel_choices(A, B, C, axis, P)
+                hit |= {name for name, lanes in choices.items() if lanes.any()}
+                for i in range(len(P)):
+                    j = [i, (i + 1) % len(P)]
+                    one = wd._swap_root(A[None, i:i + 1], B[None, i:i + 1], C[None, i:i + 1],
+                                        axis, P[None, i:i + 1])
+                    two = wd._swap_root(A[None, j], B[None, j], C[None, j], axis, P[None, j])
+                    assert one.tobytes() == two[:, :1].tobytes()
+    assert hit == set(choices)

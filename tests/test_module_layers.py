@@ -2,6 +2,9 @@
 below it, read from the source with ast so no import is executed."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,19 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("module", sorted(m for m, a in ALLOWED.items() if a is not None))
 def test_module_imports_only_lower_layers(module):
     assert package_imports(SRC / f"{module}.py") <= ALLOWED[module]
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    """concurrent.futures pulls in multiprocessing and logging; only a
+    search with more than one worker group needs them, so it imports them
+    itself and start-up does not pay for them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, kummerlab.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -7,6 +7,8 @@ subset of lanes the same bits as the whole set restricted to it, and a
 per-lane stabilizer stack the same bits as one (2, 2) matrix per chunk.
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -123,12 +125,13 @@ def test_newton_periodic_starts_at_most_one_worker_per_chunk(monkeypatch):
     serial = wd.newton_periodic(surface, 2, seeds=300, rng_seed=4, workers=1)
     started = []
 
-    class RecordingPool(wd.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(wd, "ProcessPoolExecutor", RecordingPool)
+    # newton_periodic imports the pool class when it starts workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # 300 seeds are two chunks, so four workers start two processes
     pooled = wd.newton_periodic(surface, 2, seeds=300, rng_seed=4, workers=4)
     assert started == [2]
