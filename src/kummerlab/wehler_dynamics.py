@@ -16,11 +16,12 @@ quotient of stacks takes values and tangents together by the product and
 quotient rules, and a lane mask or a plain coefficient covers all rows in
 one call, so a value row has the same bits whatever d is.  Points alone
 travel as P = S[0] with shape (n, 3, 2).  The scalar functions are
-one-lane calls of the same kernel, except that the root swap on a single
-value lane runs its own body: there each per-lane np.where of the kernel
-becomes a Python branch on the same comparison, with the same numpy
-arithmetic, the same bits and in about half the time.  Dead lanes are marked
-with NaN and dropped at collection time.
+one-lane calls of the same kernel, except that a single lane's fiber
+quadratic is one contraction and the root swap on a single value lane runs
+its own body: there each per-lane np.where of the kernel becomes a Python
+branch on the same comparison and each round of products one numpy call,
+with the same bits.  Dead lanes are marked with NaN and dropped at
+collection time.
 
 The periodic-point search draws its seed lanes chunk by chunk, each chunk
 with its own random stream and Newton stabilizer, steps them with the
@@ -79,6 +80,11 @@ PERIOD_CAP = 8
 SEED_CHUNK = 256
 NEWTON_MAX_ITER = 60
 _SOLVED_LAST = ((1, 2, 0), (0, 2, 1), (0, 1, 2))  # coefficient axes, solved axis last
+# one-lane _fiber_coeffs: per solved axis, the entries of a flat lane row that
+# give (v, u, u) (v, v, u) = (v^2, uv, u^2) of each other axis, and the nine terms
+_MONO_IDX = np.array([[[2 * a + i for a in order[:2] for i in half]
+                       for half in ((1, 0, 0), (1, 1, 0))] for order in _SOLVED_LAST])
+_PAIRS = np.array([np.arange(9) // 3, np.arange(9) % 3 + 3])
 
 
 class Axis(Enum):
@@ -256,14 +262,29 @@ def _fiber_coeffs(carr, axis, S, mono=None):
     (a, b), one multiply by cm[a, b] and one add.  The sum keeps (a, b)
     order and each term is prod * c, which fixes the bits.  mono maps an
     axis to its monomials (v^2, uv, u^2) at S; the call adds those of the
-    two axes it uses, so a chain can keep the ones its next step needs."""
-    cm = carr.transpose(_SOLVED_LAST[axis])[:, :, ::-1, None, None]
+    two axes it uses, so a chain can keep the ones its next step needs.
+
+    One lane (n = 1) is one contraction with the same bits, and leaves mono
+    alone: both axes' monomials in one multiply, the nine monomial products
+    in one, the coefficient products in one (9, 1) by (9, 3) broadcast, and
+    the (a, b)-ordered sum as the last row of np.add.accumulate, which adds
+    left to right (np.add.reduce sums pairwise, with other bits).  See
+    _swap_root_one_lane for why longer arrays round as (1, 1) ones do.
+    """
+    order = _SOLVED_LAST[axis]
+    if S.shape[1] == 1:
+        g = S[:, 0].reshape(len(S), 6).take(_MONO_IDX[axis], axis=1)
+        m = _mul(g[:, 0], g[:, 1]).take(_PAIRS, axis=1)
+        terms = _mul(m[:, 0], m[:, 1]).T[:, :, None]
+        terms = terms * carr.transpose(order)[:, :, ::-1].reshape(9, 1, 3)
+        return np.add.accumulate(terms)[-1].T[:, :, None]
     mono = {} if mono is None else mono
-    for ax in _SOLVED_LAST[axis][:2]:
+    for ax in order[:2]:
         if ax not in mono:
             u, v = S[:, :, ax, 0], S[:, :, ax, 1]
             mono[ax] = (_mul(v, v), _mul(u, v), _mul(u, u))
-    m0, m1 = mono[_SOLVED_LAST[axis][0]], mono[_SOLVED_LAST[axis][1]]
+    m0, m1 = mono[order[0]], mono[order[1]]
+    cm = carr.transpose(order)[:, :, ::-1, None, None]
     acc = _mul(m0[0], m1[0]) * cm[0, 0]
     for a in range(3):
         for b in range(3):
@@ -287,11 +308,8 @@ def _finite_lanes(P) -> np.ndarray:
 
 
 def _residuals(carr, P) -> np.ndarray:
-    return _z_residuals(*_fiber_coeffs(carr, 2, P[None])[:, 0], P)
-
-
-def _z_residuals(A, B, C, P) -> np.ndarray:
-    """|F| at each lane of P from its z-fiber quadratic (A, B, C)."""
+    """|F| at each lane of P from its z-fiber quadratic."""
+    A, B, C = _fiber_coeffs(carr, 2, P[None])[:, 0]
     u, v = P[:, 2, 0], P[:, 2, 1]
     return np.abs(A * u * u + B * u * v + C * v * v)
 
@@ -358,8 +376,13 @@ def _swap_root(A, B, C, axis, S):
     A single guarded Newton step on the smaller affine coordinate squares
     the remaining error.  Lanes with a degenerate fiber become NaN.
     """
-    if S.shape[:2] == (1, 1):
-        return _swap_root_one_lane(A, B, C, axis, S)
+    one = S.shape[:2] == (1, 1)
+    return (_swap_root_one_lane if one else _swap_root_lanes)(A, B, C, axis, S)
+
+
+def _swap_root_lanes(A, B, C, axis, S):
+    """The lane kernel of _swap_root: every lane, value or jet, through one
+    call per operation, each choice an np.where."""
     u, v = S[:, :, axis, 0], S[:, :, axis, 1]
     cscale = np.maximum(np.maximum(np.abs(A[0]), np.abs(B[0])), np.abs(C[0]))
     scale = np.maximum(cscale, 1e-300)
@@ -400,57 +423,65 @@ def _swap_root_one_lane(A, B, C, axis, S):
     """_swap_root on a single value lane, S of shape (1, 1, 3, 2), with the
     same bits.
 
-    The scalar chain swaps one lane per call.  There each np.where of the
-    lane kernel, and the mask that feeds it, costs a numpy call to pick one
-    of two (1, 1) arrays.  Here every such choice is a Python branch on the
-    same comparison of the same moduli.  Every complex product, quotient,
-    sum and modulus stays the lane kernel's numpy call on (1, 1) arrays,
-    with its operand order: numpy's complex multiply may use FMA and
-    Python's does not, so no arithmetic leaves numpy.  A candidate's
-    normalised pair from the residual test is the one the lane kernel
-    normalises again when it takes that candidate, so it is kept, and a
-    candidate whose pair vanishes against the scale skips its residual.
+    Each np.where of the lane kernel becomes a Python branch on the same
+    comparison, and each round of products, quotients or moduli one numpy
+    call; sums, negations and comparisons run in Python.  Measured with
+    numpy 2.4 on AVX-512: numpy rounds a complex product (with FMA),
+    modulus and 1.0 / x alike on (1, 1) arrays and on contiguous arrays of
+    any length, while Python's complex *, abs and division, and numpy's *
+    on complex scalars, round otherwise.  A lane with a non-finite input
+    takes the lane kernel: a sum of two NaNs can keep other bits in Python
+    than in numpy, and Python's max drops a NaN.  The taken candidate's
+    normalised pair is the kernel's.
     """
-    u, v = S[:, :, axis, 0], S[:, :, axis, 1]
-    # np.maximum for cscale, since Python's max drops a NaN by argument
-    # order; max(cscale, 1e-300) keeps a NaN cscale, as np.maximum does
-    cscale = np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C)).item()
-    scale = max(cscale, 1e-300)
+    a, b, c = A.item(), B.item(), C.item()
+    u, v = S[0, 0, axis].tolist()
+    ma, mb, mc, mu, mv = np.abs([a, b, c, u, v]).tolist()
+    if not math.isfinite(ma + mb + mc + mu + mv):
+        return _swap_root_lanes(A, B, C, axis, S)
+    S2 = S.copy()
+    scale = max(ma, mb, mc)
+    if scale <= DEGENERATE_FIBER_TOL:
+        S2[:, :, axis] = np.nan
+        return S2
     with np.errstate(all="ignore"):
-        if np.abs(v).item() <= _SQRT_EPS * np.abs(u).item():
-            forms = ((-C, B),)
-        else:
-            Au = A * u
-            forms = ((-(B * v) - Au, A * v), (C * v, Au))
-        # the sum form unless the product form has the smaller residual
-        best = rbest = None
-        for cu, cv in forms:
-            au, av = np.abs(cu).item(), np.abs(cv).item()
-            inv = 1.0 / (cu if au >= av else cv)
-            nu, nv = cu * inv, cv * inv
-            if au <= 1e-13 * scale and av <= 1e-13 * scale:
-                r = math.inf
-            else:
-                r = np.abs(A * nu * nu + B * nu * nv + C * nv * nv).item()
-            if best is None or r < rbest:
-                best, rbest = (nu, nv), r
-        nu, nv = best
+        if mv <= _SQRT_EPS * mu:  # (-C:B)
+            flat = [-c, b]
+        else:  # the sum form (-Bv - Au : Av), then the product form (Cv : Au)
+            bv, au, av, cv = np.multiply([b, a, a, c], [v, u, v, v]).tolist()
+            flat = [-bv - au, av, cv, au]
+        mods = np.abs(flat).tolist()
+        dens = [flat[k] if mods[k] >= mods[k + 1] else flat[k + 1] for k in range(0, len(flat), 2)]
+        norm = np.multiply(flat, np.divide(1.0, dens).repeat(2)).tolist()
+        r = _quad_values(a, b, c, (norm[:2], norm[2:])) if len(norm) == 4 else []
+        nmods = np.abs(norm + r).tolist()  # |nu|, |nv| per candidate, then |r|
+        k = 0
+        if r:  # the product form if it has the smaller residual and does not vanish
+            tiny = 1e-13 * scale
+            r0, r1 = (math.inf if mods[j] <= tiny and mods[j + 1] <= tiny else m
+                      for j, m in ((0, nmods[4]), (2, nmods[5])))
+            k = 2 if r1 < r0 else 0
+        nu, nv = norm[k:k + 2]
         # the polish step of the lane kernel in the chart pick_u
-        pick_u = np.abs(nu).item() >= np.abs(nv).item()
-        x, lead = (nv, C) if pick_u else (nu, A)
-        lead_xx = lead * (x * x)
-        if pick_u:
-            g = (B * x + A) + lead_xx
-        else:
-            g = (B * x + lead_xx) + C
-        gp = 2.0 * (lead * x) + B
-        if np.abs(gp).item() > 1e-8 * scale:
-            x = x - g * (1.0 / gp)
-        S2 = S.copy()
-        S2[:, :, axis, 0], S2[:, :, axis, 1] = (nu, x) if pick_u else (x, nv)
-        if cscale <= DEGENERATE_FIBER_TOL:
-            S2[:, :, axis] = np.nan
+        pick_u = nmods[k] >= nmods[k + 1]
+        x, lead = (nv, c) if pick_u else (nu, a)
+        xx, bx, lx = np.multiply([x, b, lead], [x, x, x]).tolist()
+        lead_xx, gp = np.multiply([lead, 2.0], [xx, lx]).tolist()
+        g = (bx + a) + lead_xx if pick_u else (bx + lead_xx) + c
+        gp += b
+        if np.abs([gp]).item() > 1e-8 * scale:
+            x -= np.multiply([g], np.divide(1.0, [gp])).item()
+    S2[0, 0, axis] = (nu, x) if pick_u else (x, nv)
     return S2
+
+
+def _quad_values(a, b, c, pairs):
+    """a u^2 + b uv + c v^2 at each (u, v) of pairs, in Python complex, with
+    the arithmetic of _residuals: the sum ((a u) u + (b u) v) + (c v) v in
+    Python, each round of products one numpy multiply over all pairs."""
+    first = np.multiply([a, b, c] * len(pairs), [w for u, v in pairs for w in (u, u, v)])
+    t = np.multiply(first, [w for u, v in pairs for w in (u, v, v)]).tolist()
+    return [(t[k] + t[k + 1]) + t[k + 2] for k in range(0, len(t), 3)]
 
 
 FORWARD_AXES = (2, 1, 0)
@@ -568,13 +599,13 @@ def _sigma_chain(carr, axes, p, tol, steps):
             else:
                 q = _fiber_coeffs(carr, axis, S) if nq is None else nq
             nq = None
-            Q = _swap_root(*q, axis, S)
-            if not np.isfinite(Q).all():
+            vals = _swap_root(*q, axis, S)[0, 0].tolist()
+            if not all(cmath.isfinite(w) for row in vals for w in row):
                 # sigma_1 moves x (axis 0), sigma_2 y, sigma_3 z
                 raise IndeterminatePointError(
                     "degenerate fiber under the involution", stage=axis + 1
                 )
-            rows = [P1Point.make(*row) for row in Q[0, 0].tolist()]
+            rows = [P1Point.make(*row) for row in vals]
             Q = _pack_points([rows])[None]
             if zq is not None and Q[0, 0, :2].tobytes() != S[0, 0, :2].tobytes():
                 zq = None
@@ -587,7 +618,7 @@ def _sigma_chain(carr, axes, p, tol, steps):
                     continue
             if zq is None:
                 zq = _fiber_coeffs(carr, 2, S)
-            res = float(_z_residuals(*zq[:, 0], S[0])[0])
+            res = np.abs(_quad_values(*zq[:, 0, 0].tolist(), [(rows[2].u, rows[2].v)])).item()
             if res > tol:
                 raise OffSurfaceError(f"residual {res:.3e} exceeds membership tolerance {tol:.1e}")
         out.append(SurfacePoint(*rows, res))

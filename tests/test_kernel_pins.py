@@ -10,6 +10,9 @@ steps of the map of the orbit benchmark; the Cremona step on a cubic with
 all ten coefficients nonzero, whose mixed monomials no CLI golden reaches;
 and the scalar surface wrappers, whose inverse chain and single
 involutions no CLI golden runs.  A same-bytes change keeps every digest.
+The one-lane fiber quadratic is checked against the lane loop, and the
+rounding facts it and the one-lane root swap rely on are checked on their
+own, so that a numpy whose rounding moves fails there first.
 """
 
 import hashlib
@@ -21,7 +24,12 @@ from kummerlab import blanc_cremona as bc
 from kummerlab import wehler_dynamics as wd
 from test_blanc_cremona import DENSE, random_p2
 from test_cayley_cubic import cayley_surface
-from test_involution_engine import _branch_lanes, _branch_surface
+from test_involution_engine import (
+    _branch_lanes,
+    _branch_surface,
+    _forced_lanes,
+    _one_lane_surfaces,
+)
 from test_shared_helpers import _lanes
 
 pytestmark = pytest.mark.golden
@@ -193,3 +201,63 @@ def test_scalar_inverse_and_sigma_bytes_are_pinned():
         p = wd.random_surface_point(surface, rng)
         images += [_point_bytes(wd.sigma(surface, axis, p)) for axis in wd.Axis]
     assert _digest(*images) == SIGMA_PIN
+
+
+def test_one_lane_fiber_coeffs_match_the_lane_loop():
+    """_fiber_coeffs on one lane, as one contraction, against the lane loop
+    on the same lane inside a two-lane stack: random lanes of the surfaces
+    of the one-lane root-swap test and their forced lanes (NaN and inf on
+    the axis, a non-finite row off it), on value and jet stacks and every
+    axis.  A sum of two NaNs keeps the bits of one of them by where it falls
+    in numpy's vector loop, so the lane beside it decides a dead lane's
+    NaN bits, in the lane loop at one lane too; _same_bits lets them be."""
+    rng = np.random.default_rng(6)
+    for surface in _one_lane_surfaces():
+        carr = surface.array()
+        with np.errstate(all="ignore"):
+            rand = wd._seed_points(carr, np.random.default_rng(23), 24)
+        for axis in range(3):
+            for P in (rand, _forced_lanes(carr, axis)[0]):
+                for d in (0, 2):
+                    T = rng.normal(size=(d,) + P.shape) + 1j * rng.normal(size=(d,) + P.shape)
+                    S = np.concatenate([P[None], T])
+                    for i in range(len(P)):
+                        with np.errstate(all="ignore"):
+                            one = wd._fiber_coeffs(carr, axis, S[:, i:i + 1])
+                            two = wd._fiber_coeffs(carr, axis, S[:, [i, (i + 1) % len(P)]])
+                        assert one.shape == (3, 1 + d, 1)
+                        assert _same_bits(one, two[..., :1])
+
+
+def test_rounding_facts_of_the_one_lane_paths():
+    """The one-lane _fiber_coeffs and _swap_root batch the products,
+    moduli and reciprocals of (1, 1) arrays into longer contiguous arrays
+    and sum nine terms with np.add.accumulate, which keeps the bits only
+    while numpy rounds alike at every length and accumulates left to
+    right."""
+    rng = np.random.default_rng(12)
+    scale = 10.0 ** rng.integers(-3, 4, size=(2, 2160))
+    a, b = (rng.normal(size=(2, 2160)) + 1j * rng.normal(size=(2, 2160))) * scale
+    one = {
+        "multiply": np.array([(a[i:i + 1, None] * b[i:i + 1, None]).item() for i in range(len(a))]),
+        "abs": np.array([np.abs(a[i:i + 1, None]).item() for i in range(len(a))]),
+        "reciprocal": np.array([(1.0 / a[i:i + 1, None]).item() for i in range(len(a))]),
+    }
+    for k in (2, 3, 4, 6, 9, 27):
+        runs = [slice(i, i + k) for i in range(0, len(a), k)]
+        got = {
+            "multiply": np.concatenate([a[r] * b[r] for r in runs]),
+            "abs": np.concatenate([np.abs(a[r]) for r in runs]),
+            "reciprocal": np.concatenate([1.0 / a[r] for r in runs]),
+        }
+        for op, values in got.items():
+            assert values.tobytes() == one[op].tobytes(), (
+                f"numpy's complex {op} on contiguous arrays of length {k} rounds "
+                "otherwise than on (1, 1) arrays; the one-lane paths assume they agree")
+    terms = a[:1980].reshape(9, 20, 11)
+    acc = terms[0].copy()
+    for t in terms[1:]:
+        acc += t
+    assert np.add.accumulate(terms)[-1].tobytes() == acc.tobytes(), (
+        "the last row of np.add.accumulate is not the left-to-right sum; "
+        "the one-lane _fiber_coeffs assumes it is")
